@@ -3,8 +3,9 @@ vectorized numpy fallbacks.
 
 Set ``DLLRNN_NO_NUMBA=1`` (or uninstall numba) to select the numpy path.
 The module-level names without a suffix (``lstm_forward`` etc.) are the
-active variants; the ``*_loops`` / ``*_numpy`` pairs stay importable so the
-benchmark in ``benchmarks/bench_kernels.py`` can time both.
+active variants; callers go through those names, so the set in use can be
+swapped or wrapped in one place. The ``*_loops`` / ``*_numpy`` pairs stay
+importable for the tests that hold them to each other.
 
 The loop kernels deliberately avoid BLAS calls: a scalar accumulation loop
 produces bit-identical results for a frame whether it is processed alone or
@@ -130,15 +131,19 @@ spatial_conv_forward_loops = _jit(_spatial_conv_forward_src)
 spatial_conv_backward_loops = _jit(_spatial_conv_backward_src)
 
 
+# The three contractions are the batched matmuls (batch over F) that
+# ``einsum(..., optimize=True)`` dispatches to, written out so that a T=1
+# call does not pay for a contraction-path search.
+
 def spatial_conv_forward_numpy(x, w, b):
-    out = np.einsum("fod,dtf->otf", w, x, optimize=True)
+    out = np.matmul(x.transpose(2, 1, 0), w.transpose(0, 2, 1)).transpose(2, 1, 0)
     out += b[:, None, :]
     return out
 
 
 def spatial_conv_backward_numpy(dout, x, w):
-    dx = np.einsum("fod,otf->dtf", w, dout, optimize=True)
-    dw = np.einsum("otf,dtf->fod", dout, x, optimize=True)
+    dx = np.matmul(w.transpose(0, 2, 1), dout.transpose(2, 0, 1)).transpose(1, 2, 0)
+    dw = np.matmul(dout.transpose(2, 0, 1), x.transpose(2, 1, 0))
     db = dout.sum(axis=1)
     return dx, dw, db
 
@@ -195,10 +200,11 @@ layer_norm_backward_loops = _jit(_layer_norm_backward_src)
 
 
 def layer_norm_forward_numpy(x, gain, bias, eps):
-    mean = x.mean(axis=1, keepdims=True)
-    var = ((x - mean) ** 2).mean(axis=1, keepdims=True)
+    f = x.shape[1]
+    xc = x - np.add.reduce(x, axis=1, keepdims=True) / f
+    var = np.add.reduce(xc * xc, axis=1, keepdims=True) / f
     inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = (x - mean) * inv_std
+    xhat = xc * inv_std
     return xhat * gain + bias, xhat, inv_std[:, 0]
 
 

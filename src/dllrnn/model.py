@@ -4,21 +4,26 @@ Assembly (all widths in the config):
 
 * encoder — one shared linear ``l_in -> F`` per input channel, layer norm,
   PReLU, giving a C×T×F latent tensor;
-* B densely connected blocks — block ``b`` consumes the channel-axis
-  concatenation of the encoder output and every earlier block's output
-  (spatial width ``D_b = C + (b-1)*S``), mixes channels with a per-hidden-unit
-  spatial convolution to ``S_out + 1`` streams, normalizes and rectifies,
-  refines stream 0 with an LSTM plus linear layer, and multiplies that
-  temporal stream elementwise into the remaining ``S_out`` streams;
+* B densely connected blocks — block ``b`` consumes the channel-axis stack
+  of the encoder output and every earlier block's output (spatial width
+  ``D_b = C + (b-1)*S``; one preallocated ``C+(B-1)·S``-row buffer holds the
+  stack, and block ``b`` reads its leading ``D_b`` rows), mixes channels with
+  a per-hidden-unit spatial convolution to ``S_out + 1`` streams, normalizes
+  and rectifies, refines stream 0 with an LSTM plus linear layer, and
+  multiplies that temporal stream elementwise into the remaining ``S_out``
+  streams;
 * decoder — linear ``F -> l_out`` on the final block's single stream,
   overlap-added back into a waveform.
 
 The input waveform is scaled to pooled unit variance before framing and the
 estimate is scaled back afterwards, so the output lives at input level.
 
-``StreamingEnhancer`` runs the identical computation one frame at a time with
-carried LSTM state; with the compiled kernels its output is bit-identical to
-the whole-utterance path, which is what makes the latency contract testable.
+``StreamingEnhancer`` runs the same kernel sequence one frame at a time with
+carried LSTM state, on plain arrays. With the compiled kernels its output is
+bit-identical to the whole-utterance path; with the numpy kernels the two
+agree to rtol 1e-4 / atol 1e-6, since BLAS may sum a one-frame product in a
+different order than a many-frame one. The latency contract is checked
+bit-exactly on the whole-utterance path.
 """
 
 from __future__ import annotations
@@ -27,12 +32,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import kernels as K
 from . import tensor as T
 from .errors import ConfigError, ContractError, DimensionError
 from .framing import SAMPLE_RATE, FrameSpec, frame_signal, normalize_variance, overlap_counts
-from .layers import (AffineParams, LstmParams, SpatialConvParams, init_affine, init_layer_norm,
-                     init_lstm, init_prelu, init_spatial_conv, layer_norm, linear, lstm, prelu,
-                     spatial_conv)
+from .layers import (LN_EPS, AffineParams, LstmParams, SpatialConvParams, init_affine,
+                     init_layer_norm, init_lstm, init_prelu, init_spatial_conv, layer_norm, linear,
+                     lstm, prelu, spatial_conv)
 from .tensor import Tensor, from_op
 
 
@@ -164,19 +170,23 @@ def build_params(config: ModelConfig, seed: int = 0, dtype=np.float32) -> ParamS
     return store
 
 
+BLOCK_PARAM_NAMES = ("conv.weight", "conv.bias", "norm.weight", "norm.bias", "prelu",
+                     "lstm.wx", "lstm.wh", "lstm.bias", "linear.weight", "linear.bias")
+
+
 def block_params(store: ParamStore, b: int) -> BlockParams:
-    p = f"block{b}"
+    (conv_w, conv_b, norm_g, norm_b, slope, wx, wh, lstm_b, lin_w,
+     lin_b) = (store[f"block{b}.{name}"] for name in BLOCK_PARAM_NAMES)
     return BlockParams(
-        conv=SpatialConvParams(store[f"{p}.conv.weight"], store[f"{p}.conv.bias"]),
-        norm=AffineParams(store[f"{p}.norm.weight"], store[f"{p}.norm.bias"]),
-        prelu_slope=store[f"{p}.prelu"],
-        lstm=LstmParams(store[f"{p}.lstm.wx"], store[f"{p}.lstm.wh"], store[f"{p}.lstm.bias"]),
-        linear=AffineParams(store[f"{p}.linear.weight"], store[f"{p}.linear.bias"]),
+        conv=SpatialConvParams(conv_w, conv_b),
+        norm=AffineParams(norm_g, norm_b),
+        prelu_slope=slope,
+        lstm=LstmParams(wx, wh, lstm_b),
+        linear=AffineParams(lin_w, lin_b),
     )
 
 
-def st_block_forward(x: Tensor, p: BlockParams, is_final: bool = False,
-                     state0=None, return_state: bool = False):
+def st_block_forward(x: Tensor, p: BlockParams) -> Tensor:
     """One spatio-temporal block: D×T×F in, S_out×T×F out.
 
     Channel 0 of the spatial convolution's output is the temporal stream: it
@@ -191,12 +201,9 @@ def st_block_forward(x: Tensor, p: BlockParams, is_final: bool = False,
     mixed = prelu(layer_norm(spatial_conv(x, p.conv), p.norm), p.prelu_slope)
     t_len, f = mixed.shape[1], mixed.shape[2]
     temporal = T.reshape(T.narrow(mixed, 0, 0, 1), (t_len, f))
-    recurrent, state = lstm(temporal, p.lstm, state0=state0)
+    recurrent, _ = lstm(temporal, p.lstm)
     gate = T.reshape(linear(recurrent, p.linear), (1, t_len, f))
-    out = T.mul(T.narrow(mixed, 0, 1, s_out), gate)
-    if return_state:
-        return out, state
-    return out
+    return T.mul(T.narrow(mixed, 0, 1, s_out), gate)
 
 
 def _encode(frames: Tensor, store: ParamStore) -> Tensor:
@@ -248,12 +255,23 @@ def model_forward(y, config: ModelConfig, store: ParamStore, *, scale=None) -> T
         scaled = y * np.asarray(scale, dtype=y.dtype)
     n = y.shape[1]
     frames = frame_signal(scaled.astype(dtype, copy=False), config.frame)
-    streams = [_encode(Tensor(frames), store)]
+    enc = _encode(Tensor(frames), store)
+    # The dense stack: each block's output is written once into its rows, and
+    # block b reads the leading D_b rows as a view.
+    dense = np.empty((config.block_in_width(config.blocks),) + enc.shape[1:], dtype=dtype)
+    dense[:config.channels] = enc.data
+    parts = [enc]
+    x = enc
     for b in range(1, config.blocks + 1):
-        xin = streams[0] if len(streams) == 1 else T.concat(streams, axis=0)
-        streams.append(st_block_forward(xin, block_params(store, b), is_final=b == config.blocks))
+        if b > 1:
+            x = T.stacked_rows(dense, parts)
+        x = st_block_forward(x, block_params(store, b))
+        if b < config.blocks:
+            lo = config.block_in_width(b)
+            dense[lo:lo + x.shape[0]] = x.data
+            parts.append(x)
     decoder = AffineParams(store["decoder.linear.weight"], store["decoder.linear.bias"])
-    out_frames = linear(streams[-1], decoder)
+    out_frames = linear(x, decoder)
     wave = _overlap_add_op(out_frames, config.frame, n)
     return T.mul(wave, Tensor(np.asarray(1.0 / scale, dtype=dtype)))
 
@@ -299,14 +317,24 @@ def count_flops(config: ModelConfig, seconds: float = 1.0) -> float:
     return 2.0 * count_macs_per_frame(config) * frames_per_second * seconds
 
 
+def _prelu(x, slope):
+    return np.where(x < 0, slope * x, x)
+
+
 class StreamingEnhancer:
     """Frame-by-frame enhancement session with carried LSTM state.
 
     Push ``hop``-sample blocks; each push advances the analysis window one
     hop and, once primed (after ``l_out/hop`` pushes), returns the next
     ``hop`` enhanced samples. The computation per frame is the same kernel
-    sequence as :func:`model_forward` with a frozen normalization scale, so
-    the emitted stream matches the whole-utterance output exactly.
+    sequence as :func:`model_forward` with a frozen normalization scale, run
+    on plain arrays: the parameter Tensors are looked up once, their arrays
+    read at each frame (so a later ``store.load_arrays`` takes effect), and
+    every block writes its output into one session-owned dense stack. With
+    the compiled kernels the emitted stream is bit-identical to the
+    whole-utterance output; with the numpy kernels it agrees to rounding
+    (rtol 1e-4, atol 1e-6), because BLAS sums a T=1 product in a different
+    order than a T-frame one.
     """
 
     def __init__(self, config: ModelConfig, store: ParamStore, scale: float = 1.0):
@@ -317,10 +345,27 @@ class StreamingEnhancer:
         self._scale = np.asarray(scale, dtype=self.dtype)
         self._inv_scale = np.asarray(1.0 / scale, dtype=self.dtype)
         self._window = np.zeros((config.channels, spec.l_in), dtype=self.dtype)
-        self._states = [None] * config.blocks
         self._carry = np.zeros(spec.l_out - spec.hop, dtype=self.dtype)
         self._frame_index = 0
         self._ratio = spec.l_out // spec.hop
+        self._eps = self.dtype.type(LN_EPS)
+        self._encoder = tuple(store[f"encoder.{name}"] for name in
+                              ("linear.weight", "linear.bias", "norm.weight", "norm.bias", "prelu"))
+        self._decoder = (store["decoder.linear.weight"], store["decoder.linear.bias"])
+        # The dense stack of one frame. Block b reads rows [:D_b] and writes its
+        # output to rows [D_b, D_b + S); the final block writes its single
+        # stream, the decoder's input, to a row of its own.
+        self._dense = np.zeros((config.block_in_width(config.blocks), 1, config.hidden),
+                               dtype=self.dtype)
+        self._final = np.zeros((1, config.hidden), dtype=self.dtype)
+        self._blocks = []
+        for b in range(1, config.blocks + 1):
+            lo = config.block_in_width(b)
+            out = self._final if b == config.blocks else self._dense[lo:lo + config.spatial, 0]
+            params = tuple(store[f"block{b}.{name}"] for name in BLOCK_PARAM_NAMES)
+            self._blocks.append((lo, out, params))
+        zeros = np.zeros(config.hidden, dtype=self.dtype)
+        self._states = [(zeros, zeros)] * config.blocks
 
     def push(self, block):
         """Feed C×hop input samples; returns 1×hop output or None while priming."""
@@ -338,30 +383,39 @@ class StreamingEnhancer:
         self._frame_index += 1
         if t < 0:
             return None
-        frame_out = self._forward_frame()
         acc = np.zeros(spec.l_out, dtype=self.dtype)
         acc[:spec.l_out - spec.hop] = self._carry
-        acc += frame_out
+        acc += self._forward_frame()
         count = np.asarray(float(min(t + 1, self._ratio)), dtype=self.dtype)
-        emitted = acc[:spec.hop] / count
         self._carry = acc[spec.hop:]
-        return (emitted * self._inv_scale)[None, :]
+        emitted = acc[None, :spec.hop] / count
+        emitted *= self._inv_scale
+        return emitted
 
     def _forward_frame(self):
-        x = Tensor(self._window[:, None, :])
-        h = _encode(x, self.store)
-        streams = [h]
-        for b in range(1, self.config.blocks + 1):
-            xin = streams[0] if len(streams) == 1 else T.concat(streams, axis=0)
-            out, state = st_block_forward(
-                xin, block_params(self.store, b), is_final=b == self.config.blocks,
-                state0=self._states[b - 1], return_state=True,
-            )
-            self._states[b - 1] = state
-            streams.append(out)
-        decoder = AffineParams(self.store["decoder.linear.weight"],
-                               self.store["decoder.linear.bias"])
-        return linear(streams[-1], decoder).data[0, 0]
+        """One frame through encoder, blocks and decoder; returns l_out samples.
+
+        Kernels are called through the ``kernels`` module so that the active
+        set is the one used, with C-contiguous inputs as the layers pass them.
+        """
+        dense, eps = self._dense, self._eps
+        channels = self.config.channels
+        lin_w, lin_b, norm_g, norm_b, slope = self._encoder
+        h = K.linear_forward(self._window, lin_w.data, lin_b.data)
+        h = K.layer_norm_forward(h, norm_g.data, norm_b.data, eps)[0]
+        dense[:channels, 0] = _prelu(h, slope.data)
+        for i, (lo, out, params) in enumerate(self._blocks):
+            conv_w, conv_b, norm_g, norm_b, slope, wx, wh, lstm_b, lin_w, lin_b = params
+            mixed = K.spatial_conv_forward(dense[:lo], conv_w.data, conv_b.data)
+            mixed = K.layer_norm_forward(np.ascontiguousarray(mixed.reshape(mixed.shape[0], -1)),
+                                         norm_g.data, norm_b.data, eps)[0]
+            mixed = _prelu(mixed, slope.data)
+            h0, c0 = self._states[i]
+            hs, _, cs, _ = K.lstm_forward(mixed[:1], wx.data, wh.data, lstm_b.data, h0, c0)
+            self._states[i] = (hs[-1], cs[-1])
+            np.multiply(mixed[1:], K.linear_forward(hs, lin_w.data, lin_b.data), out=out)
+        dec_w, dec_b = self._decoder
+        return K.linear_forward(self._final, dec_w.data, dec_b.data)[0]
 
 
 def enhance_waveform(y, config: ModelConfig, store: ParamStore, *, scale=None):

@@ -287,26 +287,31 @@ def tmean(a):
     return from_op(np.asarray(a.data.mean(), dtype=a.data.dtype), (a,), backward)
 
 
-def concat(tensors, axis):
-    tensors = list(tensors)
-    if not tensors:
-        raise DimensionError("concat of an empty list")
-    base = list(tensors[0].shape)
-    for t in tensors[1:]:
-        other = list(t.shape)
-        if len(other) != len(base) or any(
-            i != axis and other[i] != base[i] for i in range(len(base))
-        ):
+def stacked_rows(buffer, parts):
+    """The leading rows of ``buffer``, which hold ``parts`` stacked along axis 0.
+
+    The caller has already written each part's data into its rows; the result
+    is a view of them, so no stack is copied. Its gradient splits back onto
+    the parts row block by row block.
+    """
+    parts = tuple(parts)
+    if not parts:
+        raise DimensionError("stacked_rows of no parts")
+    for t in parts:
+        if t.data.ndim != buffer.ndim or t.shape[1:] != buffer.shape[1:]:
             raise DimensionError(
-                f"concat: off-axis extents differ, {tuple(base)} vs {tuple(other)} on axis {axis}"
+                f"stacked_rows: part {tuple(t.shape)} does not fit rows of {buffer.shape}"
             )
-    sizes = [t.shape[axis] for t in tensors]
+    sizes = [t.shape[0] for t in parts]
+    rows = sum(sizes)
+    if rows > buffer.shape[0]:
+        raise DimensionError(f"stacked_rows: {rows} rows exceed the buffer's {buffer.shape[0]}")
     splits = np.cumsum(sizes)[:-1]
 
     def backward(g):
-        return tuple(np.split(g, splits, axis=axis))
+        return tuple(np.split(g, splits, axis=0))
 
-    return from_op(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors), backward)
+    return from_op(buffer[:rows], parts, backward)
 
 
 def narrow(a, axis, start, length):

@@ -138,7 +138,7 @@ def test_st_block_shapes_at_defaults():
     out = st_block_forward(x, block_params(store, 1))
     assert out.shape == (8, 3, 64)
     final_in = Tensor(np.zeros((cfg.block_in_width(8), 2, 64), np.float32))
-    out = st_block_forward(final_in, block_params(store, 8), is_final=True)
+    out = st_block_forward(final_in, block_params(store, 8))
     assert out.shape == (1, 2, 64)
     with pytest.raises(DimensionError):
         st_block_forward(Tensor(np.zeros((5, 3, 64), np.float32)), block_params(store, 1))
@@ -252,11 +252,9 @@ def test_full_model_gradients_match_fd():
     assert full_model_grad_check() < 1e-4
 
 
-def test_streaming_matches_batch():
-    cfg = ModelConfig(channels=2, hidden=8, spatial=2, blocks=2,
-                      frame=FrameSpec(l_in=32, l_out=8, hop=4))
+def _check_streaming_matches_batch(cfg):
     store = build_params(cfg, seed=0)
-    y = np.random.default_rng(4).standard_normal((2, 400)).astype(np.float32)
+    y = np.random.default_rng(4).standard_normal((cfg.channels, 400)).astype(np.float32)
     batch = model_forward(y, cfg, store, scale=1.0).data
     streamed = enhance_waveform(y, cfg, store, scale=1.0)
     if K.USE_NUMBA:
@@ -266,6 +264,76 @@ def test_streaming_matches_batch():
         # BLAS matmul is not bit-stable across batch shapes; agreement to
         # rounding error is the fallback contract
         npt.assert_allclose(streamed, batch, rtol=1e-4, atol=1e-6)
+
+
+def test_streaming_matches_batch():
+    _check_streaming_matches_batch(ModelConfig(channels=2, hidden=8, spatial=2, blocks=2,
+                                               frame=FrameSpec(l_in=32, l_out=8, hop=4)))
+
+
+@pytest.mark.parametrize("cfg", [
+    # no block reads an earlier block's output
+    ModelConfig(channels=2, hidden=8, spatial=2, blocks=1,
+                frame=FrameSpec(l_in=32, l_out=8, hop=4)),
+    # a single encoder row under the block outputs
+    ModelConfig(channels=1, hidden=8, spatial=2, blocks=3,
+                frame=FrameSpec(l_in=32, l_out=8, hop=4)),
+    # block outputs wider than the encoder's rows
+    ModelConfig(channels=2, hidden=8, spatial=3, blocks=3,
+                frame=FrameSpec(l_in=32, l_out=8, hop=4)),
+], ids=lambda cfg: f"C{cfg.channels}-S{cfg.spatial}-B{cfg.blocks}")
+def test_streaming_matches_batch_at_dense_stack_edges(cfg):
+    _check_streaming_matches_batch(cfg)
+
+
+def _stream(session, y, hop):
+    pieces = [session.push(y[:, k:k + hop]) for k in range(0, y.shape[1], hop)]
+    return np.concatenate([p for p in pieces if p is not None], axis=1)
+
+
+def test_streaming_session_sees_later_load_arrays():
+    cfg = ModelConfig(channels=2, hidden=8, spatial=2, blocks=2,
+                      frame=FrameSpec(l_in=32, l_out=8, hop=4))
+    y = np.random.default_rng(6).standard_normal((2, 200)).astype(np.float32)
+    trained = build_params(cfg, seed=1)
+    store = build_params(cfg, seed=0)
+    session = StreamingEnhancer(cfg, store)
+    store.load_arrays({name: t.data for name, t in trained.items()})
+    npt.assert_array_equal(_stream(session, y, cfg.frame.hop),
+                           _stream(StreamingEnhancer(cfg, trained), y, cfg.frame.hop))
+
+
+def test_streaming_push_runs_through_the_kernel_module(monkeypatch):
+    # One primed 64-8-8 push: every forward kernel is reached through the
+    # dllrnn.kernels attributes, and the products it computes, counted from
+    # the call shapes, are exactly the model's per-frame MACs.
+    cfg = ModelConfig()
+    macs_of = {
+        "linear_forward": lambda x, w, *_: x.shape[0] * w.size,
+        "spatial_conv_forward": lambda x, w, *_: x.shape[1] * w.size,
+        "layer_norm_forward": lambda *_: 0,
+        "lstm_forward": lambda x, wx, wh, *_: x.shape[0] * (wx.size + wh.size),
+    }
+    calls = dict.fromkeys(macs_of, 0)
+    macs = [0]
+
+    def counting(name, kernel):
+        def wrapper(*args):
+            calls[name] += 1
+            macs[0] += macs_of[name](*args)
+            return kernel(*args)
+        return wrapper
+
+    session = StreamingEnhancer(cfg, build_params(cfg, seed=0))
+    block = np.random.default_rng(7).standard_normal((8, cfg.frame.hop)).astype(np.float32)
+    for _ in range(cfg.frame.l_out // cfg.frame.hop - 1):
+        assert session.push(block) is None
+    for name in macs_of:
+        monkeypatch.setattr(K, name, counting(name, getattr(K, name)))
+    assert session.push(block).shape == (1, cfg.frame.hop)
+    assert calls == {"linear_forward": 10, "spatial_conv_forward": 8,
+                     "layer_norm_forward": 9, "lstm_forward": 8}
+    assert macs[0] == count_macs_per_frame(cfg) == 565_248
 
 
 def test_streaming_matches_batch_with_normalization():
