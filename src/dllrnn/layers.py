@@ -1,8 +1,8 @@
 """Trainable layers: linear, layer norm, PReLU, spatial convolution, LSTM.
 
-Each forward function runs the active kernel implementation (see
-:mod:`dllrnn.kernels`) and records a backward rule on the ambient tape, so
-layers compose into a differentiable graph through :mod:`dllrnn.tensor`.
+Each forward function runs its :mod:`dllrnn.kernels` kernel and records a
+backward rule on the ambient tape, so layers compose into a differentiable
+graph through :mod:`dllrnn.tensor`.
 
 Parameter containers are thin dataclasses of Tensors; the ``init_*``
 constructors draw weights uniformly in ±1/sqrt(fan_in) from a caller-provided

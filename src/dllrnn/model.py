@@ -19,11 +19,10 @@ The input waveform is scaled to pooled unit variance before framing and the
 estimate is scaled back afterwards, so the output lives at input level.
 
 ``StreamingEnhancer`` runs the same kernel sequence one frame at a time with
-carried LSTM state, on plain arrays. With the compiled kernels its output is
-bit-identical to the whole-utterance path; with the numpy kernels the two
-agree to rtol 1e-4 / atol 1e-6, since BLAS may sum a one-frame product in a
-different order than a many-frame one. The latency contract is checked
-bit-exactly on the whole-utterance path.
+carried LSTM state, on plain arrays. Its output is bit-identical to the
+whole-utterance path, because every forward kernel computes a frame the same
+way however many frames share the call (see :mod:`dllrnn.kernels`). The
+latency contract is checked bit-exactly on the whole-utterance path.
 """
 
 from __future__ import annotations
@@ -35,7 +34,8 @@ import numpy as np
 from . import kernels as K
 from . import tensor as T
 from .errors import ConfigError, ContractError, DimensionError
-from .framing import SAMPLE_RATE, FrameSpec, frame_signal, normalize_variance, overlap_counts
+from .framing import (SAMPLE_RATE, FrameSpec, frame_signal, normalize_variance, overlap_add,
+                      overlap_counts)
 from .layers import (LN_EPS, AffineParams, LstmParams, SpatialConvParams, init_affine,
                      init_layer_norm, init_lstm, init_prelu, init_spatial_conv, layer_norm, linear,
                      lstm, prelu, spatial_conv)
@@ -215,14 +215,8 @@ def _encode(frames: Tensor, store: ParamStore) -> Tensor:
 
 def _overlap_add_op(frames: Tensor, spec: FrameSpec, n_samples: int) -> Tensor:
     """Differentiable overlap-add of a 1×T×l_out tensor to a 1×N waveform."""
-    t_len = frames.shape[1]
     dtype = frames.data.dtype
-    counts = overlap_counts(spec, t_len).astype(dtype)
-    acc = np.zeros(counts.shape[0], dtype=dtype)
-    fd = frames.data[0]
-    for i in range(t_len):
-        acc[i * spec.hop:i * spec.hop + spec.l_out] += fd[i]
-    acc /= counts
+    counts = overlap_counts(spec, frames.shape[1]).astype(dtype)
 
     def backward(g):
         gp = np.zeros(counts.shape[0], dtype=dtype)
@@ -232,7 +226,7 @@ def _overlap_add_op(frames: Tensor, spec: FrameSpec, n_samples: int) -> Tensor:
         gf = sliding_window_view(gp, spec.l_out)[::spec.hop].copy()
         return (gf[None],)
 
-    return from_op(acc[None, :n_samples], (frames,), backward)
+    return from_op(overlap_add(frames.data, spec, n_samples), (frames,), backward)
 
 
 def model_forward(y, config: ModelConfig, store: ParamStore, *, scale=None) -> Tensor:
@@ -330,11 +324,9 @@ class StreamingEnhancer:
     sequence as :func:`model_forward` with a frozen normalization scale, run
     on plain arrays: the parameter Tensors are looked up once, their arrays
     read at each frame (so a later ``store.load_arrays`` takes effect), and
-    every block writes its output into one session-owned dense stack. With
-    the compiled kernels the emitted stream is bit-identical to the
-    whole-utterance output; with the numpy kernels it agrees to rounding
-    (rtol 1e-4, atol 1e-6), because BLAS sums a T=1 product in a different
-    order than a T-frame one.
+    every block writes its output into one session-owned dense stack. The
+    emitted stream is bit-identical to the whole-utterance output, since the
+    forward kernels sum a one-frame call in the same order as a T-frame one.
     """
 
     def __init__(self, config: ModelConfig, store: ParamStore, scale: float = 1.0):
@@ -395,8 +387,8 @@ class StreamingEnhancer:
     def _forward_frame(self):
         """One frame through encoder, blocks and decoder; returns l_out samples.
 
-        Kernels are called through the ``kernels`` module so that the active
-        set is the one used, with C-contiguous inputs as the layers pass them.
+        Kernels are called through the ``kernels`` module attributes, with
+        C-contiguous inputs as the layers pass them.
         """
         dense, eps = self._dense, self._eps
         channels = self.config.channels

@@ -221,43 +221,10 @@ def neg(a):
     return from_op(-a.data, (a,), lambda g: (-g,))
 
 
-def sigmoid(a):
-    out_data = 1.0 / (1.0 + np.exp(-a.data))
-
-    def backward(g):
-        return (g * out_data * (1.0 - out_data),)
-
-    return from_op(out_data, (a,), backward)
-
-
-def tanh(a):
-    out_data = np.tanh(a.data)
-
-    def backward(g):
-        return (g * (1.0 - out_data * out_data),)
-
-    return from_op(out_data, (a,), backward)
-
-
 def absolute(a):
     """|a| with subgradient 0 at 0 (np.sign(0) == 0)."""
     sign = np.sign(a.data)
     return from_op(np.abs(a.data), (a,), lambda g: (g * sign,))
-
-
-def ew_op(kind, a, b=None):
-    """Dispatch on an elementwise op name: add, mul, sigmoid, tanh."""
-    binary = {"add": add, "mul": mul}
-    unary = {"sigmoid": sigmoid, "tanh": tanh}
-    if kind in binary:
-        if b is None:
-            raise ContractError(f"ew_op '{kind}' needs two operands")
-        return binary[kind](a, b)
-    if kind in unary:
-        if b is not None:
-            raise ContractError(f"ew_op '{kind}' takes one operand")
-        return unary[kind](a)
-    raise ContractError(f"unknown ew_op kind '{kind}'")
 
 
 def matmul(a, b):

@@ -1,9 +1,8 @@
-"""Kernel-level checks: loop and vectorized variants agree, backwards match
-finite differences, and the sinc tap placer behaves like an interpolator."""
+"""Kernel-level checks: forward rows do not depend on how many rows share the
+call, backwards match finite differences, and the sinc tap placer matches its
+formula and behaves like an interpolator."""
 
-import os
-import subprocess
-import sys
+import math
 
 import numpy as np
 import numpy.testing as npt
@@ -17,83 +16,46 @@ def _rand(rng, *shape):
 
 
 # ---------------------------------------------------------------------------
-# loop implementation == numpy implementation, forward and backward
+# forward rows: one frame alone == the same frame inside a T-frame call, bit
+# for bit, at the 64-8-8 model's shapes (what makes streaming == batch)
 # ---------------------------------------------------------------------------
 
-def test_linear_variants_agree():
-    rng = np.random.default_rng(0)
-    for _ in range(10):
-        m, k, o = rng.integers(1, 7, size=3)
-        x, w, b = _rand(rng, m, k), _rand(rng, o, k), _rand(rng, o)
-        dout = _rand(rng, m, o)
-        npt.assert_allclose(K.linear_forward_loops(x, w, b),
-                            K.linear_forward_numpy(x, w, b), rtol=1e-12)
-        for a, bb in zip(K.linear_backward_loops(dout, x, w),
-                         K.linear_backward_numpy(dout, x, w)):
-            npt.assert_allclose(a, bb, rtol=1e-12)
+def _f32(rng, *shape):
+    return rng.standard_normal(shape).astype(np.float32)
 
 
-def test_spatial_conv_variants_agree():
-    rng = np.random.default_rng(1)
-    for _ in range(10):
-        f, s_out, s_in, t = rng.integers(1, 6, size=4)
-        x = _rand(rng, s_in, t, f)
-        w = _rand(rng, f, s_out, s_in)
-        b = _rand(rng, s_out, f)
-        dout = _rand(rng, s_out, t, f)
-        npt.assert_allclose(K.spatial_conv_forward_loops(x, w, b),
-                            K.spatial_conv_forward_numpy(x, w, b), rtol=1e-12)
-        for a, bb in zip(K.spatial_conv_backward_loops(dout, x, w),
-                         K.spatial_conv_backward_numpy(dout, x, w)):
-            npt.assert_allclose(a, bb, rtol=1e-12, atol=1e-12)
-
-
-def test_layer_norm_variants_agree():
-    rng = np.random.default_rng(2)
-    for _ in range(10):
-        m, f = rng.integers(2, 7, size=2)
-        x, gain, bias = _rand(rng, m, f), _rand(rng, f), _rand(rng, f)
-        dout = _rand(rng, m, f)
-        y_l, xhat_l, inv_l = K.layer_norm_forward_loops(x, gain, bias, 1e-5)
-        y_n, xhat_n, inv_n = K.layer_norm_forward_numpy(x, gain, bias, 1e-5)
-        npt.assert_allclose(y_l, y_n, rtol=1e-10, atol=1e-12)
-        npt.assert_allclose(xhat_l, xhat_n, rtol=1e-10, atol=1e-12)
-        npt.assert_allclose(inv_l, inv_n, rtol=1e-10)
-        for a, bb in zip(K.layer_norm_backward_loops(dout, xhat_l, inv_l, gain),
-                         K.layer_norm_backward_numpy(dout, xhat_n, inv_n, gain)):
-            npt.assert_allclose(a, bb, rtol=1e-9, atol=1e-11)
-
-
-def test_lstm_variants_agree():
-    rng = np.random.default_rng(3)
-    for _ in range(6):
-        t, f = int(rng.integers(1, 6)), int(rng.integers(1, 5))
-        x = _rand(rng, t, f)
-        wx, wh = _rand(rng, 4 * f, f), _rand(rng, 4 * f, f)
-        b = _rand(rng, 4 * f)
-        h0, c0 = _rand(rng, f), _rand(rng, f)
-        out_l = K.lstm_forward_loops(x, wx, wh, b, h0, c0)
-        out_n = K.lstm_forward_numpy(x, wx, wh, b, h0, c0)
-        for a, bb in zip(out_l, out_n):
-            npt.assert_allclose(a, bb, rtol=1e-10, atol=1e-12)
-        dh = _rand(rng, t, f)
-        h, gates, c, tanh_c = out_l
-        back_l = K.lstm_backward_loops(dh, x, wx, wh, gates, c, tanh_c, h, h0, c0)
-        back_n = K.lstm_backward_numpy(dh, x, wx, wh, gates, c, tanh_c, h, h0, c0)
-        for a, bb in zip(back_l, back_n):
-            npt.assert_allclose(a, bb, rtol=1e-9, atol=1e-11)
-
-
-def test_place_taps_variants_agree():
-    rng = np.random.default_rng(4)
-    for _ in range(10):
-        n_taps = int(rng.integers(1, 8))
-        length = int(rng.integers(100, 300))
-        delays = rng.uniform(0.0, length - 1.0, n_taps)
-        amps = rng.uniform(-1.0, 1.0, n_taps)
-        npt.assert_allclose(K.place_taps_loops(delays, amps, length),
-                            K.place_taps_numpy(delays, amps, length),
-                            rtol=1e-12, atol=1e-14)
+def test_forward_rows_are_independent_of_row_count():
+    rng = np.random.default_rng(10)
+    t_len, f = 40, 64
+    # encoder 256->64 over 8 channels, post-LSTM 64->64, decoder 64->32
+    for m, k, o in ((8 * t_len, 256, 64), (t_len, 64, 64), (t_len, 64, 32)):
+        x, w, b = _f32(rng, m, k), _f32(rng, o, k), _f32(rng, o)
+        full = K.linear_forward(x, w, b)
+        for i in range(m):
+            npt.assert_array_equal(K.linear_forward(x[i:i + 1].copy(), w, b)[0], full[i])
+    # spatial conv of blocks 1..8: D = 8..64, 8 streams + the temporal one, or 1 + 1
+    for d in range(8, 65, 8):
+        o = 2 if d == 64 else 9
+        x, w, b = _f32(rng, d, t_len, f), _f32(rng, f, o, d), _f32(rng, o, f)
+        full = K.spatial_conv_forward(x, w, b)
+        for t in range(t_len):
+            npt.assert_array_equal(K.spatial_conv_forward(x[:, t:t + 1].copy(), w, b)[:, 0],
+                                   full[:, t])
+    x, gain, bias = _f32(rng, 8 * t_len, f), _f32(rng, f), _f32(rng, f)
+    eps = np.float32(1e-5)
+    full = K.layer_norm_forward(x, gain, bias, eps)
+    for i in range(x.shape[0]):
+        for got, want in zip(K.layer_norm_forward(x[i:i + 1].copy(), gain, bias, eps), full):
+            npt.assert_array_equal(got[0], want[i])
+    # the LSTM one step per call with carried state, as a streaming session runs it
+    x, wx, wh, b = _f32(rng, t_len, f), _f32(rng, 4 * f, f), _f32(rng, 4 * f, f), _f32(rng, 4 * f)
+    h0, c0 = _f32(rng, f), _f32(rng, f)
+    full = K.lstm_forward(x, wx, wh, b, h0, c0)
+    for t in range(t_len):
+        step = K.lstm_forward(x[t:t + 1].copy(), wx, wh, b, h0, c0)
+        for got, want in zip(step, full):
+            npt.assert_array_equal(got[0], want[t])
+        h0, c0 = step[0][0], step[2][0]
 
 
 # ---------------------------------------------------------------------------
@@ -158,6 +120,34 @@ def test_lstm_backward_fd():
 # tap placement semantics
 # ---------------------------------------------------------------------------
 
+def _place_taps_oracle(delays, amps, length):
+    """Each delay tau adds a·sinc(n - tau)·Hann(n - tau) at the 81 samples n
+    nearest tau that fall inside the buffer."""
+    out = np.zeros(length)
+    for tau, a in zip(delays, amps):
+        center = math.floor(tau + 0.5)
+        for n in range(max(center - 40, 0), min(center + 41, length)):
+            td = n - tau
+            sinc = 1.0 if td == 0.0 else math.sin(math.pi * td) / (math.pi * td)
+            out[n] += a * sinc * 0.5 * (1.0 + math.cos(2.0 * math.pi * td / 81.0))
+    return out
+
+
+def test_place_taps_matches_sinc_hann_oracle():
+    rng = np.random.default_rng(4)
+    for _ in range(10):
+        n_taps = int(rng.integers(1, 8))
+        length = int(rng.integers(100, 300))
+        # fractional delays, some close enough together to overlap and some
+        # close enough to either end to be clipped
+        delays = rng.uniform(0.0, length - 1.0, n_taps)
+        delays[0] = rng.uniform(0.0, 10.0) + 0.37
+        delays[-1] = length - 1.21 - rng.uniform(0.0, 10.0)
+        amps = rng.uniform(-1.0, 1.0, n_taps)
+        npt.assert_allclose(K.place_taps(delays, amps, length),
+                            _place_taps_oracle(delays, amps, length), rtol=1e-12, atol=1e-14)
+
+
 def test_place_taps_integer_delay_is_exact():
     # sinc vanishes at nonzero integers, so an integer delay is a single tap
     out = K.place_taps(np.array([10.0]), np.array([2.0]), 64)
@@ -181,12 +171,3 @@ def test_place_taps_clips_at_edges():
     assert out.shape == (100,)
     assert np.isfinite(out).all()
     assert abs(out[2]) > 0.1 and abs(out[98]) > 0.1
-
-
-def test_numba_flag_controls_dispatch():
-    env = dict(os.environ, DLLRNN_NO_NUMBA="1")
-    code = ("import dllrnn.kernels as k; import numpy as np; "
-            "print(k.USE_NUMBA, k.linear_forward is k.linear_forward_numpy)")
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, check=True)
-    assert out.stdout.split() == ["False", "True"]
