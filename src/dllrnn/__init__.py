@@ -5,11 +5,10 @@ from .errors import (ConfigError, ContractError, DataError, DegenerateInputError
 from .framing import (SAMPLE_RATE, FrameSpec, frame_signal, latency_check, normalize_variance,
                       overlap_add)
 from .layers import (AffineParams, LstmParams, SpatialConvParams, init_affine, init_layer_norm,
-                     init_lstm, init_prelu, init_spatial_conv, layer_norm, linear, lstm, prelu,
-                     spatial_conv)
+                     init_lstm, init_prelu, init_spatial_conv)
 from .losses import Spectrogram, pcm_loss, si_sdr, stft
 from .model import (ModelConfig, ParamStore, StreamingEnhancer, build_params, count_flops,
-                    count_params, enhance_waveform, model_forward, st_block_forward)
+                    count_params, enhance_waveform, model_forward)
 from .checkpoint import load_checkpoint, save_checkpoint
 from .simulate import (MixtureExample, RoomSpec, Scene, achieved_snr, draw_scene, image_sources,
                        mic_circle, simulate_rir, spatialize_mixture)

@@ -1,4 +1,5 @@
-"""Hot numeric kernels, in numpy.
+"""Hot numeric kernels, in numpy: every layer's forward and backward
+arithmetic, and RIR tap placement.
 
 Callers reach every kernel through this module's attributes
 (``K.lstm_forward`` etc.), so a tracer or a test can wrap them in one place.
@@ -78,6 +79,21 @@ def layer_norm_backward(dout, xhat, inv_std, gain):
     dgain = (dout * xhat).sum(axis=0)
     dbias = dout.sum(axis=0)
     return dx, dgain, dbias
+
+
+# ---------------------------------------------------------------------------
+# PReLU with one scalar slope a: x where x >= 0, a·x otherwise
+# ---------------------------------------------------------------------------
+
+def prelu_forward(x, a):
+    return np.where(x < 0, a * x, x)
+
+
+def prelu_backward(dout, x, a):
+    neg = x < 0
+    dx = np.where(neg, a, x.dtype.type(1.0)) * dout
+    da = np.asarray((dout * np.where(neg, x, 0.0)).sum(), dtype=x.dtype).reshape(np.shape(a))
+    return dx, da
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,9 @@ Assembly (all widths in the config):
   PReLU, giving a C×T×F latent tensor;
 * B densely connected blocks — block ``b`` consumes the channel-axis stack
   of the encoder output and every earlier block's output (spatial width
-  ``D_b = C + (b-1)*S``; one preallocated ``C+(B-1)·S``-row buffer holds the
-  stack, and block ``b`` reads its leading ``D_b`` rows), mixes channels with
-  a per-hidden-unit spatial convolution to ``S_out + 1`` streams, normalizes
+  ``D_b = C + (b-1)*S``; one ``C+(B-1)·S+1``-row buffer holds the stack, and
+  block ``b`` reads its leading ``D_b`` rows), mixes channels with a
+  per-hidden-unit spatial convolution to ``S_out + 1`` streams, normalizes
   and rectifies, refines stream 0 with an LSTM plus linear layer, and
   multiplies that temporal stream elementwise into the remaining ``S_out``
   streams;
@@ -18,27 +18,31 @@ Assembly (all widths in the config):
 The input waveform is scaled to pooled unit variance before framing and the
 estimate is scaled back afterwards, so the output lives at input level.
 
-``StreamingEnhancer`` runs the same kernel sequence one frame at a time with
-carried LSTM state, on plain arrays. Its output is bit-identical to the
-whole-utterance path, because every forward kernel computes a frame the same
-way however many frames share the call (see :mod:`dllrnn.kernels`). The
+The assembly is written once, as :func:`_forward` on plain arrays, and every
+layer's arithmetic lives in :mod:`dllrnn.kernels`. :func:`model_forward` runs
+it over the T frames of an utterance and records it on the tape as a single
+op whose backward, :func:`_backward`, is the assembly's reverse sweep written
+out by hand (Griewank & Walther, *Evaluating Derivatives*, SIAM 2008).
+:class:`StreamingEnhancer` runs it at T=1 with carried LSTM state. Its output
+is bit-identical to the whole-utterance path, because every forward kernel
+computes a frame the same way however many frames share the call. The
 latency contract is checked bit-exactly on the whole-utterance path.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import kernels as K
 from . import tensor as T
 from .errors import ConfigError, ContractError, DimensionError
 from .framing import (SAMPLE_RATE, FrameSpec, frame_signal, normalize_variance, overlap_add,
                       overlap_counts)
-from .layers import (LN_EPS, AffineParams, LstmParams, SpatialConvParams, init_affine,
-                     init_layer_norm, init_lstm, init_prelu, init_spatial_conv, layer_norm, linear,
-                     lstm, prelu, spatial_conv)
+from .layers import (LN_EPS, init_affine, init_layer_norm, init_lstm, init_prelu,
+                     init_spatial_conv)
 from .tensor import Tensor, from_op
 
 
@@ -126,15 +130,6 @@ class ParamStore:
             raise ContractError(f"unknown parameters {sorted(extra)}")
 
 
-@dataclass
-class BlockParams:
-    conv: SpatialConvParams
-    norm: AffineParams
-    prelu_slope: Tensor
-    lstm: LstmParams
-    linear: AffineParams
-
-
 def build_params(config: ModelConfig, seed: int = 0, dtype=np.float32) -> ParamStore:
     """Initialize every trainable array of the configured model, seeded."""
     rng = np.random.default_rng(seed)
@@ -142,16 +137,9 @@ def build_params(config: ModelConfig, seed: int = 0, dtype=np.float32) -> ParamS
     store = ParamStore()
 
     def register(prefix, obj):
-        if isinstance(obj, AffineParams):
-            store.add(f"{prefix}.weight", obj.weight)
-            store.add(f"{prefix}.bias", obj.bias)
-        elif isinstance(obj, SpatialConvParams):
-            store.add(f"{prefix}.weight", obj.weight)
-            store.add(f"{prefix}.bias", obj.bias)
-        elif isinstance(obj, LstmParams):
-            store.add(f"{prefix}.wx", obj.wx)
-            store.add(f"{prefix}.wh", obj.wh)
-            store.add(f"{prefix}.bias", obj.bias)
+        if is_dataclass(obj):
+            for fld in fields(obj):
+                store.add(f"{prefix}.{fld.name}", getattr(obj, fld.name))
         else:
             store.add(prefix, obj)
 
@@ -174,43 +162,97 @@ BLOCK_PARAM_NAMES = ("conv.weight", "conv.bias", "norm.weight", "norm.bias", "pr
                      "lstm.wx", "lstm.wh", "lstm.bias", "linear.weight", "linear.bias")
 
 
-def block_params(store: ParamStore, b: int) -> BlockParams:
-    (conv_w, conv_b, norm_g, norm_b, slope, wx, wh, lstm_b, lin_w,
-     lin_b) = (store[f"block{b}.{name}"] for name in BLOCK_PARAM_NAMES)
-    return BlockParams(
-        conv=SpatialConvParams(conv_w, conv_b),
-        norm=AffineParams(norm_g, norm_b),
-        prelu_slope=slope,
-        lstm=LstmParams(wx, wh, lstm_b),
-        linear=AffineParams(lin_w, lin_b),
-    )
+def _param_names(config: ModelConfig):
+    """Every parameter name, in the order :func:`_forward` takes the arrays."""
+    names = ["encoder.linear.weight", "encoder.linear.bias", "encoder.norm.weight",
+             "encoder.norm.bias", "encoder.prelu"]
+    for b in range(1, config.blocks + 1):
+        names += [f"block{b}.{name}" for name in BLOCK_PARAM_NAMES]
+    return names + ["decoder.linear.weight", "decoder.linear.bias"]
 
 
-def st_block_forward(x: Tensor, p: BlockParams) -> Tensor:
-    """One spatio-temporal block: D×T×F in, S_out×T×F out.
+def _forward(config: ModelConfig, params, frames, states, caches=None):
+    """The network on plain arrays: C×T×l_in frames in, T×l_out decoder frames out.
 
-    Channel 0 of the spatial convolution's output is the temporal stream: it
-    runs through the LSTM and a linear layer and then gates the remaining
-    channels by elementwise multiplication.
+    ``params`` are the parameter arrays in :func:`_param_names` order.
+    ``states`` holds each block's LSTM ``(h, c)``: it is read as the state
+    before frame 0 and overwritten with the state after frame T-1. When
+    ``caches`` is a list, the activations :func:`_backward` replays are
+    appended to it.
     """
-    s_out = p.conv.s_out - 1
-    if x.shape[0] != p.conv.s_in:
-        raise DimensionError(
-            f"block input width {x.shape[0]} != configured width {p.conv.s_in}"
-        )
-    mixed = prelu(layer_norm(spatial_conv(x, p.conv), p.norm), p.prelu_slope)
-    t_len, f = mixed.shape[1], mixed.shape[2]
-    temporal = T.reshape(T.narrow(mixed, 0, 0, 1), (t_len, f))
-    recurrent, _ = lstm(temporal, p.lstm)
-    gate = T.reshape(linear(recurrent, p.linear), (1, t_len, f))
-    return T.mul(T.narrow(mixed, 0, 1, s_out), gate)
+    c, t_len, l_in = frames.shape
+    f = config.hidden
+    eps = frames.dtype.type(LN_EPS)
+    keep = caches is not None
+    x = np.ascontiguousarray(frames.reshape(-1, l_in))
+    y, xhat, inv_std = K.layer_norm_forward(K.linear_forward(x, params[0], params[1]),
+                                            params[2], params[3], eps)
+    # The dense stack: block b reads rows [:D_b] and writes its output to the
+    # rows after them; the final block's single row is the decoder's input.
+    dense = np.empty((config.block_in_width(config.blocks) + 1, t_len, f), frames.dtype)
+    dense[:c] = K.prelu_forward(y, params[4]).reshape(c, t_len, f)
+    if keep:
+        caches.append((x, y, xhat, inv_std))
+    for b in range(1, config.blocks + 1):
+        i = 10 * b - 5
+        conv_w, conv_b, ln_g, ln_b, a, wx, wh, lstm_b, lin_w, lin_b = params[i:i + 10]
+        lo = config.block_in_width(b)
+        conv = K.spatial_conv_forward(dense[:lo], conv_w, conv_b)
+        y, xhat, inv_std = K.layer_norm_forward(np.ascontiguousarray(conv.reshape(-1, f)),
+                                                ln_g, ln_b, eps)
+        mixed = K.prelu_forward(y, a).reshape(conv.shape)
+        # Stream 0 is the temporal stream: LSTM plus linear, then it gates the rest.
+        h0, c0 = states[b - 1]
+        h, gates, cell, tanh_c = K.lstm_forward(mixed[0], wx, wh, lstm_b, h0, c0)
+        states[b - 1] = (h[-1], cell[-1])
+        gate = K.linear_forward(h, lin_w, lin_b)
+        np.multiply(mixed[1:], gate, out=dense[lo:lo + config.block_out_width(b)])
+        if keep:
+            caches.append((y, xhat, inv_std, mixed, (h, gates, cell, tanh_c, h0, c0), gate))
+    if keep:
+        caches.append(dense)
+    return K.linear_forward(dense[-1], params[-2], params[-1])
 
 
-def _encode(frames: Tensor, store: ParamStore) -> Tensor:
-    enc = linear(frames, AffineParams(store["encoder.linear.weight"],
-                                      store["encoder.linear.bias"]))
-    enc = layer_norm(enc, AffineParams(store["encoder.norm.weight"], store["encoder.norm.bias"]))
-    return prelu(enc, store["encoder.prelu"])
+def _backward(config: ModelConfig, params, caches, g):
+    """Every parameter's gradient, in ``params`` order, from the gradient ``g``
+    of the T×l_out frames that :func:`_forward` returned while filling
+    ``caches``: the forward's layers in reverse, each through its backward kernel.
+    """
+    f = config.hidden
+    grads = [None] * len(params)
+    dense = caches[-1]
+    d_dense = np.zeros_like(dense)
+    d_dense[-1], grads[-2], grads[-1] = K.linear_backward(g, dense[-1], params[-2])
+    # Block b's output gradient is complete once every later block has added
+    # its input gradient to the stack's rows.
+    for b in range(config.blocks, 0, -1):
+        i = 10 * b - 5
+        conv_w, _, ln_g, _, a, wx, wh, _, lin_w, _ = params[i:i + 10]
+        y, xhat, inv_std, mixed, (h, gates, cell, tanh_c, h0, c0), gate = caches[b]
+        lo = config.block_in_width(b)
+        d_out = d_dense[lo:lo + config.block_out_width(b)]
+        # The gate was broadcast over the S_out gated streams; with one stream
+        # there is nothing to sum, and summing would turn a -0 into +0.
+        d_gate = d_out * mixed[1:]
+        d_gate = d_gate.sum(axis=0) if d_gate.shape[0] > 1 else d_gate[0]
+        d_h, d_lin_w, d_lin_b = K.linear_backward(d_gate, h, lin_w)
+        d_mixed = np.empty_like(mixed)
+        d_mixed[1:] = d_out * gate
+        d_mixed[0], d_wx, d_wh, d_lstm_b = K.lstm_backward(d_h, mixed[0], wx, wh, gates, cell,
+                                                           tanh_c, h, h0, c0)
+        d_y, d_a = K.prelu_backward(d_mixed.reshape(-1, f), y, a)
+        d_conv, d_ln_g, d_ln_b = K.layer_norm_backward(d_y, xhat, inv_std, ln_g)
+        d_in, d_conv_w, d_conv_b = K.spatial_conv_backward(d_conv.reshape(mixed.shape),
+                                                           dense[:lo], conv_w)
+        d_dense[:lo] += d_in
+        grads[i:i + 10] = (d_conv_w, d_conv_b, d_ln_g, d_ln_b, d_a,
+                           d_wx, d_wh, d_lstm_b, d_lin_w, d_lin_b)
+    x, y, xhat, inv_std = caches[0]
+    d_y, grads[4] = K.prelu_backward(d_dense[:config.channels].reshape(-1, f), y, params[4])
+    d_enc, grads[2], grads[3] = K.layer_norm_backward(d_y, xhat, inv_std, params[2])
+    grads[0], grads[1] = K.linear_backward(d_enc, x, params[0])[1:]
+    return grads
 
 
 def _overlap_add_op(frames: Tensor, spec: FrameSpec, n_samples: int) -> Tensor:
@@ -222,7 +264,6 @@ def _overlap_add_op(frames: Tensor, spec: FrameSpec, n_samples: int) -> Tensor:
         gp = np.zeros(counts.shape[0], dtype=dtype)
         gp[:n_samples] = g[0]
         gp /= counts
-        from numpy.lib.stride_tricks import sliding_window_view
         gf = sliding_window_view(gp, spec.l_out)[::spec.hop].copy()
         return (gf[None],)
 
@@ -235,7 +276,8 @@ def model_forward(y, config: ModelConfig, store: ParamStore, *, scale=None) -> T
     With ``scale=None`` the input is normalized to pooled unit variance and
     the estimate re-scaled to input level. Passing an explicit ``scale``
     freezes the normalization, keeping the processor strictly causal — the
-    streaming session and the latency check rely on that.
+    streaming session and the latency check rely on that. Under an active
+    tape the network is one recorded op, whose backward is :func:`_backward`.
     """
     y = np.asarray(y)
     if y.ndim == 1:
@@ -249,24 +291,14 @@ def model_forward(y, config: ModelConfig, store: ParamStore, *, scale=None) -> T
         scaled = y * np.asarray(scale, dtype=y.dtype)
     n = y.shape[1]
     frames = frame_signal(scaled.astype(dtype, copy=False), config.frame)
-    enc = _encode(Tensor(frames), store)
-    # The dense stack: each block's output is written once into its rows, and
-    # block b reads the leading D_b rows as a view.
-    dense = np.empty((config.block_in_width(config.blocks),) + enc.shape[1:], dtype=dtype)
-    dense[:config.channels] = enc.data
-    parts = [enc]
-    x = enc
-    for b in range(1, config.blocks + 1):
-        if b > 1:
-            x = T.stacked_rows(dense, parts)
-        x = st_block_forward(x, block_params(store, b))
-        if b < config.blocks:
-            lo = config.block_in_width(b)
-            dense[lo:lo + x.shape[0]] = x.data
-            parts.append(x)
-    decoder = AffineParams(store["decoder.linear.weight"], store["decoder.linear.bias"])
-    out_frames = linear(x, decoder)
-    wave = _overlap_add_op(out_frames, config.frame, n)
+    tensors = [store[name] for name in _param_names(config)]
+    params = [t.data for t in tensors]
+    zeros = np.zeros(config.hidden, dtype=dtype)
+    # Activations are kept only when a tape will replay them.
+    caches = [] if T.active_tape() is not None else None
+    out = _forward(config, params, frames, [(zeros, zeros)] * config.blocks, caches)
+    net = from_op(out[None], tensors, lambda g: _backward(config, params, caches, g[0]))
+    wave = _overlap_add_op(net, config.frame, n)
     return T.mul(wave, Tensor(np.asarray(1.0 / scale, dtype=dtype)))
 
 
@@ -311,21 +343,17 @@ def count_flops(config: ModelConfig, seconds: float = 1.0) -> float:
     return 2.0 * count_macs_per_frame(config) * frames_per_second * seconds
 
 
-def _prelu(x, slope):
-    return np.where(x < 0, slope * x, x)
-
-
 class StreamingEnhancer:
     """Frame-by-frame enhancement session with carried LSTM state.
 
     Push ``hop``-sample blocks; each push advances the analysis window one
     hop and, once primed (after ``l_out/hop`` pushes), returns the next
-    ``hop`` enhanced samples. The computation per frame is the same kernel
-    sequence as :func:`model_forward` with a frozen normalization scale, run
-    on plain arrays: the parameter Tensors are looked up once, their arrays
-    read at each frame (so a later ``store.load_arrays`` takes effect), and
-    every block writes its output into one session-owned dense stack. The
-    emitted stream is bit-identical to the whole-utterance output, since the
+    ``hop`` enhanced samples. Each push runs :func:`_forward`, the same
+    assembly :func:`model_forward` runs over a whole utterance, on the one
+    new frame (T=1) with this session's LSTM states. The parameter Tensors
+    are looked up once and their arrays read at every push, so a later
+    ``store.load_arrays`` takes effect. The emitted stream is bit-identical
+    to the whole-utterance output with the same frozen scale, since the
     forward kernels sum a one-frame call in the same order as a T-frame one.
     """
 
@@ -340,22 +368,7 @@ class StreamingEnhancer:
         self._carry = np.zeros(spec.l_out - spec.hop, dtype=self.dtype)
         self._frame_index = 0
         self._ratio = spec.l_out // spec.hop
-        self._eps = self.dtype.type(LN_EPS)
-        self._encoder = tuple(store[f"encoder.{name}"] for name in
-                              ("linear.weight", "linear.bias", "norm.weight", "norm.bias", "prelu"))
-        self._decoder = (store["decoder.linear.weight"], store["decoder.linear.bias"])
-        # The dense stack of one frame. Block b reads rows [:D_b] and writes its
-        # output to rows [D_b, D_b + S); the final block writes its single
-        # stream, the decoder's input, to a row of its own.
-        self._dense = np.zeros((config.block_in_width(config.blocks), 1, config.hidden),
-                               dtype=self.dtype)
-        self._final = np.zeros((1, config.hidden), dtype=self.dtype)
-        self._blocks = []
-        for b in range(1, config.blocks + 1):
-            lo = config.block_in_width(b)
-            out = self._final if b == config.blocks else self._dense[lo:lo + config.spatial, 0]
-            params = tuple(store[f"block{b}.{name}"] for name in BLOCK_PARAM_NAMES)
-            self._blocks.append((lo, out, params))
+        self._params = [store[name] for name in _param_names(config)]
         zeros = np.zeros(config.hidden, dtype=self.dtype)
         self._states = [(zeros, zeros)] * config.blocks
 
@@ -377,37 +390,13 @@ class StreamingEnhancer:
             return None
         acc = np.zeros(spec.l_out, dtype=self.dtype)
         acc[:spec.l_out - spec.hop] = self._carry
-        acc += self._forward_frame()
+        acc += _forward(self.config, [p.data for p in self._params], self._window[:, None, :],
+                        self._states)[0]
         count = np.asarray(float(min(t + 1, self._ratio)), dtype=self.dtype)
         self._carry = acc[spec.hop:]
         emitted = acc[None, :spec.hop] / count
         emitted *= self._inv_scale
         return emitted
-
-    def _forward_frame(self):
-        """One frame through encoder, blocks and decoder; returns l_out samples.
-
-        Kernels are called through the ``kernels`` module attributes, with
-        C-contiguous inputs as the layers pass them.
-        """
-        dense, eps = self._dense, self._eps
-        channels = self.config.channels
-        lin_w, lin_b, norm_g, norm_b, slope = self._encoder
-        h = K.linear_forward(self._window, lin_w.data, lin_b.data)
-        h = K.layer_norm_forward(h, norm_g.data, norm_b.data, eps)[0]
-        dense[:channels, 0] = _prelu(h, slope.data)
-        for i, (lo, out, params) in enumerate(self._blocks):
-            conv_w, conv_b, norm_g, norm_b, slope, wx, wh, lstm_b, lin_w, lin_b = params
-            mixed = K.spatial_conv_forward(dense[:lo], conv_w.data, conv_b.data)
-            mixed = K.layer_norm_forward(np.ascontiguousarray(mixed.reshape(mixed.shape[0], -1)),
-                                         norm_g.data, norm_b.data, eps)[0]
-            mixed = _prelu(mixed, slope.data)
-            h0, c0 = self._states[i]
-            hs, _, cs, _ = K.lstm_forward(mixed[:1], wx.data, wh.data, lstm_b.data, h0, c0)
-            self._states[i] = (hs[-1], cs[-1])
-            np.multiply(mixed[1:], K.linear_forward(hs, lin_w.data, lin_b.data), out=out)
-        dec_w, dec_b = self._decoder
-        return K.linear_forward(self._final, dec_w.data, dec_b.data)[0]
 
 
 def enhance_waveform(y, config: ModelConfig, store: ParamStore, *, scale=None):

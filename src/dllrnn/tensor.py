@@ -254,51 +254,6 @@ def tmean(a):
     return from_op(np.asarray(a.data.mean(), dtype=a.data.dtype), (a,), backward)
 
 
-def stacked_rows(buffer, parts):
-    """The leading rows of ``buffer``, which hold ``parts`` stacked along axis 0.
-
-    The caller has already written each part's data into its rows; the result
-    is a view of them, so no stack is copied. Its gradient splits back onto
-    the parts row block by row block.
-    """
-    parts = tuple(parts)
-    if not parts:
-        raise DimensionError("stacked_rows of no parts")
-    for t in parts:
-        if t.data.ndim != buffer.ndim or t.shape[1:] != buffer.shape[1:]:
-            raise DimensionError(
-                f"stacked_rows: part {tuple(t.shape)} does not fit rows of {buffer.shape}"
-            )
-    sizes = [t.shape[0] for t in parts]
-    rows = sum(sizes)
-    if rows > buffer.shape[0]:
-        raise DimensionError(f"stacked_rows: {rows} rows exceed the buffer's {buffer.shape[0]}")
-    splits = np.cumsum(sizes)[:-1]
-
-    def backward(g):
-        return tuple(np.split(g, splits, axis=0))
-
-    return from_op(buffer[:rows], parts, backward)
-
-
-def narrow(a, axis, start, length):
-    """Contiguous slice of `length` extents along `axis`."""
-    if not (0 <= start and start + length <= a.shape[axis]):
-        raise DimensionError(
-            f"narrow: [{start}, {start + length}) outside extent {a.shape[axis]} of axis {axis}"
-        )
-    index = [slice(None)] * a.data.ndim
-    index[axis] = slice(start, start + length)
-    index = tuple(index)
-
-    def backward(g):
-        full = np.zeros_like(a.data)
-        full[index] = g
-        return (full,)
-
-    return from_op(a.data[index].copy(), (a,), backward)
-
-
 def reshape(a, shape):
     shape = tuple(shape)
 

@@ -51,8 +51,8 @@ def test_criterion_3_full_model_gradients():
     worst = full_model_grad_check(n_params=50, seed=0)
     elapsed = time.perf_counter() - t0
     ok = worst < 1e-4 and elapsed < 120.0
-    _verdict(3, ok, f"50 sampled parameters, worst FD relative error {worst:.2e} "
-                    f"(limit 1e-4), {elapsed:.1f} s")
+    _verdict(3, ok, f"two configs, every parameter plus 50 sampled, worst FD relative "
+                    f"error {worst:.2e} (limit 1e-4), {elapsed:.1f} s")
 
 
 def test_criterion_4_latency_bound():

@@ -97,6 +97,21 @@ def test_layer_norm_backward_fd():
     assert rel_err(dbias, fd_grad(lambda v: loss(x, gain, v), bias)) < 1e-6
 
 
+def test_prelu_backward_fd():
+    rng = np.random.default_rng(5)
+    x = _rand(rng, 3, 4) + 0.05  # keep clear of the kink at 0
+    a = np.float64(0.25)
+    dout = _rand(rng, 3, 4)
+
+    def loss(xv, av):
+        return float((K.prelu_forward(xv, av) * dout).sum())
+
+    dx, da = K.prelu_backward(dout, x, a)
+    assert da.shape == ()
+    assert rel_err(dx, fd_grad(lambda v: loss(v, a), x)) < 1e-8
+    assert rel_err(da, fd_grad(lambda v: loss(x, v), a)) < 1e-8
+
+
 def test_lstm_backward_fd():
     rng = np.random.default_rng(8)
     t, f = 4, 3

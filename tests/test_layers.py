@@ -1,27 +1,19 @@
-"""Layer forwards against hand oracles, gradients against finite differences,
-and the seeded initializers' contracts."""
+"""Layer math against hand oracles, through the kernels the model assembly
+calls, and the seeded initializers' contracts. The kernels' gradients are
+checked against finite differences in test_kernels."""
 
 import math
 
 import numpy as np
 import numpy.testing as npt
-import pytest
 
-from dllrnn.errors import DimensionError
-from dllrnn.layers import (AffineParams, LstmParams, SpatialConvParams, init_affine,
-                           init_layer_norm, init_lstm, init_prelu, init_spatial_conv,
-                           layer_norm, linear, lstm, prelu, spatial_conv, uniform_init)
-from dllrnn.tensor import Tape, Tensor
-from conftest import fd_grad, rel_err
+import dllrnn.kernels as K
+from dllrnn.layers import (init_affine, init_layer_norm, init_lstm, init_prelu,
+                           init_spatial_conv, uniform_init)
 
 
-def _params(*arrays):
-    return [Tensor(np.asarray(a, dtype=np.float64), requires_grad=True) for a in arrays]
-
-
-def _affine(w, b):
-    w, b = _params(w, b)
-    return AffineParams(weight=w, bias=b)
+def _rows(a):
+    return np.asarray(a, dtype=np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -29,100 +21,45 @@ def _affine(w, b):
 # ---------------------------------------------------------------------------
 
 def test_linear_hand_cases():
-    p = _affine([[1.0, -1.0]], [0.5])
-    out = linear(Tensor(np.array([3.0, 1.0])), p)
-    assert out.data.shape == (1,)
-    assert out.data[0] == 2.5
-    eye = _affine(np.eye(4), np.zeros(4))
+    out = K.linear_forward(_rows([[3.0, 1.0]]), _rows([[1.0, -1.0]]), _rows([0.5]))
+    assert out.shape == (1, 1)
+    assert out[0, 0] == 2.5
     x = np.random.default_rng(0).standard_normal((2, 3, 4))
-    npt.assert_array_equal(linear(Tensor(x), eye).data, x)
+    npt.assert_array_equal(K.linear_forward(x.reshape(-1, 4), np.eye(4), np.zeros(4)),
+                           x.reshape(-1, 4))
 
 
 def test_linear_batches_leading_axes():
+    # leading axes fold into rows, as the assembly passes C×T frames
     rng = np.random.default_rng(1)
     w, b = rng.standard_normal((5, 3)), rng.standard_normal(5)
     x = rng.standard_normal((2, 4, 3))
-    out = linear(Tensor(x), _affine(w, b))
-    assert out.shape == (2, 4, 5)
-    npt.assert_allclose(out.data, x @ w.T + b, rtol=1e-12)
-    with pytest.raises(DimensionError):
-        linear(Tensor(np.zeros((2, 4))), _affine(w, b))
-
-
-def test_linear_fd():
-    rng = np.random.default_rng(2)
-    x0 = rng.standard_normal((3, 4))
-    w0, b0 = rng.standard_normal((2, 4)), rng.standard_normal(2)
-
-    def run(x, w, b):
-        p = _affine(w, b)
-        xt = Tensor(x, requires_grad=True)
-        with Tape() as tape:
-            out = linear(xt, p)
-            root = _sum_all(out)
-            tape.backward(root)
-        return xt.grad, p.weight.grad, p.bias.grad
-
-    gx, gw, gb = run(x0, w0, b0)
-    assert rel_err(gx, fd_grad(lambda v: float((v @ w0.T + b0).sum()), x0)) < 1e-8
-    assert rel_err(gw, fd_grad(lambda v: float((x0 @ v.T + b0).sum()), w0)) < 1e-8
-    assert rel_err(gb, fd_grad(lambda v: float((x0 @ w0.T + v).sum()), b0)) < 1e-8
-
-
-def _sum_all(t):
-    from dllrnn import tensor as T
-    return T.tsum(t)
+    out = K.linear_forward(x.reshape(-1, 3), w, b).reshape(2, 4, 5)
+    npt.assert_allclose(out, x @ w.T + b, rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------
 # layer norm
 # ---------------------------------------------------------------------------
 
+def _layer_norm(x, gain, bias):
+    return K.layer_norm_forward(_rows(x), _rows(gain), _rows(bias), 1e-5)[0]
+
+
 def test_layer_norm_hand_cases():
-    p = _affine(np.ones(3), np.zeros(3))
-    out = layer_norm(Tensor(np.array([1.0, 2.0, 3.0])), p)
-    npt.assert_allclose(out.data, [-1.2247, 0.0, 1.2247], atol=1e-4)
+    out = _layer_norm([[1.0, 2.0, 3.0]], np.ones(3), np.zeros(3))
+    npt.assert_allclose(out, [[-1.2247, 0.0, 1.2247]], atol=1e-4)
     # constant vector collapses to the bias
-    p2 = _affine(np.ones(3), np.full(3, 0.7))
-    out = layer_norm(Tensor(np.full((2, 3), 5.0)), p2)
-    npt.assert_allclose(out.data, 0.7, atol=1e-2)
+    out = _layer_norm(np.full((2, 3), 5.0), np.ones(3), np.full(3, 0.7))
+    npt.assert_allclose(out, 0.7, atol=1e-2)
 
 
 def test_layer_norm_statistics():
     rng = np.random.default_rng(3)
     x = 10.0 * rng.standard_normal((50, 8))
-    p = _affine(np.ones(8), np.zeros(8))
-    out = layer_norm(Tensor(x), p).data
+    out = _layer_norm(x, np.ones(8), np.zeros(8))
     assert np.abs(out.mean(axis=-1)).max() < 1e-6
     assert np.abs(out.var(axis=-1) - 1.0).max() < 1e-3
-
-
-def test_layer_norm_errors():
-    p = _affine(np.ones(4), np.zeros(4))
-    with pytest.raises(DimensionError):
-        layer_norm(Tensor(np.zeros((2, 3))), p)
-    empty = _affine(np.ones(0), np.zeros(0))
-    with pytest.raises(DimensionError):
-        layer_norm(Tensor(np.zeros((2, 0))), empty)
-
-
-def test_layer_norm_fd():
-    rng = np.random.default_rng(4)
-    x0 = rng.standard_normal((4, 5))
-    g0, b0 = rng.standard_normal(5), rng.standard_normal(5)
-
-    def value(x, g, b):
-        mu = x.mean(axis=-1, keepdims=True)
-        var = x.var(axis=-1, keepdims=True)
-        return float((((x - mu) / np.sqrt(var + 1e-5)) * g + b).sum())
-
-    xt = Tensor(x0, requires_grad=True)
-    p = _affine(g0, b0)
-    with Tape() as tape:
-        tape.backward(_sum_all(layer_norm(xt, p)))
-    assert rel_err(xt.grad, fd_grad(lambda v: value(v, g0, b0), x0)) < 1e-6
-    assert rel_err(p.weight.grad, fd_grad(lambda v: value(x0, v, b0), g0)) < 1e-7
-    assert rel_err(p.bias.grad, fd_grad(lambda v: value(x0, g0, v), b0)) < 1e-7
 
 
 # ---------------------------------------------------------------------------
@@ -130,28 +67,12 @@ def test_layer_norm_fd():
 # ---------------------------------------------------------------------------
 
 def test_prelu_values():
-    slope = Tensor(np.float64(0.25), requires_grad=True)
-    x = Tensor(np.array([-2.0, -0.5, 0.0, 3.0]))
-    npt.assert_array_equal(prelu(x, slope).data, [-0.5, -0.125, 0.0, 3.0])
-    relu = prelu(x, Tensor(np.float64(0.0)))
-    npt.assert_array_equal(relu.data, [0.0, 0.0, 0.0, 3.0])
+    slope = np.float64(0.25)
+    x = np.array([-2.0, -0.5, 0.0, 3.0])
+    npt.assert_array_equal(K.prelu_forward(x, slope), [-0.5, -0.125, 0.0, 3.0])
+    npt.assert_array_equal(K.prelu_forward(x, np.float64(0.0)), [0.0, 0.0, 0.0, 3.0])
     pos = np.array([0.1, 5.0])
-    npt.assert_array_equal(prelu(Tensor(pos), slope).data, pos)
-
-
-def test_prelu_fd():
-    rng = np.random.default_rng(5)
-    x0 = rng.standard_normal((3, 4)) + 0.05  # keep clear of the kink at 0
-
-    def value(x, a):
-        return float(np.where(x < 0, a * x, x).sum())
-
-    xt = Tensor(x0, requires_grad=True)
-    slope = Tensor(np.float64(0.25), requires_grad=True)
-    with Tape() as tape:
-        tape.backward(_sum_all(prelu(xt, slope)))
-    assert rel_err(xt.grad, fd_grad(lambda v: value(v, 0.25), x0)) < 1e-8
-    assert rel_err(slope.grad, fd_grad(lambda v: value(x0, float(v)), np.float64(0.25))) < 1e-8
+    npt.assert_array_equal(K.prelu_forward(pos, slope), pos)
 
 
 # ---------------------------------------------------------------------------
@@ -163,72 +84,51 @@ def test_spatial_conv_hand_case():
     w = np.zeros((2, 1, 2))
     w[0] = [[1.0, 2.0]]
     w[1] = [[3.0, 4.0]]
-    p = SpatialConvParams(*_params(w, np.zeros((1, 2))))
     x = np.zeros((2, 1, 2))
     x[:, 0, 0] = [1.0, 1.0]
     x[:, 0, 1] = [1.0, -1.0]
-    out = spatial_conv(Tensor(x), p)
+    out = K.spatial_conv_forward(x, w, np.zeros((1, 2)))
     assert out.shape == (1, 1, 2)
-    assert out.data[0, 0, 0] == 3.0
-    assert out.data[0, 0, 1] == -1.0
+    assert out[0, 0, 0] == 3.0
+    assert out[0, 0, 1] == -1.0
 
 
 def test_spatial_conv_identity_and_shapes():
     f, t = 3, 4
     w = np.stack([np.eye(2)] * f)  # every hidden unit mixes with I2
-    p = SpatialConvParams(*_params(w, np.zeros((2, f))))
     x = np.random.default_rng(6).standard_normal((2, t, f))
-    npt.assert_array_equal(spatial_conv(Tensor(x), p).data, x)
+    npt.assert_array_equal(K.spatial_conv_forward(x, w, np.zeros((2, f))), x)
     big = init_spatial_conv(np.random.default_rng(0), 64, 9, 8, dtype=np.float64)
-    out = spatial_conv(Tensor(np.zeros((8, 5, 64))), big)
+    out = K.spatial_conv_forward(np.zeros((8, 5, 64)), big.weight.data, big.bias.data)
     assert out.shape == (9, 5, 64)
-    with pytest.raises(DimensionError):
-        spatial_conv(Tensor(np.zeros((3, t, f))), p)
 
 
 def test_spatial_conv_linear_in_input():
     rng = np.random.default_rng(7)
-    w = rng.standard_normal((3, 2, 4))
-    p = SpatialConvParams(*_params(w, np.zeros((2, 3))))
+    w, b = rng.standard_normal((3, 2, 4)), np.zeros((2, 3))
     x, y = rng.standard_normal((4, 2, 3)), rng.standard_normal((4, 2, 3))
-    lhs = spatial_conv(Tensor(2.0 * x + 3.0 * y), p).data
-    rhs = 2.0 * spatial_conv(Tensor(x), p).data + 3.0 * spatial_conv(Tensor(y), p).data
+    lhs = K.spatial_conv_forward(2.0 * x + 3.0 * y, w, b)
+    rhs = 2.0 * K.spatial_conv_forward(x, w, b) + 3.0 * K.spatial_conv_forward(y, w, b)
     npt.assert_allclose(lhs, rhs, rtol=1e-10, atol=1e-12)
-
-
-def test_spatial_conv_fd():
-    rng = np.random.default_rng(8)
-    x0 = rng.standard_normal((3, 2, 4))
-    w0, b0 = rng.standard_normal((4, 2, 3)), rng.standard_normal((2, 4))
-
-    def value(x, w, b):
-        out = np.einsum("fos,stf->otf", w, x) + b[:, None, :]
-        return float(out.sum())
-
-    xt = Tensor(x0, requires_grad=True)
-    p = SpatialConvParams(*_params(w0, b0))
-    with Tape() as tape:
-        tape.backward(_sum_all(spatial_conv(xt, p)))
-    assert rel_err(xt.grad, fd_grad(lambda v: value(v, w0, b0), x0)) < 1e-8
-    assert rel_err(p.weight.grad, fd_grad(lambda v: value(x0, v, b0), w0)) < 1e-8
-    assert rel_err(p.bias.grad, fd_grad(lambda v: value(x0, w0, v), b0)) < 1e-8
 
 
 # ---------------------------------------------------------------------------
 # LSTM
 # ---------------------------------------------------------------------------
 
-def _lstm_params(wx, wh, b):
-    wx, wh, b = _params(wx, wh, b)
-    return LstmParams(wx=wx, wh=wh, bias=b)
+def _lstm(x, wx, wh, b, state=None):
+    """Hidden sequence and final (h, c) of one run from ``state`` (zeros by default)."""
+    f = wx.shape[1]
+    h0, c0 = state if state is not None else (np.zeros(f), np.zeros(f))
+    h, _, c, _ = K.lstm_forward(x, wx, wh, b, h0, c0)
+    return h, (h[-1], c[-1])
 
 
 def test_lstm_zero_params_zero_output():
     f = 3
-    p = _lstm_params(np.zeros((4 * f, f)), np.zeros((4 * f, f)), np.zeros(4 * f))
-    x = Tensor(np.random.default_rng(9).standard_normal((5, f)))
-    out, (h, c) = lstm(x, p)
-    npt.assert_array_equal(out.data, np.zeros((5, f)))
+    x = np.random.default_rng(9).standard_normal((5, f))
+    out, (h, c) = _lstm(x, np.zeros((4 * f, f)), np.zeros((4 * f, f)), np.zeros(4 * f))
+    npt.assert_array_equal(out, np.zeros((5, f)))
     npt.assert_array_equal(h, np.zeros(f))
     npt.assert_array_equal(c, np.zeros(f))
 
@@ -245,67 +145,37 @@ def test_lstm_scalar_oracle():
     o = sig(wo * x0 + bo)
     c = f * 0.0 + i * g
     h = o * math.tanh(c)
-    p = _lstm_params(np.array([[wi], [wf], [wg], [wo]]), np.zeros((4, 1)),
-                     np.array([bi, bf, bg, bo]))
-    out, (h_T, c_T) = lstm(Tensor(np.array([[x0]])), p)
-    npt.assert_allclose(out.data, [[h]], rtol=1e-12)
+    out, (_, c_T) = _lstm(np.array([[x0]]), np.array([[wi], [wf], [wg], [wo]]),
+                          np.zeros((4, 1)), np.array([bi, bf, bg, bo]))
+    npt.assert_allclose(out, [[h]], rtol=1e-12)
     npt.assert_allclose(c_T, [c], rtol=1e-12)
+
+
+def _random_lstm(rng, f, scale):
+    return (scale * rng.standard_normal((4 * f, f)), scale * rng.standard_normal((4 * f, f)),
+            0.1 * rng.standard_normal(4 * f))
 
 
 def test_lstm_causality_prefix_bit_exact():
     rng = np.random.default_rng(10)
     f, t = 4, 7
-    p = _lstm_params(0.3 * rng.standard_normal((4 * f, f)),
-                     0.3 * rng.standard_normal((4 * f, f)),
-                     0.1 * rng.standard_normal(4 * f))
+    p = _random_lstm(rng, f, 0.3)
     x = rng.standard_normal((t, f))
-    full, _ = lstm(Tensor(x), p)
+    full, _ = _lstm(x, *p)
     for k in (1, 3, 5):
-        prefix, _ = lstm(Tensor(x[:k]), p)
-        npt.assert_array_equal(prefix.data, full.data[:k])
+        prefix, _ = _lstm(x[:k], *p)
+        npt.assert_array_equal(prefix, full[:k])
 
 
 def test_lstm_state_carry_matches_full_run():
     rng = np.random.default_rng(11)
     f, t = 3, 6
-    p = _lstm_params(0.4 * rng.standard_normal((4 * f, f)),
-                     0.4 * rng.standard_normal((4 * f, f)),
-                     0.1 * rng.standard_normal(4 * f))
+    p = _random_lstm(rng, f, 0.4)
     x = rng.standard_normal((t, f))
-    full, _ = lstm(Tensor(x), p)
-    first, state = lstm(Tensor(x[:2]), p)
-    second, _ = lstm(Tensor(x[2:]), p, state0=state)
-    npt.assert_array_equal(np.concatenate([first.data, second.data]), full.data)
-
-
-def test_lstm_fd():
-    rng = np.random.default_rng(12)
-    f, t = 3, 4
-    x0 = rng.standard_normal((t, f))
-    wx0 = 0.5 * rng.standard_normal((4 * f, f))
-    wh0 = 0.5 * rng.standard_normal((4 * f, f))
-    b0 = 0.1 * rng.standard_normal(4 * f)
-
-    def value(x, wx, wh, b):
-        p = _lstm_params(wx, wh, b)
-        out, _ = lstm(Tensor(x), p)
-        return float(out.data.sum())
-
-    xt = Tensor(x0, requires_grad=True)
-    p = _lstm_params(wx0, wh0, b0)
-    with Tape() as tape:
-        out, _ = lstm(xt, p)
-        tape.backward(_sum_all(out))
-    assert rel_err(xt.grad, fd_grad(lambda v: value(v, wx0, wh0, b0), x0)) < 1e-4
-    assert rel_err(p.wx.grad, fd_grad(lambda v: value(x0, v, wh0, b0), wx0)) < 1e-4
-    assert rel_err(p.wh.grad, fd_grad(lambda v: value(x0, wx0, v, b0), wh0)) < 1e-4
-    assert rel_err(p.bias.grad, fd_grad(lambda v: value(x0, wx0, wh0, v), b0)) < 1e-4
-
-
-def test_lstm_shape_error():
-    p = _lstm_params(np.zeros((8, 2)), np.zeros((8, 2)), np.zeros(8))
-    with pytest.raises(DimensionError):
-        lstm(Tensor(np.zeros((4, 3))), p)
+    full, _ = _lstm(x, *p)
+    first, state = _lstm(x[:2], *p)
+    second, _ = _lstm(x[2:], *p, state=state)
+    npt.assert_array_equal(np.concatenate([first, second]), full)
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,9 @@ import dllrnn.kernels as K
 from dllrnn.errors import ConfigError, ContractError, DimensionError
 from dllrnn.framing import FrameSpec
 from dllrnn.losses import pcm_loss
-from dllrnn.model import (ModelConfig, ParamStore, StreamingEnhancer, block_params,
+from dllrnn.model import (ModelConfig, ParamStore, StreamingEnhancer, _forward, _param_names,
                           build_params, count_flops, count_macs_per_frame, count_params,
-                          enhance_waveform, model_forward, st_block_forward)
+                          enhance_waveform, model_forward)
 from dllrnn.tensor import Tape, Tensor
 
 TINY = ModelConfig(channels=2, hidden=2, spatial=1, blocks=2,
@@ -131,47 +131,65 @@ def test_count_params_monotone_and_published_delta():
     assert 0.7 * 0.15 <= delta <= 1.3 * 0.15
 
 
+def _run_forward(cfg, store, frames):
+    """_forward from zero LSTM states with caches; returns (output, caches)."""
+    zeros = np.zeros(cfg.hidden, frames.dtype)
+    caches = []
+    params = [store[name].data for name in _param_names(cfg)]
+    out = _forward(cfg, params, frames, [(zeros, zeros)] * cfg.blocks, caches)
+    return out, caches
+
+
 def test_st_block_shapes_at_defaults():
     cfg = ModelConfig()
     store = build_params(cfg, seed=0)
-    x = Tensor(np.random.default_rng(0).standard_normal((8, 3, 64)).astype(np.float32))
-    out = st_block_forward(x, block_params(store, 1))
-    assert out.shape == (8, 3, 64)
-    final_in = Tensor(np.zeros((cfg.block_in_width(8), 2, 64), np.float32))
-    out = st_block_forward(final_in, block_params(store, 8))
-    assert out.shape == (1, 2, 64)
+    frames = np.random.default_rng(0).standard_normal((8, 3, 256)).astype(np.float32)
+    out, caches = _run_forward(cfg, store, frames)
+    assert out.shape == (3, 32)
+    dense = caches[-1]
+    assert dense.shape == (cfg.block_in_width(8) + 1, 3, 64)
+    for b in range(1, 9):
+        mixed = caches[b][3]  # S_out + 1 streams after conv, norm and PReLU
+        assert mixed.shape == (cfg.block_out_width(b) + 1, 3, 64)
+    # block 1 writes its 8 gated streams after the 8 encoder rows; block 8
+    # writes its single stream, the decoder's input, to the last row
+    for b, rows in ((1, slice(8, 16)), (8, slice(cfg.block_in_width(8), None))):
+        mixed, gate = caches[b][3], caches[b][5]
+        npt.assert_array_equal(dense[rows], mixed[1:] * gate)
     with pytest.raises(DimensionError):
-        st_block_forward(Tensor(np.zeros((5, 3, 64), np.float32)), block_params(store, 1))
+        StreamingEnhancer(cfg, store).push(np.zeros((5, cfg.frame.hop), np.float32))
 
 
-def _forced_gate_block(store, b, weight_value, bias_value):
-    """Zero the LSTM input path and pin the post-LSTM linear to a constant."""
-    p = block_params(store, b)
-    p.lstm.wx.data = np.zeros_like(p.lstm.wx.data)
-    p.lstm.wh.data = np.zeros_like(p.lstm.wh.data)
-    p.lstm.bias.data = np.zeros_like(p.lstm.bias.data)
-    p.linear.weight.data = np.full_like(p.linear.weight.data, weight_value)
-    p.linear.bias.data = np.full_like(p.linear.bias.data, bias_value)
-    return p
+def _force_gate(store, b, weight_value, bias_value):
+    """Zero block b's LSTM and pin its post-LSTM linear to a constant."""
+    for name in ("lstm.wx", "lstm.wh", "lstm.bias"):
+        store[f"block{b}.{name}"].data[...] = 0.0
+    store[f"block{b}.linear.weight"].data[...] = weight_value
+    store[f"block{b}.linear.bias"].data[...] = bias_value
 
 
 def test_st_block_forced_gate_identity_and_annihilator():
-    from dllrnn.layers import layer_norm, prelu, spatial_conv
     cfg = ModelConfig(channels=3, hidden=4, spatial=2, blocks=2,
                       frame=FrameSpec(l_in=8, l_out=4, hop=2))
-    rng = np.random.default_rng(1)
-    x = Tensor(rng.standard_normal((3, 5, 4)).astype(np.float32))
+    frames = np.random.default_rng(1).standard_normal((3, 5, 8)).astype(np.float32)
+    lo, hi = cfg.block_in_width(1), cfg.block_in_width(2)
 
     store = build_params(cfg, seed=0)
-    p = _forced_gate_block(store, 1, 0.0, 1.0)  # gate branch emits ones
-    out = st_block_forward(x, p)
-    mixed = prelu(layer_norm(spatial_conv(x, p.conv), p.norm), p.prelu_slope)
-    npt.assert_array_equal(out.data, mixed.data[1:])
+    _force_gate(store, 1, 0.0, 1.0)  # gate branch emits ones
+    _, caches = _run_forward(cfg, store, frames)
+    dense = caches[-1]
+    conv = K.spatial_conv_forward(dense[:lo], store["block1.conv.weight"].data,
+                                  store["block1.conv.bias"].data)
+    normed = K.layer_norm_forward(np.ascontiguousarray(conv.reshape(-1, cfg.hidden)),
+                                  store["block1.norm.weight"].data,
+                                  store["block1.norm.bias"].data, np.float32(1e-5))[0]
+    mixed = K.prelu_forward(normed.reshape(conv.shape), store["block1.prelu"].data)
+    npt.assert_array_equal(dense[lo:hi], mixed[1:])
 
     store = build_params(cfg, seed=0)
-    p = _forced_gate_block(store, 1, 0.0, 0.0)  # gate branch emits zeros
-    out = st_block_forward(x, p)
-    npt.assert_array_equal(out.data, np.zeros_like(out.data))
+    _force_gate(store, 1, 0.0, 0.0)  # gate branch emits zeros
+    _, caches = _run_forward(cfg, store, frames)
+    npt.assert_array_equal(caches[-1][lo:hi], np.zeros((hi - lo, 5, cfg.hidden)))
 
 
 def test_model_forward_shapes_and_errors():
@@ -206,14 +224,27 @@ def test_model_forward_output_at_input_level():
     npt.assert_allclose(b, 4.0 * a, rtol=1e-5)
 
 
-def full_model_grad_check(n_params=50, seed=0):
-    """Max relative FD error over sampled parameters of the full pipeline.
+GRAD_CHECK_CONFIGS = (
+    ModelConfig(channels=2, hidden=8, spatial=2, blocks=2,
+                frame=FrameSpec(l_in=32, l_out=8, hop=4)),
+    # block 1's output feeds block 2, which is not the final block
+    ModelConfig(channels=2, hidden=8, spatial=3, blocks=3,
+                frame=FrameSpec(l_in=32, l_out=8, hop=4)),
+)
 
-    Double precision, tiny config, spectral loss against a synthetic target —
-    the end-to-end version of the per-layer gradient checks.
+
+def full_model_grad_check(n_params=50, seed=0):
+    """Max relative FD error over the parameters of the full pipeline.
+
+    Double precision, tiny configs, spectral loss against a synthetic target —
+    the end-to-end version of the per-kernel gradient checks. For each config,
+    one element of every parameter is checked, then ``n_params`` more drawn at
+    random, so every gradient the network's backward returns is checked.
     """
-    cfg = ModelConfig(channels=2, hidden=8, spatial=2, blocks=2,
-                      frame=FrameSpec(l_in=32, l_out=8, hop=4))
+    return max(_grad_check(cfg, n_params, seed) for cfg in GRAD_CHECK_CONFIGS)
+
+
+def _grad_check(cfg, n_params, seed):
     store = build_params(cfg, seed=seed, dtype=np.float64)
     rng = np.random.default_rng(seed)
     n = 256
@@ -228,10 +259,10 @@ def full_model_grad_check(n_params=50, seed=0):
         tape.backward(pcm_loss(model_forward(y, cfg, store), target, y[0]))
 
     names = store.names()
+    draws = names + [names[int(rng.integers(len(names)))] for _ in range(n_params)]
     worst = 0.0
     eps = 1e-5
-    for _ in range(n_params):
-        name = names[int(rng.integers(len(names)))]
+    for name in draws:
         tensor = store[name]
         flat = tensor.data.reshape(-1)
         i = int(rng.integers(flat.size))
@@ -250,6 +281,17 @@ def full_model_grad_check(n_params=50, seed=0):
 
 def test_full_model_gradients_match_fd():
     assert full_model_grad_check() < 1e-4
+
+
+def test_model_forward_is_one_tape_op():
+    # the whole network is one recorded op, then overlap-add and the rescale
+    cfg = ModelConfig(channels=2, hidden=8, spatial=3, blocks=3,
+                      frame=FrameSpec(l_in=32, l_out=8, hop=4))
+    store = build_params(cfg, seed=0)
+    y = np.random.default_rng(8).standard_normal((2, 100)).astype(np.float32)
+    with Tape() as tape:
+        model_forward(y, cfg, store)
+    assert len(tape) == 3
 
 
 def _check_streaming_matches_batch(cfg):
@@ -357,7 +399,9 @@ def test_dense_widths_consistent():
     cfg = ModelConfig(channels=5, hidden=4, spatial=3, blocks=4,
                       frame=FrameSpec(l_in=8, l_out=4, hop=2))
     store = build_params(cfg, seed=0)
+    assert store.names() == _param_names(cfg)
     for b in range(1, cfg.blocks + 1):
-        p = block_params(store, b)
-        assert p.conv.s_in == cfg.block_in_width(b) == 5 + (b - 1) * 3
-        assert p.conv.s_out == cfg.block_out_width(b) + 1
+        n_hidden, s_out, s_in = store[f"block{b}.conv.weight"].shape
+        assert n_hidden == cfg.hidden
+        assert s_in == cfg.block_in_width(b) == 5 + (b - 1) * 3
+        assert s_out == cfg.block_out_width(b) + 1

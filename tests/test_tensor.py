@@ -108,33 +108,6 @@ def test_broadcast_mul_gradient_sums_over_axis():
     assert rel_err(got, fd) < 1e-8
 
 
-def test_stacked_rows_narrow_roundtrip_and_errors():
-    rng = np.random.default_rng(2)
-    a = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
-    b = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
-    buffer = np.zeros((7, 3))
-    buffer[:2], buffer[2:6] = a.data, b.data
-    joined = T.stacked_rows(buffer, [a, b])
-    assert joined.shape == (6, 3)
-    assert np.shares_memory(joined.data, buffer)  # a view, not a copy
-    npt.assert_array_equal(T.narrow(joined, 0, 0, 2).data, a.data)
-    npt.assert_array_equal(T.narrow(joined, 0, 2, 4).data, b.data)
-    npt.assert_array_equal(T.stacked_rows(buffer, [a]).data, a.data)
-    weights = rng.standard_normal((6, 3))
-    with Tape() as tape:
-        tape.backward(T.tsum(T.mul(T.stacked_rows(buffer, [a, b]), Tensor(weights))))
-    npt.assert_array_equal(a.grad, weights[:2])
-    npt.assert_array_equal(b.grad, weights[2:])
-    with pytest.raises(DimensionError):
-        T.stacked_rows(buffer, [a, Tensor(np.zeros((2, 5)))])
-    with pytest.raises(DimensionError):
-        T.stacked_rows(buffer, [b, b])
-    with pytest.raises(DimensionError):
-        T.stacked_rows(buffer, [])
-    with pytest.raises(DimensionError):
-        T.narrow(a, 1, 2, 2)
-
-
 def test_no_op_mutates_inputs():
     rng = np.random.default_rng(3)
     a = Tensor(rng.standard_normal((3, 3)), requires_grad=True)
