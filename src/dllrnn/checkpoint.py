@@ -13,9 +13,10 @@ Layout, all integers little-endian:
     opt_step         u64      (flag only)
     n_opt_records    u32      records named "<param>.m", ".v", ".vmax"
 
-Loading validates the magic, version, and that the parameter payload's total
-scalar count matches what the config says the model should have, so a
-truncated or mismatched file fails loudly instead of poisoning a run.
+Loading validates the magic, version, that the parameter payload's total
+scalar count matches what the config says the model should have, and that
+the file ends exactly after the last record, so a truncated, padded or
+mismatched file fails loudly instead of poisoning a run.
 """
 
 from __future__ import annotations
@@ -146,5 +147,8 @@ def load_checkpoint(path) -> CheckpointData:
         for _ in range(n_opt):
             name, arr = _read_record(r)
             opt_arrays[name] = arr
+    if r.pos != len(r.blob):
+        raise DataError(f"{path}: {len(r.blob) - r.pos} trailing bytes after the last record, "
+                        f"at byte {r.pos}")
     return CheckpointData(config=config, step=step, arrays=arrays,
                           opt_step=opt_step, opt_arrays=opt_arrays)

@@ -13,7 +13,12 @@ differently for one frame than for a thousand. Layer norm reduces each row
 on its own and the LSTM steps one frame at a time. That is what makes the
 streaming enhancer (one frame per call) bit-identical to the whole-utterance
 path (all frames in one call). The backward kernels only run in training,
-over whole utterances, and use plain BLAS products.
+over whole utterances, and use plain BLAS products. The LSTM backward is one
+reverse recursion that carries only ``dh`` and ``dc`` from step to step and
+stacks each step's gate gradient ``dz``; the input, input-weight,
+recurrent-weight and bias gradients are then single GEMMs (or a sum) over the
+stacked ``dz`` (Appleyard, Kočiský & Blunsom, "Optimizing Performance of
+Recurrent Neural Networks on GPUs", arXiv 1604.01946).
 """
 
 import math
@@ -131,34 +136,43 @@ def lstm_forward(x, wx, wh, b, h0, c0):
 
 def lstm_backward(dh_out, x, wx, wh, gates, c, tanh_c, h, h0, c0):
     t_len, f = x.shape
-    dx = np.empty((t_len, f), x.dtype)
-    dwx = np.zeros_like(wx)
-    dwh = np.zeros_like(wh)
-    db = np.zeros(4 * f, x.dtype)
+    g4 = gates.reshape(t_len, 4, f)
+    gi, gf, gg, go = g4[:, 0], g4[:, 1], g4[:, 2], g4[:, 3]
+    h_prev = np.empty_like(h)
+    h_prev[:1] = h0
+    h_prev[1:] = h[:-1]
+    c_prev = np.empty_like(c)
+    c_prev[:1] = c0
+    c_prev[1:] = c[:-1]
+    # every factor that does not depend on the recursion, for all steps at once:
+    # dcv = dhk·dcv_per_dh + dc; dz starts as the gate multipliers, and the
+    # loop scales its i/f/g rows by dcv and its o row by dhk
+    dcv_per_dh = go * (1.0 - tanh_c * tanh_c)
+    dz = np.empty((t_len, 4, f), x.dtype)
+    dz[:, 0] = gg * gi * (1.0 - gi)
+    dz[:, 1] = c_prev * gf * (1.0 - gf)
+    dz[:, 2] = gi * (1.0 - gg * gg)
+    dz[:, 3] = tanh_c * go * (1.0 - go)
+    dz_rows = dz.reshape(t_len, 4 * f)
+    # the reverse recursion: only dh and dc carry from step t+1 to step t
+    dhk = np.empty(f, x.dtype)
+    dcv = np.empty(f, x.dtype)
     dh = np.zeros(f, x.dtype)
     dc = np.zeros(f, x.dtype)
-    for t in range(t_len - 1, -1, -1):
-        gi = gates[t, :f]
-        gf = gates[t, f:2 * f]
-        gg = gates[t, 2 * f:3 * f]
-        go = gates[t, 3 * f:]
-        tc = tanh_c[t]
-        cp = c[t - 1] if t > 0 else c0
-        hp = h[t - 1] if t > 0 else h0
-        dhk = dh_out[t] + dh
-        dcv = dhk * go * (1.0 - tc * tc) + dc
-        dz = np.concatenate([
-            dcv * gg * gi * (1.0 - gi),
-            dcv * cp * gf * (1.0 - gf),
-            dcv * gi * (1.0 - gg * gg),
-            dhk * tc * go * (1.0 - go),
-        ])
-        db += dz
-        dwx += np.outer(dz, x[t])
-        dwh += np.outer(dz, hp)
-        dx[t] = wx.T @ dz
-        dh = wh.T @ dz
-        dc = dcv * gf
+    steps = zip(dh_out[::-1], dcv_per_dh[::-1], gf[::-1], dz[::-1, :3], dz[::-1, 3], dz_rows[::-1])
+    for dh_t, dcv_per_dh_t, gf_t, dz_ifg_t, dz_o_t, dz_t in steps:
+        np.add(dh_t, dh, out=dhk)
+        np.multiply(dhk, dcv_per_dh_t, out=dcv)
+        dcv += dc
+        dz_ifg_t *= dcv
+        dz_o_t *= dhk
+        np.matmul(dz_t, wh, out=dh)
+        np.multiply(dcv, gf_t, out=dc)
+    # weight and input gradients as single products over the stacked dz
+    dx = dz_rows @ wx
+    dwx = dz_rows.T @ x
+    dwh = dz_rows.T @ h_prev
+    db = dz_rows.sum(axis=0)
     return dx, dwx, dwh, db
 
 

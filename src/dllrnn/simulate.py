@@ -283,7 +283,11 @@ def pink_noise(rng, n: int):
 # ---------------------------------------------------------------------------
 # Dataset manifest: one line per example of space-separated key=value tokens,
 # '#' lines are comments. Paths are relative to the manifest's directory.
+# Every record names its mixture and direct-path WAVs.
 # ---------------------------------------------------------------------------
+
+MANIFEST_REQUIRED = ("mixture", "direct")
+
 
 def manifest_write(path, records):
     lines = ["# dllrnn dataset manifest v1"]
@@ -296,15 +300,18 @@ def manifest_write(path, records):
 def manifest_read(path):
     records = []
     with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
+        for line_no, raw in enumerate(fh, 1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
             rec = {}
             for token in line.split():
                 if "=" not in token:
-                    raise DataError(f"{path}: malformed manifest token '{token}'")
+                    raise DataError(f"{path}:{line_no}: malformed manifest token '{token}'")
                 key, value = token.split("=", 1)
                 rec[key] = value
+            for key in MANIFEST_REQUIRED:
+                if key not in rec:
+                    raise DataError(f"{path}:{line_no}: manifest record has no '{key}=' field")
             records.append(rec)
     return records

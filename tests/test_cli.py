@@ -189,6 +189,34 @@ def test_evaluate_cli(workspace, capsys):
     assert "over 1 examples" in capsys.readouterr().out
 
 
+def test_padded_checkpoint_exits_2(workspace, tmp_path, capsys):
+    padded = tmp_path / "padded.ckpt"
+    padded.write_bytes(workspace["ckpt"].read_bytes() + b"\0" * 8)
+    mixture = workspace["data"] / manifest_read(workspace["manifest"])[0]["mixture"]
+    assert main(["enhance", str(padded), str(mixture), "--out", str(tmp_path / "o.wav")]) == 2
+    assert main(["evaluate", str(padded), str(workspace["manifest"])]) == 2
+    err = capsys.readouterr().err
+    assert "trailing bytes" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("missing", ["mixture", "direct"])
+def test_manifest_without_example_field_exits_2(workspace, tmp_path, capsys, missing):
+    records = manifest_read(workspace["manifest"])
+    for rec in records:
+        for key in ("mixture", "direct"):
+            rec[key] = workspace["data"] / rec[key]
+    del records[1][missing]
+    manifest = tmp_path / f"no_{missing}.txt"
+    manifest_write(manifest, records)
+    assert main(["train", "--config", str(workspace["cfg"]), "--manifest", str(manifest),
+                 "--out", str(tmp_path / "run")]) == 2
+    assert main(["evaluate", str(workspace["ckpt"]), str(manifest)]) == 2
+    err = capsys.readouterr().err
+    # line 1 is the header comment, so the second record is line 3
+    assert err.count(f"no_{missing}.txt:3: manifest record has no '{missing}=' field") == 2
+    assert "Traceback" not in err
+
+
 def test_evaluate_manifest_identity_and_oracle(tmp_path):
     # mixture file == direct file, so the unprocessed score is the 80 dB
     # self-similarity cap and an identity enhancer must tie it exactly

@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import numpy.testing as npt
+import pytest
 
 import dllrnn.kernels as K
 from conftest import fd_grad, rel_err
@@ -113,15 +114,17 @@ def test_prelu_backward_fd():
 
 
 def test_lstm_backward_fd():
+    # nonzero initial state and a random upstream gradient, so that a shifted
+    # h_{t-1}/c_{t-1} stack or a dropped h0/c0 term shows up
     rng = np.random.default_rng(8)
-    t, f = 4, 3
+    t, f = 6, 3
     x = _rand(rng, t, f)
     wx, wh, b = 0.5 * _rand(rng, 4 * f, f), 0.5 * _rand(rng, 4 * f, f), 0.1 * _rand(rng, 4 * f)
-    h0, c0 = np.zeros(f), np.zeros(f)
-    dh = np.ones((t, f))
+    h0, c0 = 0.5 * _rand(rng, f), 0.5 * _rand(rng, f)
+    dh = _rand(rng, t, f)
 
     def loss(xv, wxv, whv, bv):
-        return float(K.lstm_forward(xv, wxv, whv, bv, h0, c0)[0].sum())
+        return float((K.lstm_forward(xv, wxv, whv, bv, h0, c0)[0] * dh).sum())
 
     h, gates, c, tanh_c = K.lstm_forward(x, wx, wh, b, h0, c0)
     dx, dwx, dwh, db = K.lstm_backward(dh, x, wx, wh, gates, c, tanh_c, h, h0, c0)
@@ -129,6 +132,60 @@ def test_lstm_backward_fd():
     assert rel_err(dwx, fd_grad(lambda v: loss(x, v, wh, b), wx)) < 1e-4
     assert rel_err(dwh, fd_grad(lambda v: loss(x, wx, v, b), wh)) < 1e-4
     assert rel_err(db, fd_grad(lambda v: loss(x, wx, wh, v), b)) < 1e-4
+
+
+def _lstm_backward_oracle(dh_out, x, wx, wh, gates, c, tanh_c, h, h0, c0):
+    """The LSTM backward one frame at a time: each step forms its gate
+    gradient dz and adds its outer products to the weight gradients."""
+    t_len, f = x.shape
+    dx = np.empty((t_len, f), x.dtype)
+    dwx = np.zeros_like(wx)
+    dwh = np.zeros_like(wh)
+    db = np.zeros(4 * f, x.dtype)
+    dh = np.zeros(f, x.dtype)
+    dc = np.zeros(f, x.dtype)
+    for t in range(t_len - 1, -1, -1):
+        gi = gates[t, :f]
+        gf = gates[t, f:2 * f]
+        gg = gates[t, 2 * f:3 * f]
+        go = gates[t, 3 * f:]
+        tc = tanh_c[t]
+        cp = c[t - 1] if t > 0 else c0
+        hp = h[t - 1] if t > 0 else h0
+        dhk = dh_out[t] + dh
+        dcv = dhk * go * (1.0 - tc * tc) + dc
+        dz = np.concatenate([
+            dcv * gg * gi * (1.0 - gi),
+            dcv * cp * gf * (1.0 - gf),
+            dcv * gi * (1.0 - gg * gg),
+            dhk * tc * go * (1.0 - go),
+        ])
+        db += dz
+        dwx += np.outer(dz, x[t])
+        dwh += np.outer(dz, hp)
+        dx[t] = wx.T @ dz
+        dh = wh.T @ dz
+        dc = dcv * gf
+    return dx, dwx, dwh, db
+
+
+@pytest.mark.parametrize("dtype, rtol", [(np.float64, 1e-10), (np.float32, 1e-5)])
+def test_lstm_backward_matches_per_step_recursion(dtype, rtol):
+    rng = np.random.default_rng(11)
+    t_len, f = 300, 64
+    x = _rand(rng, t_len, f).astype(dtype)
+    wx, wh = (0.2 * _rand(rng, 4 * f, f)).astype(dtype), (0.2 * _rand(rng, 4 * f, f)).astype(dtype)
+    b = (0.1 * _rand(rng, 4 * f)).astype(dtype)
+    h0, c0 = (0.5 * _rand(rng, f)).astype(dtype), (0.5 * _rand(rng, f)).astype(dtype)
+    dh = _rand(rng, t_len, f).astype(dtype)
+    h, gates, c, tanh_c = K.lstm_forward(x, wx, wh, b, h0, c0)
+    args = (dh, x, wx, wh, gates, c, tanh_c, h, h0, c0)
+    got = K.lstm_backward(*args)
+    # summation order differs, so entries near zero are held to rtol of the
+    # output's scale rather than of themselves
+    for name, g, want in zip(("dx", "dwx", "dwh", "db"), got, _lstm_backward_oracle(*args)):
+        assert g.dtype == dtype and g.shape == want.shape, name
+        npt.assert_allclose(g, want, rtol=rtol, atol=rtol * np.abs(want).max(), err_msg=name)
 
 
 # ---------------------------------------------------------------------------

@@ -227,17 +227,22 @@ def test_source_material_unit_rms():
 def test_manifest_roundtrip(tmp_path):
     path = tmp_path / "train.tsv"
     records = [
-        {"mixture": "ex0_mix.wav", "clean": "ex0_clean.wav", "snr_db": "-3.5", "n_noise": "2"},
-        {"mixture": "ex1_mix.wav", "clean": "ex1_clean.wav", "snr_db": "7.25", "n_noise": "1"},
+        {"mixture": "ex0_mix.wav", "direct": "ex0_direct.wav", "snr_db": "-3.5", "n_noise": "2"},
+        {"mixture": "ex1_mix.wav", "direct": "ex1_direct.wav", "snr_db": "7.25", "n_noise": "1"},
     ]
     manifest_write(path, records)
     assert manifest_read(path) == records
     text = path.read_text()
     assert text.startswith("#")
 
-    path.write_text("# comment\n\nmixture=a.wav clean=b.wav\n")
-    assert manifest_read(path) == [{"mixture": "a.wav", "clean": "b.wav"}]
+    path.write_text("# comment\n\nmixture=a.wav direct=b.wav\n")
+    assert manifest_read(path) == [{"mixture": "a.wav", "direct": "b.wav"}]
 
     path.write_text("mixture=a.wav oops\n")
     with pytest.raises(DataError):
+        manifest_read(path)
+
+    # a record must name both WAVs; the error names the line and the field
+    path.write_text("# comment\n\nmixture=a.wav clean=b.wav\n")
+    with pytest.raises(DataError, match=r":3: manifest record has no 'direct=' field"):
         manifest_read(path)

@@ -268,6 +268,18 @@ def test_checkpoint_rejects_corruption(tmp_path):
         load_checkpoint(bad)
 
 
+def test_checkpoint_rejects_trailing_bytes(tmp_path):
+    store = build_params(SMALL, seed=0)
+    path = tmp_path / "model.ckpt"
+    bad = tmp_path / "padded.ckpt"
+    for opt_state in (None, OptState.for_store(store)):
+        save_checkpoint(path, SMALL, store, 1, opt_state=opt_state)
+        blob = path.read_bytes()
+        bad.write_bytes(blob + b"\0" * 8)
+        with pytest.raises(DataError, match=f"8 trailing bytes .* at byte {len(blob)}"):
+            load_checkpoint(bad)
+
+
 def test_overfit_single_example(overfit_run):
     assert overfit_run["steps"] == 500
     assert overfit_run["ratio"] <= 0.10, overfit_run["ratio"]
