@@ -6,7 +6,7 @@ from .framing import (SAMPLE_RATE, FrameSpec, frame_signal, latency_check, norma
                       overlap_add)
 from .layers import (AffineParams, LstmParams, SpatialConvParams, init_affine, init_layer_norm,
                      init_lstm, init_prelu, init_spatial_conv)
-from .losses import Spectrogram, pcm_loss, si_sdr, stft
+from .losses import pcm_loss, si_sdr, stft
 from .model import (ModelConfig, ParamStore, StreamingEnhancer, build_params, count_flops,
                     count_params, enhance_waveform, model_forward)
 from .checkpoint import load_checkpoint, save_checkpoint

@@ -1,7 +1,8 @@
 """Command-line surface: simulate, train, enhance, count, evaluate.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 data error
-(unreadable or malformed files), 3 numerical failure during optimization.
+(unreadable or malformed files, or an all-zero input), 3 numerical failure
+during optimization.
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ import numpy as np
 
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import RunConfig, load_config, model_config, schedule
-from .errors import ConfigError, DataError, NumericalError
+from .errors import (ConfigError, ContractError, DataError, DegenerateInputError, DimensionError,
+                     NumericalError)
 from .framing import SAMPLE_RATE
 from .losses import si_sdr
 from .model import (ModelConfig, build_params, count_flops, count_params, enhance_waveform)
@@ -131,7 +133,7 @@ def cmd_train(args) -> int:
                 f"checkpoint is for {ck.config.name} with frame {ck.config.frame}, "
                 f"config says {mconfig.name} with frame {mconfig.frame}"
             )
-        store.load_arrays(ck.arrays)
+        _load_params(store, ck, args.resume)
         start_step = ck.step
         if ck.opt_arrays is not None:
             state.step = ck.opt_step
@@ -148,10 +150,18 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _load_params(store, ck, checkpoint_path):
+    """Copy a checkpoint's parameter records into the store (exit 2 on a bad record)."""
+    try:
+        store.load_arrays(ck.arrays)
+    except (ContractError, DimensionError) as exc:
+        raise DataError(f"{checkpoint_path}: {exc}") from None
+
+
 def _load_model(checkpoint_path):
     ck = load_checkpoint(checkpoint_path)
     store = build_params(ck.config, seed=0)
-    store.load_arrays(ck.arrays)
+    _load_params(store, ck, checkpoint_path)
     return ck.config, store
 
 
@@ -227,6 +237,8 @@ def evaluate_manifest(enhance_fn, manifest_path, limit=None):
 
 
 def cmd_evaluate(args) -> int:
+    if args.limit is not None and args.limit < 1:
+        raise ConfigError(f"--limit must be at least 1, got {args.limit}")
     config, store = _load_model(args.checkpoint)
 
     def enhance_fn(mixture):
@@ -304,10 +316,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (DataError, DegenerateInputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:

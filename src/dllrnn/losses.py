@@ -6,8 +6,13 @@ speech estimate and once to the implied interference estimate (mixture minus
 speech). Keeping real and imaginary parts separate inside the magnitude makes
 the loss sensitive to phase while remaining cheap and differentiable.
 
-The STFT here is built from plain tensor ops (a frame gather and two DFT
-matrix products), so gradients flow through it on the tape. Evaluation uses
+The loss is one tape op with a hand-written backward. Its forward takes the
+Hann-windowed STFT of the estimate, target and mixture once each, as the
+frame matrix times one cached ``[cos | -sin]`` basis, and forms the
+interference spectra by subtraction, since the STFT is linear. Its backward
+sends sign(diff)·sign(spectrum) back through the transposed basis, then
+through the adjoint of the frame gather: at hop = window/2 that is an
+overlap-add of half-window rows in two phases. Evaluation uses
 scale-invariant SDR, computed in double precision outside the tape.
 """
 
@@ -16,122 +21,121 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from . import tensor as T
 from .errors import DegenerateInputError, DimensionError
 from .tensor import Tensor, from_op
 
 STFT_WINDOW = 512
-STFT_HOP = 256
+STFT_HOP = STFT_WINDOW // 2
 SI_SDR_CAP_DB = 80.0
 SI_SDR_EPS = 1e-12
 
 
-class Spectrogram:
-    """Real/imaginary DFT coefficients, T_s frames by F_s onesided bins."""
-
-    __slots__ = ("real", "imag")
-
-    def __init__(self, real: Tensor, imag: Tensor):
-        self.real = real
-        self.imag = imag
-
-    @property
-    def n_frames(self):
-        return self.real.shape[0]
-
-    @property
-    def n_bins(self):
-        return self.real.shape[1]
-
-
 @lru_cache(maxsize=8)
-def _dft_basis(window: int):
-    """Hann window and onesided cos/-sin DFT matrices, in double precision."""
+def _dft_basis(window: int, dtype) -> np.ndarray:
+    """Hann-windowed onesided ``[cos | -sin]`` DFT basis, window × 2·bins.
+
+    Built in double precision and cast once per dtype; read-only because it
+    is shared through the cache.
+    """
     n = np.arange(window)
     win = 0.5 - 0.5 * np.cos(2.0 * np.pi * n / window)
-    bins = window // 2 + 1
-    phase = 2.0 * np.pi * np.outer(n, np.arange(bins)) / window
-    return win, np.cos(phase), -np.sin(phase)
+    phase = 2.0 * np.pi * np.outer(n, np.arange(window // 2 + 1)) / window
+    basis = (win[:, None] * np.hstack([np.cos(phase), -np.sin(phase)])).astype(dtype)
+    basis.flags.writeable = False
+    return basis
 
 
-def _as_flat_tensor(x):
-    if not isinstance(x, Tensor):
-        x = Tensor(np.asarray(x))
-    if len(x.shape) == 2 and x.shape[0] == 1:
-        x = T.reshape(x, (x.shape[1],))
-    if len(x.shape) != 1:
+def _flat(x) -> np.ndarray:
+    x = np.asarray(x)
+    if x.dtype not in (np.float32, np.float64):
+        x = x.astype(np.float64)
+    if x.ndim == 2 and x.shape[0] == 1:
+        x = x[0]
+    if x.ndim != 1:
         raise DimensionError(f"expected a single-channel waveform, got shape {x.shape}")
     return x
 
 
-def _gather_frames(x: Tensor, window: int, hop: int) -> Tensor:
-    """T_s×window frame matrix of a 1-d signal, zero-padded at the tail."""
+def _frames(x, window: int, hop: int) -> np.ndarray:
+    """T_s×window frame view of a 1-d signal, zero-padded at the tail."""
     n = x.shape[0]
     t_s = 1 if n <= window else 1 + -(-(n - window) // hop)
-    idx = hop * np.arange(t_s)[:, None] + np.arange(window)[None, :]
-    valid = idx < n
-    safe = np.where(valid, idx, 0)
-    mask = valid.astype(x.data.dtype)
-    data = x.data[safe] * mask
-
-    def backward(g):
-        gx = np.zeros_like(x.data)
-        np.add.at(gx, safe, g * mask)
-        return (gx,)
-
-    return from_op(data, (x,), backward)
+    padded = np.zeros((t_s - 1) * hop + window, dtype=x.dtype)
+    padded[:n] = x
+    return sliding_window_view(padded, window)[::hop]
 
 
-def stft(x, window: int = STFT_WINDOW, hop: int = STFT_HOP) -> Spectrogram:
-    """Hann-windowed onesided DFT of ``x``; differentiable when x is taped.
+def _frames_adjoint(g, n: int) -> np.ndarray:
+    """Adjoint of ``_frames`` at the loss's hop = window/2: T_s×window → n samples.
 
-    ``window`` must be a power of two and ``hop`` at most the window. Signals
-    shorter than one window are zero-padded to a single frame.
+    Frame t's first half covers half-row t of the padded signal and its
+    second half covers half-row t+1, so the adjoint adds the two phases.
+    """
+    out = np.zeros((g.shape[0] + 1, STFT_HOP), dtype=g.dtype)
+    out[:-1] = g[:, :STFT_HOP]
+    out[1:] += g[:, STFT_HOP:]
+    return out.reshape(-1)[:n]
+
+
+def stft(x, window: int = STFT_WINDOW, hop: int = STFT_HOP):
+    """Hann-windowed onesided DFT of a 1-d signal as ``(real, imag)`` arrays.
+
+    Each array is T_s frames by window/2 + 1 bins. ``window`` must be a power
+    of two and ``hop`` at most the window. Signals shorter than one window
+    are zero-padded to a single frame.
     """
     if window < 2 or window & (window - 1):
         raise DimensionError(f"stft window must be a power of two, got {window}")
     if not (1 <= hop <= window):
         raise DimensionError(f"stft hop {hop} must lie in [1, window={window}]")
-    x = _as_flat_tensor(x)
-    dtype = x.data.dtype
-    win, cos_m, sin_m = _dft_basis(window)
-    frames = _gather_frames(x, window, hop)
-    windowed = T.mul(frames, Tensor(win.astype(dtype)))
-    real = T.matmul(windowed, Tensor(cos_m.astype(dtype)))
-    imag = T.matmul(windowed, Tensor(sin_m.astype(dtype)))
-    return Spectrogram(real, imag)
+    x = _flat(x)
+    spec = _frames(x, window, hop) @ _dft_basis(window, x.dtype)
+    bins = window // 2 + 1
+    return spec[:, :bins], spec[:, bins:]
 
 
-def _summed_magnitude(spec: Spectrogram) -> Tensor:
-    return T.add(T.absolute(spec.real), T.absolute(spec.imag))
-
-
-def _l_sm(ref, est, window, hop):
-    """Mean L1 distance between summed |real|+|imag| magnitudes."""
-    diff = T.sub(_summed_magnitude(stft(ref, window, hop)),
-                 _summed_magnitude(stft(est, window, hop)))
-    return T.tmean(T.absolute(diff))
-
-
-def pcm_loss(x_hat, x, y, window: int = STFT_WINDOW, hop: int = STFT_HOP) -> Tensor:
+def pcm_loss(x_hat, x, y) -> Tensor:
     """Phase-constrained magnitude loss of an estimate against target + mixture.
 
     ``x_hat`` is the speech estimate (typically on the tape), ``x`` the
     direct-path target and ``y`` the reference-microphone mixture. The loss is
     the spectral L1 term on (x, x̂) plus the same term on the interference
-    estimates (y − x, y − x̂).
+    estimates (y − x, y − x̂). Each input is a length-N or 1×N waveform.
     """
-    x_hat = _as_flat_tensor(x_hat)
-    x = _as_flat_tensor(x)
-    y = _as_flat_tensor(y)
-    if not (x_hat.shape == x.shape == y.shape):
+    inputs = [v if isinstance(v, Tensor) else Tensor(v) for v in (x_hat, x, y)]
+    signals = [_flat(t.data) for t in inputs]
+    if not (signals[0].shape == signals[1].shape == signals[2].shape):
         raise DimensionError(
-            f"pcm_loss lengths differ: estimate {x_hat.shape}, target {x.shape}, mixture {y.shape}"
+            f"pcm_loss lengths differ: estimate {signals[0].shape}, target "
+            f"{signals[1].shape}, mixture {signals[2].shape}"
         )
-    speech_term = _l_sm(x, x_hat, window, hop)
-    noise_term = _l_sm(T.sub(y, x), T.sub(y, x_hat), window, hop)
-    return T.add(speech_term, noise_term)
+    n = signals[0].shape[0]
+    dtype = np.result_type(*signals)
+    basis = _dft_basis(STFT_WINDOW, dtype)
+    bins = STFT_WINDOW // 2 + 1
+    s_hat, s, s_mix = (_frames(v.astype(dtype, copy=False), STFT_WINDOW, STFT_HOP) @ basis
+                       for v in signals)
+    value = 0.0
+    terms = []  # per term, d(term)/d(reference spectrum) and d(term)/d(estimate spectrum)
+    for ref, est in ((s, s_hat), (s_mix - s, s_mix - s_hat)):
+        # Both magnitudes are summed before the difference, so an exact
+        # estimate scores exactly 0.
+        diff = ((np.abs(ref[:, :bins]) + np.abs(ref[:, bins:]))
+                - (np.abs(est[:, :bins]) + np.abs(est[:, bins:])))
+        value = value + np.abs(diff).mean()
+        d_mag = np.tile(np.sign(diff) / diff.size, 2)
+        terms.append((d_mag * np.sign(ref), -d_mag * np.sign(est)))
+    (d_s, d_s_hat), (d_noise, d_noise_hat) = terms
+    # y − x and y − x̂ are linear in the three signals' spectra.
+    spectral = (d_s_hat - d_noise_hat, d_s - d_noise, d_noise + d_noise_hat)
+
+    def backward(g):
+        return tuple(_frames_adjoint((ds * g) @ basis.T, n).reshape(t.shape)
+                     if t.requires_grad else None for t, ds in zip(inputs, spectral))
+
+    return from_op(np.asarray(value, dtype=dtype), inputs, backward)
 
 
 def si_sdr(s_hat, s) -> float:

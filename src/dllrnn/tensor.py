@@ -11,6 +11,13 @@ the duration of the sweep; leaf gradients add up across sweeps until
 Tapes are thread-confined: the active-tape stack is thread-local, so
 independent tapes may run on separate threads without sharing state.
 
+The tape keeps only composition. Differentiable work is recorded through
+:func:`from_op`, which takes an output array, its input tensors and a
+hand-written backward: the network (``model._backward``), its overlap-add
+and the PCM loss (``losses.pcm_loss``) are one such op each. :func:`add`
+and :func:`mul` join them, e.g. to sum per-example losses or to rescale the
+network's output.
+
 Precision follows the data: float32 is the training default, float64 is used
 by the finite-difference verification suites. Operations never mutate their
 inputs.
@@ -78,35 +85,10 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={tuple(self.shape)}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
 
-    def __add__(self, other):
-        return add(self, _wrap(other, self.dtype))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, _wrap(other, self.dtype))
-
-    def __rsub__(self, other):
-        return sub(_wrap(other, self.dtype), self)
-
-    def __mul__(self, other):
-        return mul(self, _wrap(other, self.dtype))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return neg(self)
-
     def __truediv__(self, other):
         if isinstance(other, Tensor):
             raise ContractError("division is supported by constants only")
-        return mul(self, _wrap(1.0 / other, self.dtype))
-
-
-def _wrap(value, dtype):
-    if isinstance(value, Tensor):
-        return value
-    return Tensor(np.asarray(value, dtype=dtype))
+        return mul(self, Tensor(np.asarray(1.0 / other, dtype=self.dtype)))
 
 
 class Tape:
@@ -199,15 +181,6 @@ def add(a, b):
     return from_op(a.data + b.data, (a, b), backward)
 
 
-def sub(a, b):
-    _check_broadcast(a, b, "sub")
-
-    def backward(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
-
-    return from_op(a.data - b.data, (a, b), backward)
-
-
 def mul(a, b):
     _check_broadcast(a, b, "mul")
 
@@ -215,49 +188,3 @@ def mul(a, b):
         return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
 
     return from_op(a.data * b.data, (a, b), backward)
-
-
-def neg(a):
-    return from_op(-a.data, (a,), lambda g: (-g,))
-
-
-def absolute(a):
-    """|a| with subgradient 0 at 0 (np.sign(0) == 0)."""
-    sign = np.sign(a.data)
-    return from_op(np.abs(a.data), (a,), lambda g: (g * sign,))
-
-
-def matmul(a, b):
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise DimensionError(f"matmul: incompatible shapes {a.shape} x {b.shape}")
-
-    def backward(g):
-        return g @ b.data.T, a.data.T @ g
-
-    return from_op(a.data @ b.data, (a, b), backward)
-
-
-def tsum(a):
-    """Sum of all elements, as a scalar tensor."""
-    def backward(g):
-        return (np.full_like(a.data, g.reshape(())),)
-
-    return from_op(np.asarray(a.data.sum(), dtype=a.data.dtype), (a,), backward)
-
-
-def tmean(a):
-    n = a.data.size
-
-    def backward(g):
-        return (np.full_like(a.data, g.reshape(()) / n),)
-
-    return from_op(np.asarray(a.data.mean(), dtype=a.data.dtype), (a,), backward)
-
-
-def reshape(a, shape):
-    shape = tuple(shape)
-
-    def backward(g):
-        return (g.reshape(a.shape),)
-
-    return from_op(a.data.reshape(shape), (a,), backward)

@@ -8,7 +8,7 @@ import pytest
 from dllrnn.losses import si_sdr
 from dllrnn.model import ModelConfig, build_params, model_forward
 from dllrnn.simulate import draw_scene, spatialize_mixture, speech_like, white_noise
-from dllrnn.tensor import Tape, Tensor
+from dllrnn.tensor import Tape, Tensor, from_op
 from dllrnn.train import Schedule, TrainExample, fit
 
 
@@ -43,6 +43,12 @@ def tape_grad(f, x):
     with Tape() as tape:
         tape.backward(f(leaf))
     return leaf.grad
+
+
+def tape_sum(t):
+    """Sum of all elements as a scalar tensor: a test-local op built with from_op."""
+    return from_op(np.asarray(t.data.sum(), dtype=t.data.dtype), (t,),
+                   lambda g: (np.full_like(t.data, g.reshape(())),))
 
 
 def make_anechoic_example(seed=42, n_mics=2, snr_db=0.0, n=4000):

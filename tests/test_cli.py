@@ -6,8 +6,11 @@ import os
 import numpy as np
 import pytest
 
+from dllrnn.checkpoint import load_checkpoint, save_checkpoint
 from dllrnn.cli import evaluate_manifest, main
+from dllrnn.model import ParamStore
 from dllrnn.simulate import manifest_read, manifest_write
+from dllrnn.tensor import Tensor
 from dllrnn.wavio import read_wav, write_wav
 
 TINY_CFG = (
@@ -187,6 +190,48 @@ def test_evaluate_cli(workspace, capsys):
     assert main(["evaluate", str(workspace["ckpt"]), str(workspace["manifest"]),
                  "--limit", "1"]) == 0
     assert "over 1 examples" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("limit", ["-1", "0"])
+def test_evaluate_limit_below_one_exits_1(workspace, capsys, limit):
+    assert main(["evaluate", str(workspace["ckpt"]), str(workspace["manifest"]),
+                 "--limit", limit]) == 1
+    err = capsys.readouterr().err
+    assert f"--limit must be at least 1, got {limit}" in err and "Traceback" not in err
+
+
+def test_enhance_all_zero_wav_exits_2(workspace, tmp_path, capsys):
+    silent = tmp_path / "silent.wav"
+    write_wav(silent, np.zeros((2, 400), np.float32))
+    out = tmp_path / "o.wav"
+    assert main(["enhance", str(workspace["ckpt"]), str(silent), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "error: cannot normalize an all-zero waveform" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("fault", ["renamed", "reshaped"])
+def test_bad_parameter_record_exits_2(workspace, tmp_path, capsys, fault):
+    ck = load_checkpoint(workspace["ckpt"])
+    store = ParamStore()
+    for name, arr in ck.arrays.items():
+        if name == "encoder.linear.weight":
+            if fault == "renamed":
+                name = "encoder.linear.weights"
+            else:
+                arr = arr.T  # same scalar count, so only the store's shape check sees it
+        store.add(name, Tensor(arr))
+    bad = tmp_path / f"{fault}.ckpt"
+    save_checkpoint(bad, ck.config, store, ck.step)
+    mixture = workspace["data"] / manifest_read(workspace["manifest"])[0]["mixture"]
+    assert main(["enhance", str(bad), str(mixture), "--out", str(tmp_path / "o.wav")]) == 2
+    assert main(["evaluate", str(bad), str(workspace["manifest"])]) == 2
+    assert main(["train", "--config", str(workspace["cfg"]),
+                 "--manifest", str(workspace["manifest"]),
+                 "--out", str(tmp_path / "run"), "--resume", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.count(f"error: {bad}: ") == 3
+    assert err.count("'encoder.linear.weight'") == 3 and "Traceback" not in err
 
 
 def test_padded_checkpoint_exits_2(workspace, tmp_path, capsys):

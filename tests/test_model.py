@@ -294,6 +294,15 @@ def test_model_forward_is_one_tape_op():
     assert len(tape) == 3
 
 
+def test_pcm_loss_is_one_tape_op():
+    # the STFTs, both spectral L1 terms and their sum are one recorded op
+    rng = np.random.default_rng(9)
+    x_hat, x, y = (rng.standard_normal(1000).astype(np.float32) for _ in range(3))
+    with Tape() as tape:
+        pcm_loss(Tensor(x_hat, requires_grad=True), x, y)
+    assert len(tape) == 1
+
+
 def _check_streaming_matches_batch(cfg):
     store = build_params(cfg, seed=0)
     y = np.random.default_rng(4).standard_normal((cfg.channels, 400)).astype(np.float32)
