@@ -4,8 +4,6 @@ from .errors import (ConfigError, ContractError, DataError, DegenerateInputError
                      DimensionError, GeometryError, NumericalError, WavFormatError)
 from .framing import (SAMPLE_RATE, FrameSpec, frame_signal, latency_check, normalize_variance,
                       overlap_add)
-from .layers import (AffineParams, LstmParams, SpatialConvParams, init_affine, init_layer_norm,
-                     init_lstm, init_prelu, init_spatial_conv)
 from .losses import pcm_loss, si_sdr, stft
 from .model import (ModelConfig, ParamStore, StreamingEnhancer, build_params, count_flops,
                     count_params, enhance_waveform, model_forward)

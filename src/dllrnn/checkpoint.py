@@ -13,20 +13,23 @@ Layout, all integers little-endian:
     opt_step         u64      (flag only)
     n_opt_records    u32      records named "<param>.m", ".v", ".vmax"
 
-Loading validates the magic, version, that the parameter payload's total
-scalar count matches what the config says the model should have, and that
-the file ends exactly after the last record, so a truncated, padded or
-mismatched file fails loudly instead of poisoning a run.
+Loading validates the magic, version and config, that the parameter
+payload's total scalar count matches what the config says the model should
+have, that the optimizer records are exactly one ``.m``, ``.v`` and
+``.vmax`` per parameter record, each shaped like it, and that the file ends
+exactly after the last record, so a truncated, padded or mismatched file
+fails loudly, as a DataError, instead of poisoning a run.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError
+from .errors import ConfigError, DataError, DimensionError
 from .framing import FrameSpec
 from .model import ModelConfig, count_params
 
@@ -64,14 +67,24 @@ class _Reader:
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
 
-def _read_record(r: _Reader):
-    (name_len,) = r.unpack("<H")
-    name = r.take(name_len).decode("utf-8")
-    (rank,) = r.unpack("<B")
-    shape = r.unpack(f"<{rank}I") if rank else ()
-    count = int(np.prod(shape, dtype=np.int64)) if rank else 1
-    arr = np.frombuffer(r.take(4 * count), dtype="<f4").reshape(shape)
-    return name, arr.astype(np.float32)
+def _read_records(r: _Reader, count: int, kind: str) -> dict:
+    records = {}
+    for _ in range(count):
+        (name_len,) = r.unpack("<H")
+        try:
+            name = r.take(name_len).decode("utf-8")
+        except UnicodeDecodeError:
+            raise DataError(f"{r.path}: {kind} record name at byte {r.pos - name_len} "
+                            f"is not UTF-8") from None
+        if name in records:
+            raise DataError(f"{r.path}: duplicate {kind} record '{name}'")
+        (rank,) = r.unpack("<B")
+        if rank > 32:   # the most axes every supported numpy allows
+            raise DataError(f"{r.path}: {kind} record '{name}' has rank {rank}")
+        shape = r.unpack(f"<{rank}I")
+        arr = np.frombuffer(r.take(4 * math.prod(shape)), dtype="<f4").reshape(shape)
+        records[name] = arr.astype(np.float32)
+    return records
 
 
 @dataclass
@@ -121,16 +134,18 @@ def load_checkpoint(path) -> CheckpointData:
     if version != VERSION:
         raise DataError(f"{path}: unsupported checkpoint version {version}")
     c, f, s, b, l_in, l_out, hop = r.unpack("<7I")
-    config = ModelConfig(channels=c, hidden=f, spatial=s, blocks=b,
-                         frame=FrameSpec(l_in=l_in, l_out=l_out, hop=hop))
+    try:
+        config = ModelConfig(channels=c, hidden=f, spatial=s, blocks=b,
+                             frame=FrameSpec(l_in=l_in, l_out=l_out, hop=hop))
+    except (ConfigError, DimensionError) as exc:
+        raise DataError(f"{path}: bad model config in header: {exc}") from None
     (step,) = r.unpack("<Q")
     (n_records,) = r.unpack("<I")
-    arrays = {}
-    for _ in range(n_records):
-        name, arr = _read_record(r)
-        if name in arrays:
-            raise DataError(f"{path}: duplicate parameter record '{name}'")
-        arrays[name] = arr
+    arrays = _read_records(r, n_records, "parameter")
+    # Every block owns parameter records; this also bounds count_params' loop.
+    if b > len(arrays):
+        raise DataError(f"{path}: config {config.name} has {b} blocks but only "
+                        f"{len(arrays)} parameter records")
     total = sum(a.size for a in arrays.values())
     expected = count_params(config)
     if total != expected:
@@ -143,10 +158,17 @@ def load_checkpoint(path) -> CheckpointData:
     if opt_flag:
         (opt_step,) = r.unpack("<Q")
         (n_opt,) = r.unpack("<I")
-        opt_arrays = {}
-        for _ in range(n_opt):
-            name, arr = _read_record(r)
-            opt_arrays[name] = arr
+        opt_arrays = _read_records(r, n_opt, "optimizer")
+        want = {f"{name}.{moment}": arr.shape for name, arr in arrays.items()
+                for moment in ("m", "v", "vmax")}
+        stray = sorted(want.keys() ^ opt_arrays.keys())
+        if stray:
+            what = "unknown" if stray[0] in opt_arrays else "missing"
+            raise DataError(f"{path}: {what} optimizer record '{stray[0]}'")
+        for name, arr in opt_arrays.items():
+            if arr.shape != want[name]:
+                raise DataError(f"{path}: optimizer record '{name}' has shape {arr.shape}, "
+                                f"its parameter has {want[name]}")
     if r.pos != len(r.blob):
         raise DataError(f"{path}: {len(r.blob) - r.pos} trailing bytes after the last record, "
                         f"at byte {r.pos}")

@@ -22,7 +22,7 @@ from .losses import si_sdr
 from .model import (ModelConfig, build_params, count_flops, count_params, enhance_waveform)
 from .simulate import (draw_scene, manifest_read, manifest_write, pink_noise,spatialize_mixture,
                        speech_like, white_noise)
-from .train import TrainExample, fit
+from .train import OptState, TrainExample, fit
 from .wavio import read_wav, write_wav
 
 _EXAMPLE_STREAM = 65537
@@ -58,6 +58,8 @@ def cmd_simulate(args) -> int:
         raise ConfigError(f"cannot create output directory '{cfg.out}': {exc}") from None
     if cfg.count < 0:
         raise ConfigError(f"count must be >= 0, got {cfg.count}")
+    if cfg.order < 0:
+        raise ConfigError(f"order must be >= 0, got {cfg.order}")
     if cfg.snr_min > cfg.snr_max:
         raise ConfigError(f"snr_min {cfg.snr_min} exceeds snr_max {cfg.snr_max}")
     if not (1 <= cfg.noise_min <= cfg.noise_max <= 10):
@@ -120,8 +122,6 @@ def cmd_train(args) -> int:
     out_dir = cfg.out or "train_out"
     mconfig = model_config(cfg)
     dataset = _load_dataset(manifest_path, expect_channels=mconfig.channels)
-    from .train import OptState
-
     sched = schedule(cfg)
     start_step = 0
     store = build_params(mconfig, seed=cfg.seed)
@@ -135,12 +135,7 @@ def cmd_train(args) -> int:
             )
         _load_params(store, ck, args.resume)
         start_step = ck.step
-        if ck.opt_arrays is not None:
-            state.step = ck.opt_step
-            for name in store.names():
-                state.m[name] = ck.opt_arrays[f"{name}.m"].copy()
-                state.v[name] = ck.opt_arrays[f"{name}.v"].copy()
-                state.v_max[name] = ck.opt_arrays[f"{name}.vmax"].copy()
+        state = OptState.from_checkpoint(ck, store, lr=sched.lr)
     history = fit(mconfig, store, dataset, sched, out_dir=out_dir,
                   state=state, start_step=start_step, quiet=False)
     if history:
@@ -208,7 +203,7 @@ def evaluate_manifest(enhance_fn, manifest_path, limit=None):
     """SI-SDR of enhanced vs unprocessed audio against the direct path.
 
     ``enhance_fn`` maps a C×N mixture to a 1×N estimate. Missing or broken
-    example files are reported and skipped. Returns a report dict with
+    example files, and all-zero examples, are reported and skipped. Returns a report dict with
     per-example rows, the two means, and the error list.
     """
     if not os.path.exists(manifest_path):
@@ -225,7 +220,7 @@ def evaluate_manifest(enhance_fn, manifest_path, limit=None):
                 "enhanced": si_sdr(estimate, direct[0]),
                 "unprocessed": si_sdr(mixture[0], direct[0]),
             })
-        except (OSError, DataError) as exc:
+        except (OSError, DataError, DegenerateInputError) as exc:
             errors.append(f"{rec.get('id', '?')}: {exc}")
     report = {
         "rows": rows,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
-from .errors import ConfigError
+from .errors import ConfigError, DimensionError
 from .framing import FrameSpec
 from .model import ModelConfig
 from .train import Schedule
@@ -85,15 +85,17 @@ def load_config(path) -> RunConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return parse_config(fh.read())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
 
 
 def model_config(cfg: RunConfig) -> ModelConfig:
-    return ModelConfig(
-        channels=cfg.channels, hidden=cfg.hidden, spatial=cfg.spatial, blocks=cfg.blocks,
-        frame=FrameSpec(l_in=cfg.l_in, l_out=cfg.l_out, hop=cfg.hop),
-    )
+    try:
+        frame = FrameSpec(l_in=cfg.l_in, l_out=cfg.l_out, hop=cfg.hop)
+    except DimensionError as exc:
+        raise ConfigError(f"frame (l_in, l_out, hop): {exc}") from None
+    return ModelConfig(channels=cfg.channels, hidden=cfg.hidden, spatial=cfg.spatial,
+                       blocks=cfg.blocks, frame=frame)
 
 
 def schedule(cfg: RunConfig) -> Schedule:

@@ -9,6 +9,11 @@ defaults), independent of compute speed.
 
 ``latency_check`` asserts that property bit-exactly: it perturbs single input
 samples and verifies that no output sample earlier than the bound changes.
+
+Samples and frames are mapped in one place: :func:`gather_frames` takes
+windows every hop, and :func:`overlap_sum`, its adjoint, adds them back
+(Griffin & Lim, IEEE TASSP 1984). Framing, overlap-add synthesis and its
+gradient, and the loss's STFT and its gradient all use that pair.
 """
 
 from __future__ import annotations
@@ -63,6 +68,34 @@ def normalize_variance(y):
     return (y * np.asarray(scale, dtype=y.dtype)).astype(y.dtype), scale
 
 
+def gather_frames(x, width: int, hop: int, n_frames: int, left: int = 0):
+    """``n_frames`` windows of ``width`` samples every ``hop`` along x's last axis.
+
+    x follows ``left`` zeros and is zero-padded at the tail; window t covers
+    padded samples [t*hop, t*hop + width). Returns a contiguous array.
+    """
+    padded = np.zeros(x.shape[:-1] + ((n_frames - 1) * hop + width,), dtype=x.dtype)
+    padded[..., left:left + x.shape[-1]] = x
+    return np.ascontiguousarray(sliding_window_view(padded, width, axis=-1)[..., ::hop, :])
+
+
+def overlap_sum(frames, hop: int):
+    """Adjoint of :func:`gather_frames`: add ...×T×width windows back at ``hop``.
+
+    Needs hop | width: the sum is width/hop slice-adds of hop-sample pieces,
+    and each sample sums its covering windows in increasing window order.
+    """
+    *lead, t, width = frames.shape
+    if width % hop:
+        raise DimensionError(f"overlap_sum needs hop | width, got width {width}, hop {hop}")
+    r = width // hop
+    pieces = frames.reshape(*lead, t, r, hop)
+    out = np.zeros((*lead, t + r - 1, hop), dtype=frames.dtype)
+    for k in range(r - 1, -1, -1):
+        out[..., k:k + t, :] += pieces[..., k, :]
+    return out.reshape(*lead, -1)
+
+
 def frame_signal(x, spec: FrameSpec):
     """Slice a C×N waveform into C×T×l_in overlapped frames.
 
@@ -74,24 +107,14 @@ def frame_signal(x, spec: FrameSpec):
     x = np.asarray(x)
     if x.ndim == 1:
         x = x[None, :]
-    c, n = x.shape
-    if n == 0:
+    if x.shape[1] == 0:
         raise DegenerateInputError("cannot frame an empty signal")
-    t = spec.n_frames(n)
-    padded_len = (t - 1) * spec.hop + spec.l_in
-    padded = np.zeros((c, padded_len), dtype=x.dtype)
-    padded[:, spec.pad_left:spec.pad_left + n] = x
-    frames = sliding_window_view(padded, spec.l_in, axis=1)[:, ::spec.hop, :]
-    return np.ascontiguousarray(frames)
+    return gather_frames(x, spec.l_in, spec.hop, spec.n_frames(x.shape[1]), spec.pad_left)
 
 
 def overlap_counts(spec: FrameSpec, n_frames: int):
     """How many emitted windows cover each synthesized sample (1×... buffer)."""
-    length = (n_frames - 1) * spec.hop + spec.l_out
-    counts = np.zeros(length, dtype=np.float64)
-    for t in range(n_frames):
-        counts[t * spec.hop:t * spec.hop + spec.l_out] += 1.0
-    return counts
+    return overlap_sum(np.ones((n_frames, spec.l_out)), spec.hop)
 
 
 def overlap_add(frames, spec: FrameSpec, n_samples: int):
@@ -112,9 +135,7 @@ def overlap_add(frames, spec: FrameSpec, n_samples: int):
             f"frames {frames.shape} inconsistent with l_out={spec.l_out}, "
             f"N={n_samples} (expect T={spec.n_frames(n_samples)})"
         )
-    out = np.zeros((t - 1) * spec.hop + spec.l_out, dtype=frames.dtype)
-    for i in range(t):
-        out[i * spec.hop:i * spec.hop + spec.l_out] += frames[i]
+    out = overlap_sum(frames, spec.hop)
     out /= overlap_counts(spec, t).astype(frames.dtype)
     return out[None, :n_samples]
 

@@ -11,9 +11,9 @@ Hann-windowed STFT of the estimate, target and mixture once each, as the
 frame matrix times one cached ``[cos | -sin]`` basis, and forms the
 interference spectra by subtraction, since the STFT is linear. Its backward
 sends sign(diff)·sign(spectrum) back through the transposed basis, then
-through the adjoint of the frame gather: at hop = window/2 that is an
-overlap-add of half-window rows in two phases. Evaluation uses
-scale-invariant SDR, computed in double precision outside the tape.
+through :func:`~dllrnn.framing.overlap_sum`, the adjoint of the frame
+gather. Evaluation uses scale-invariant SDR, computed in double precision
+outside the tape.
 """
 
 from __future__ import annotations
@@ -21,9 +21,9 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DegenerateInputError, DimensionError
+from .framing import gather_frames, overlap_sum
 from .tensor import Tensor, from_op
 
 STFT_WINDOW = 512
@@ -58,25 +58,9 @@ def _flat(x) -> np.ndarray:
     return x
 
 
-def _frames(x, window: int, hop: int) -> np.ndarray:
-    """T_s×window frame view of a 1-d signal, zero-padded at the tail."""
-    n = x.shape[0]
-    t_s = 1 if n <= window else 1 + -(-(n - window) // hop)
-    padded = np.zeros((t_s - 1) * hop + window, dtype=x.dtype)
-    padded[:n] = x
-    return sliding_window_view(padded, window)[::hop]
-
-
-def _frames_adjoint(g, n: int) -> np.ndarray:
-    """Adjoint of ``_frames`` at the loss's hop = window/2: T_s×window → n samples.
-
-    Frame t's first half covers half-row t of the padded signal and its
-    second half covers half-row t+1, so the adjoint adds the two phases.
-    """
-    out = np.zeros((g.shape[0] + 1, STFT_HOP), dtype=g.dtype)
-    out[:-1] = g[:, :STFT_HOP]
-    out[1:] += g[:, STFT_HOP:]
-    return out.reshape(-1)[:n]
+def _n_frames(n: int, window: int, hop: int) -> int:
+    """STFT frames over n samples: one, or enough to cover the tail."""
+    return 1 + max(0, -(-(n - window) // hop))
 
 
 def stft(x, window: int = STFT_WINDOW, hop: int = STFT_HOP):
@@ -91,7 +75,8 @@ def stft(x, window: int = STFT_WINDOW, hop: int = STFT_HOP):
     if not (1 <= hop <= window):
         raise DimensionError(f"stft hop {hop} must lie in [1, window={window}]")
     x = _flat(x)
-    spec = _frames(x, window, hop) @ _dft_basis(window, x.dtype)
+    frames = gather_frames(x, window, hop, _n_frames(x.shape[0], window, hop))
+    spec = frames @ _dft_basis(window, x.dtype)
     bins = window // 2 + 1
     return spec[:, :bins], spec[:, bins:]
 
@@ -115,8 +100,9 @@ def pcm_loss(x_hat, x, y) -> Tensor:
     dtype = np.result_type(*signals)
     basis = _dft_basis(STFT_WINDOW, dtype)
     bins = STFT_WINDOW // 2 + 1
-    s_hat, s, s_mix = (_frames(v.astype(dtype, copy=False), STFT_WINDOW, STFT_HOP) @ basis
-                       for v in signals)
+    t_s = _n_frames(n, STFT_WINDOW, STFT_HOP)
+    s_hat, s, s_mix = (gather_frames(v.astype(dtype, copy=False), STFT_WINDOW, STFT_HOP, t_s)
+                       @ basis for v in signals)
     value = 0.0
     terms = []  # per term, d(term)/d(reference spectrum) and d(term)/d(estimate spectrum)
     for ref, est in ((s, s_hat), (s_mix - s, s_mix - s_hat)):
@@ -132,7 +118,7 @@ def pcm_loss(x_hat, x, y) -> Tensor:
     spectral = (d_s_hat - d_noise_hat, d_s - d_noise, d_noise + d_noise_hat)
 
     def backward(g):
-        return tuple(_frames_adjoint((ds * g) @ basis.T, n).reshape(t.shape)
+        return tuple(overlap_sum((ds * g) @ basis.T, STFT_HOP)[:n].reshape(t.shape)
                      if t.requires_grad else None for t, ds in zip(inputs, spectral))
 
     return from_op(np.asarray(value, dtype=dtype), inputs, backward)

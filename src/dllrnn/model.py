@@ -18,11 +18,14 @@ Assembly (all widths in the config):
 The input waveform is scaled to pooled unit variance before framing and the
 estimate is scaled back afterwards, so the output lives at input level.
 
-The assembly is written once, as :func:`_forward` on plain arrays, and every
-layer's arithmetic lives in :mod:`dllrnn.kernels`. :func:`model_forward` runs
-it over the T frames of an utterance and records it on the tape as a single
-op whose backward, :func:`_backward`, is the assembly's reverse sweep written
-out by hand (Griewank & Walther, *Evaluating Derivatives*, SIAM 2008).
+The parameters are one table, :func:`build_params`, in the order
+:func:`_forward` takes them. The assembly is written once, as :func:`_forward`
+on plain arrays, and every layer's arithmetic lives in :mod:`dllrnn.kernels`.
+:func:`model_forward` runs it over the T frames of an utterance and records
+it, with the overlap-add and the output rescale, on the tape as a single op.
+Its backward gathers the gradient back into frames and runs
+:func:`_backward`, the assembly's reverse sweep written out by hand
+(Griewank & Walther, *Evaluating Derivatives*, SIAM 2008).
 :class:`StreamingEnhancer` runs it at T=1 with carried LSTM state. Its output
 is bit-identical to the whole-utterance path, because every forward kernel
 computes a frame the same way however many frames share the call. The
@@ -31,19 +34,17 @@ latency contract is checked bit-exactly on the whole-utterance path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import kernels as K
-from . import tensor as T
 from .errors import ConfigError, ContractError, DimensionError
-from .framing import (SAMPLE_RATE, FrameSpec, frame_signal, normalize_variance, overlap_add,
-                      overlap_counts)
-from .layers import (LN_EPS, init_affine, init_layer_norm, init_lstm, init_prelu,
-                     init_spatial_conv)
-from .tensor import Tensor, from_op
+from .framing import (SAMPLE_RATE, FrameSpec, frame_signal, gather_frames, normalize_variance,
+                      overlap_add, overlap_counts)
+from .tensor import Tensor, active_tape, from_op
+
+LN_EPS = 1e-5
 
 
 @dataclass(frozen=True)
@@ -131,50 +132,51 @@ class ParamStore:
 
 
 def build_params(config: ModelConfig, seed: int = 0, dtype=np.float32) -> ParamStore:
-    """Initialize every trainable array of the configured model, seeded."""
+    """Initialize every trainable array of the configured model, seeded.
+
+    Arrays are created in :func:`_forward`'s order. Weights are uniform in
+    ±1/sqrt(fan_in), fan-in on the trailing axis; biases start at zero,
+    layer-norm gains at one, PReLU slopes at 0.25, and LSTM forget-gate
+    biases at 1.0, so the gate starts open and keeps the cell state.
+    """
     rng = np.random.default_rng(seed)
     f, l_in, l_out = config.hidden, config.frame.l_in, config.frame.l_out
     store = ParamStore()
 
-    def register(prefix, obj):
-        if is_dataclass(obj):
-            for fld in fields(obj):
-                store.add(f"{prefix}.{fld.name}", getattr(obj, fld.name))
-        else:
-            store.add(prefix, obj)
+    def param(name, data):
+        store.add(name, Tensor(np.asarray(data, dtype=dtype), requires_grad=True))
 
-    register("encoder.linear", init_affine(rng, f, l_in, dtype))
-    register("encoder.norm", init_layer_norm(f, dtype))
-    register("encoder.prelu", init_prelu(dtype=dtype))
+    def weight(name, *shape):
+        bound = 1.0 / np.sqrt(shape[-1])
+        param(name, rng.uniform(-bound, bound, size=shape))
+
+    weight("encoder.linear.weight", f, l_in)
+    param("encoder.linear.bias", np.zeros(f))
+    param("encoder.norm.weight", np.ones(f))
+    param("encoder.norm.bias", np.zeros(f))
+    param("encoder.prelu", 0.25)
     for b in range(1, config.blocks + 1):
-        d_in = config.block_in_width(b)
-        s_out = config.block_out_width(b)
-        register(f"block{b}.conv", init_spatial_conv(rng, f, s_out + 1, d_in, dtype))
-        register(f"block{b}.norm", init_layer_norm(f, dtype))
-        register(f"block{b}.prelu", init_prelu(dtype=dtype))
-        register(f"block{b}.lstm", init_lstm(rng, f, dtype=dtype))
-        register(f"block{b}.linear", init_affine(rng, f, f, dtype))
-    register("decoder.linear", init_affine(rng, l_out, f, dtype))
+        n_streams = config.block_out_width(b) + 1
+        weight(f"block{b}.conv.weight", f, n_streams, config.block_in_width(b))
+        param(f"block{b}.conv.bias", np.zeros((n_streams, f)))
+        param(f"block{b}.norm.weight", np.ones(f))
+        param(f"block{b}.norm.bias", np.zeros(f))
+        param(f"block{b}.prelu", 0.25)
+        weight(f"block{b}.lstm.wx", 4 * f, f)
+        weight(f"block{b}.lstm.wh", 4 * f, f)
+        # gate rows in (input, forget, cell, output) order
+        param(f"block{b}.lstm.bias", np.repeat([0.0, 1.0, 0.0, 0.0], f))
+        weight(f"block{b}.linear.weight", f, f)
+        param(f"block{b}.linear.bias", np.zeros(f))
+    weight("decoder.linear.weight", l_out, f)
+    param("decoder.linear.bias", np.zeros(l_out))
     return store
-
-
-BLOCK_PARAM_NAMES = ("conv.weight", "conv.bias", "norm.weight", "norm.bias", "prelu",
-                     "lstm.wx", "lstm.wh", "lstm.bias", "linear.weight", "linear.bias")
-
-
-def _param_names(config: ModelConfig):
-    """Every parameter name, in the order :func:`_forward` takes the arrays."""
-    names = ["encoder.linear.weight", "encoder.linear.bias", "encoder.norm.weight",
-             "encoder.norm.bias", "encoder.prelu"]
-    for b in range(1, config.blocks + 1):
-        names += [f"block{b}.{name}" for name in BLOCK_PARAM_NAMES]
-    return names + ["decoder.linear.weight", "decoder.linear.bias"]
 
 
 def _forward(config: ModelConfig, params, frames, states, caches=None):
     """The network on plain arrays: C×T×l_in frames in, T×l_out decoder frames out.
 
-    ``params`` are the parameter arrays in :func:`_param_names` order.
+    ``params`` are the parameter arrays in :func:`build_params` order.
     ``states`` holds each block's LSTM ``(h, c)``: it is read as the state
     before frame 0 and overwritten with the state after frame T-1. When
     ``caches`` is a list, the activations :func:`_backward` replays are
@@ -255,21 +257,6 @@ def _backward(config: ModelConfig, params, caches, g):
     return grads
 
 
-def _overlap_add_op(frames: Tensor, spec: FrameSpec, n_samples: int) -> Tensor:
-    """Differentiable overlap-add of a 1×T×l_out tensor to a 1×N waveform."""
-    dtype = frames.data.dtype
-    counts = overlap_counts(spec, frames.shape[1]).astype(dtype)
-
-    def backward(g):
-        gp = np.zeros(counts.shape[0], dtype=dtype)
-        gp[:n_samples] = g[0]
-        gp /= counts
-        gf = sliding_window_view(gp, spec.l_out)[::spec.hop].copy()
-        return (gf[None],)
-
-    return from_op(overlap_add(frames.data, spec, n_samples), (frames,), backward)
-
-
 def model_forward(y, config: ModelConfig, store: ParamStore, *, scale=None) -> Tensor:
     """Enhance a C×N waveform to a 1×N direct-path estimate (as a Tensor).
 
@@ -277,7 +264,7 @@ def model_forward(y, config: ModelConfig, store: ParamStore, *, scale=None) -> T
     the estimate re-scaled to input level. Passing an explicit ``scale``
     freezes the normalization, keeping the processor strictly causal — the
     streaming session and the latency check rely on that. Under an active
-    tape the network is one recorded op, whose backward is :func:`_backward`.
+    tape this is one recorded op.
     """
     y = np.asarray(y)
     if y.ndim == 1:
@@ -289,17 +276,22 @@ def model_forward(y, config: ModelConfig, store: ParamStore, *, scale=None) -> T
         scaled, scale = normalize_variance(y)
     else:
         scaled = y * np.asarray(scale, dtype=y.dtype)
-    n = y.shape[1]
-    frames = frame_signal(scaled.astype(dtype, copy=False), config.frame)
-    tensors = [store[name] for name in _param_names(config)]
+    spec, n = config.frame, y.shape[1]
+    frames = frame_signal(scaled.astype(dtype, copy=False), spec)
+    tensors = store.tensors()
     params = [t.data for t in tensors]
     zeros = np.zeros(config.hidden, dtype=dtype)
     # Activations are kept only when a tape will replay them.
-    caches = [] if T.active_tape() is not None else None
+    caches = [] if active_tape() is not None else None
     out = _forward(config, params, frames, [(zeros, zeros)] * config.blocks, caches)
-    net = from_op(out[None], tensors, lambda g: _backward(config, params, caches, g[0]))
-    wave = _overlap_add_op(net, config.frame, n)
-    return T.mul(wave, Tensor(np.asarray(1.0 / scale, dtype=dtype)))
+    inv_scale = np.asarray(1.0 / scale, dtype=dtype)
+
+    def backward(g):
+        counts = overlap_counts(spec, out.shape[0])[:n].astype(dtype)
+        d_out = gather_frames(g[0] * inv_scale / counts, spec.l_out, spec.hop, out.shape[0])
+        return _backward(config, params, caches, d_out)
+
+    return from_op(overlap_add(out, spec, n) * inv_scale, tensors, backward)
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +360,7 @@ class StreamingEnhancer:
         self._carry = np.zeros(spec.l_out - spec.hop, dtype=self.dtype)
         self._frame_index = 0
         self._ratio = spec.l_out // spec.hop
-        self._params = [store[name] for name in _param_names(config)]
+        self._params = store.tensors()
         zeros = np.zeros(config.hidden, dtype=self.dtype)
         self._states = [(zeros, zeros)] * config.blocks
 
@@ -412,17 +404,9 @@ def enhance_waveform(y, config: ModelConfig, store: ParamStore, *, scale=None):
     y = y.astype(store.dtype, copy=False)
     if scale is None:
         _, scale = normalize_variance(y)
-    spec = config.frame
-    n = y.shape[1]
-    t_len = spec.n_frames(n)
-    total_in = (t_len + spec.l_out // spec.hop - 1) * spec.hop
-    padded = np.zeros((y.shape[0], total_in), dtype=y.dtype)
-    padded[:, :n] = y
+    spec, n = config.frame, y.shape[1]
+    # hop-sample blocks, zero-padded until the last frame has been emitted
+    blocks = gather_frames(y, spec.hop, spec.hop, spec.n_frames(n) + spec.l_out // spec.hop - 1)
     session = StreamingEnhancer(config, store, scale)
-    pieces = []
-    for k in range(total_in // spec.hop):
-        out = session.push(padded[:, k * spec.hop:(k + 1) * spec.hop])
-        if out is not None:
-            pieces.append(out)
-    wave = np.concatenate(pieces, axis=1)
-    return wave[:, :n]
+    pieces = [session.push(blocks[:, k]) for k in range(blocks.shape[1])]
+    return np.concatenate([p for p in pieces if p is not None], axis=1)[:, :n]

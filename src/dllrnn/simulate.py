@@ -299,19 +299,23 @@ def manifest_write(path, records):
 
 def manifest_read(path):
     records = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            rec = {}
-            for token in line.split():
-                if "=" not in token:
-                    raise DataError(f"{path}:{line_no}: malformed manifest token '{token}'")
-                key, value = token.split("=", 1)
-                rec[key] = value
-            for key in MANIFEST_REQUIRED:
-                if key not in rec:
-                    raise DataError(f"{path}:{line_no}: manifest record has no '{key}=' field")
-            records.append(rec)
+    with open(path, "rb") as fh:
+        lines = fh.read().splitlines()
+    for line_no, raw in enumerate(lines, 1):
+        try:
+            line = raw.decode("utf-8").strip()
+        except UnicodeDecodeError:
+            raise DataError(f"{path}:{line_no}: manifest line is not UTF-8") from None
+        if not line or line.startswith("#"):
+            continue
+        rec = {}
+        for token in line.split():
+            if "=" not in token:
+                raise DataError(f"{path}:{line_no}: malformed manifest token '{token}'")
+            key, value = token.split("=", 1)
+            rec[key] = value
+        for key in MANIFEST_REQUIRED:
+            if key not in rec:
+                raise DataError(f"{path}:{line_no}: manifest record has no '{key}=' field")
+        records.append(rec)
     return records

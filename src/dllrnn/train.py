@@ -49,6 +49,19 @@ class OptState:
             state.v_max[name] = np.zeros_like(tensor.data)
         return state
 
+    @classmethod
+    def from_checkpoint(cls, ck, store: ParamStore, lr: float = 2e-4) -> "OptState":
+        """The moments and step a checkpoint carries (checked by ``load_checkpoint``),
+        or fresh ones if it has none."""
+        state = cls.for_store(store, lr=lr)
+        if ck.opt_arrays is not None:
+            state.step = ck.opt_step
+            for name in store.names():
+                state.m[name] = ck.opt_arrays[f"{name}.m"].copy()
+                state.v[name] = ck.opt_arrays[f"{name}.v"].copy()
+                state.v_max[name] = ck.opt_arrays[f"{name}.vmax"].copy()
+        return state
+
 
 def adam_step(store: ParamStore, state: OptState):
     """One bias-corrected update; v_max (not v) feeds the denominator.

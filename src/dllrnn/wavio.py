@@ -3,7 +3,8 @@
 Reads 16-bit integer and 32-bit float files of any channel count; writes
 32-bit float by default (bit-exact roundtrip) or 16-bit integer on request.
 Integer samples are normalized by 1/32768 on read, so 32767 maps just below
-one. Parse failures name the byte offset of the offending field.
+one. Parse failures name the byte offset of the offending field, and a
+non-finite sample is rejected with its channel and sample index.
 
 Only the plain stdlib is involved; the format is simple enough that a direct
 parser is clearer than adapting a general audio dependency, and it keeps the
@@ -61,18 +62,27 @@ def _decode(path, chunk_pos, fmt, payload):
     if channels < 1:
         raise WavFormatError(f"{path}: channel count {channels} in fmt chunk")
     if audio_format == _PCM and bits == 16:
-        samples = np.frombuffer(payload, dtype="<i2").astype(np.float32) / 32768.0
+        dtype = "<i2"
     elif audio_format == _IEEE_FLOAT and bits == 32:
-        samples = np.frombuffer(payload, dtype="<f4").astype(np.float32)
+        dtype = "<f4"
     else:
         raise WavFormatError(
             f"{path}: unsupported codec at data chunk (byte {chunk_pos}): "
             f"format {audio_format}, {bits}-bit; only 16-bit PCM and 32-bit float"
         )
-    if samples.size % channels:
+    if len(payload) % (channels * bits // 8):
         raise WavFormatError(
-            f"{path}: payload of {samples.size} samples not divisible by {channels} channels"
+            f"{path}: data chunk at byte {chunk_pos} holds {len(payload)} bytes, not divisible "
+            f"by {channels} channels of {bits // 8}-byte samples"
         )
+    samples = np.frombuffer(payload, dtype=dtype).astype(np.float32)
+    if dtype == "<i2":
+        samples /= 32768.0
+    finite = np.isfinite(samples)
+    if not finite.all():
+        first = int(np.argmin(finite))   # interleaved: sample-major, then channel
+        raise WavFormatError(f"{path}: non-finite value {samples[first]} in channel "
+                             f"{first % channels} at sample {first // channels}")
     return np.ascontiguousarray(samples.reshape(-1, channels).T), rate
 
 

@@ -8,9 +8,10 @@ import pytest
 
 from dllrnn.checkpoint import load_checkpoint, save_checkpoint
 from dllrnn.cli import evaluate_manifest, main
-from dllrnn.model import ParamStore
+from dllrnn.model import ParamStore, build_params
 from dllrnn.simulate import manifest_read, manifest_write
 from dllrnn.tensor import Tensor
+from dllrnn.train import OptState
 from dllrnn.wavio import read_wav, write_wav
 
 TINY_CFG = (
@@ -232,6 +233,77 @@ def test_bad_parameter_record_exits_2(workspace, tmp_path, capsys, fault):
     err = capsys.readouterr().err
     assert err.count(f"error: {bad}: ") == 3
     assert err.count("'encoder.linear.weight'") == 3 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("fault", ["renamed", "reshaped"])
+def test_bad_optimizer_record_exits_2(workspace, tmp_path, capsys, fault):
+    ck = load_checkpoint(workspace["ckpt"])
+    store = build_params(ck.config)
+    store.load_arrays(ck.arrays)
+    state = OptState.from_checkpoint(ck, store)
+    if fault == "reshaped":
+        state.m["encoder.linear.weight"] = state.m["encoder.linear.weight"].T
+    bad = tmp_path / f"{fault}.ckpt"
+    save_checkpoint(bad, ck.config, store, ck.step, opt_state=state)
+    if fault == "renamed":
+        blob = bad.read_bytes()
+        assert blob.count(b"encoder.linear.weight.m") == 1
+        bad.write_bytes(blob.replace(b"encoder.linear.weight.m", b"encoder.linear.weight.M"))
+    assert main(["train", "--config", str(workspace["cfg"]),
+                 "--manifest", str(workspace["manifest"]),
+                 "--out", str(tmp_path / "run"), "--resume", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {bad}: " in err and "optimizer record 'encoder.linear.weight." in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_enhance_non_finite_wav_exits_2(workspace, tmp_path, capsys, value):
+    mixture, _ = read_wav(workspace["data"] / manifest_read(workspace["manifest"])[0]["mixture"])
+    mixture[1, 7] = value
+    path = tmp_path / "bad.wav"
+    write_wav(path, mixture)
+    out = tmp_path / "o.wav"
+    assert main(["enhance", str(workspace["ckpt"]), str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {path}: non-finite value {value} in channel 1 at sample 7" in err
+    assert "Traceback" not in err and not out.exists()
+
+
+@pytest.mark.parametrize("fault", ["nan", "inf", "zero"])
+def test_evaluate_skips_unusable_example(workspace, tmp_path, capsys, fault):
+    records = manifest_read(workspace["manifest"])
+    for rec in records:
+        for key in ("mixture", "direct"):
+            rec[key] = workspace["data"] / rec[key]
+    mixture, _ = read_wav(records[0]["mixture"])
+    if fault == "zero":
+        mixture[:] = 0.0
+    else:
+        mixture[0, 3] = np.nan if fault == "nan" else np.inf
+    write_wav(tmp_path / "bad.mix.wav", mixture)
+    records[0]["mixture"] = tmp_path / "bad.mix.wav"
+    manifest_write(tmp_path / "m.txt", records)
+    assert main(["evaluate", str(workspace["ckpt"]), str(tmp_path / "m.txt")]) == 0
+    captured = capsys.readouterr()
+    assert f"example {records[1]['id']}:" in captured.out and "over 1 examples" in captured.out
+    assert f"error: {records[0]['id']}: " in captured.err and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("command,line,message", [
+    ("simulate", "order=-1", "order must be >= 0, got -1"),
+    ("train", "l_out=33", "l_out 33 not a multiple of hop 16"),
+    ("train", "hop=0", "need hop <= l_out <= l_in, got (256, 32, 0)"),
+], ids=["order", "l_out", "hop"])
+def test_bad_config_value_exits_1(workspace, tmp_path, capsys, command, line, message):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(line + "\n")
+    args = [command, "--config", str(cfg), "--out", str(tmp_path / "out")]
+    if command == "train":
+        args += ["--manifest", str(workspace["manifest"])]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
 
 
 def test_padded_checkpoint_exits_2(workspace, tmp_path, capsys):

@@ -73,6 +73,7 @@ def test_model_config_and_schedule_mapping():
 
 
 def test_model_config_validates_frame():
-    from dllrnn.errors import DimensionError
-    with pytest.raises(DimensionError):
-        model_config(parse_config("l_out=7\n"))  # hop 16 does not divide 7
+    # l_out 7 is shorter than hop 16: a configuration error (exit 1), not a
+    # bare DimensionError
+    with pytest.raises(ConfigError, match=r"l_out <= l_in, got \(256, 7, 16\)"):
+        model_config(parse_config("l_out=7\n"))

@@ -1,5 +1,5 @@
 """Layer math against hand oracles, through the kernels the model assembly
-calls, and the seeded initializers' contracts. The kernels' gradients are
+calls, and the seeded initialization's contracts. The kernels' gradients are
 checked against finite differences in test_kernels."""
 
 import math
@@ -8,8 +8,8 @@ import numpy as np
 import numpy.testing as npt
 
 import dllrnn.kernels as K
-from dllrnn.layers import (init_affine, init_layer_norm, init_lstm, init_prelu,
-                           init_spatial_conv, uniform_init)
+from dllrnn.framing import FrameSpec
+from dllrnn.model import ModelConfig, build_params
 
 
 def _rows(a):
@@ -98,8 +98,9 @@ def test_spatial_conv_identity_and_shapes():
     w = np.stack([np.eye(2)] * f)  # every hidden unit mixes with I2
     x = np.random.default_rng(6).standard_normal((2, t, f))
     npt.assert_array_equal(K.spatial_conv_forward(x, w, np.zeros((2, f))), x)
-    big = init_spatial_conv(np.random.default_rng(0), 64, 9, 8, dtype=np.float64)
-    out = K.spatial_conv_forward(np.zeros((8, 5, 64)), big.weight.data, big.bias.data)
+    big = build_params(ModelConfig(), dtype=np.float64)   # block 1: F=64, 9 streams, D=8
+    out = K.spatial_conv_forward(np.zeros((8, 5, 64)), big["block1.conv.weight"].data,
+                                 big["block1.conv.bias"].data)
     assert out.shape == (9, 5, 64)
 
 
@@ -183,36 +184,51 @@ def test_lstm_state_carry_matches_full_run():
 # ---------------------------------------------------------------------------
 
 def test_init_determinism_and_bounds():
-    a = init_affine(np.random.default_rng(7), 16, 64)
-    b = init_affine(np.random.default_rng(7), 16, 64)
-    npt.assert_array_equal(a.weight.data, b.weight.data)
-    assert np.abs(a.weight.data).max() <= 1.0 / 8.0  # fan_in 64 -> bound 0.125
-    npt.assert_array_equal(a.bias.data, 0.0)
-    assert uniform_init(np.random.default_rng(0), (100,), 4).max() <= 0.5
+    # encoder linear 16×64 (fan_in 64 -> bound 0.125); block-1 conv over D=4 (bound 0.5)
+    cfg = ModelConfig(channels=4, hidden=16, spatial=1, blocks=1,
+                      frame=FrameSpec(l_in=64, l_out=16, hop=8))
+    a = build_params(cfg, seed=7)
+    b = build_params(cfg, seed=7)
+    for name in a.names():
+        npt.assert_array_equal(a[name].data, b[name].data)
+    assert a["encoder.linear.weight"].shape == (16, 64)
+    assert np.abs(a["encoder.linear.weight"].data).max() <= 1.0 / 8.0
+    npt.assert_array_equal(a["encoder.linear.bias"].data, 0.0)
+    conv = a["block1.conv.weight"].data
+    assert conv.shape[-1] == 4 and conv.size >= 100
+    assert np.abs(conv).max() <= 0.5
 
 
 def test_init_layer_norm_prelu():
-    ln = init_layer_norm(5)
-    npt.assert_array_equal(ln.weight.data, np.ones(5))
-    npt.assert_array_equal(ln.bias.data, np.zeros(5))
-    assert init_prelu().data == np.float32(0.25)
+    store = build_params(ModelConfig(channels=2, hidden=5, spatial=1, blocks=2,
+                                     frame=FrameSpec(l_in=8, l_out=4, hop=2)))
+    for prefix in ("encoder", "block1", "block2"):
+        npt.assert_array_equal(store[f"{prefix}.norm.weight"].data, np.ones(5))
+        npt.assert_array_equal(store[f"{prefix}.norm.bias"].data, np.zeros(5))
+        assert store[f"{prefix}.prelu"].data == np.float32(0.25)
+        assert store[f"{prefix}.prelu"].shape == ()
 
 
 def test_init_lstm_biases():
     f = 6
-    p = init_lstm(np.random.default_rng(0), f)
-    # zero biases except the forget-gate slice, which starts at 1.0 so the
-    # gate is open from the first step
-    npt.assert_array_equal(p.bias.data[:f], 0.0)
-    npt.assert_array_equal(p.bias.data[f:2 * f], 1.0)
-    npt.assert_array_equal(p.bias.data[2 * f:], 0.0)
-    assert p.wx.shape == (4 * f, f) and p.wh.shape == (4 * f, f)
-    assert np.abs(p.wx.data).max() <= 1.0 / np.sqrt(f)
+    store = build_params(ModelConfig(channels=2, hidden=f, spatial=1, blocks=2,
+                                     frame=FrameSpec(l_in=8, l_out=4, hop=2)), seed=0)
+    for b in (1, 2):
+        bias, wx, wh = (store[f"block{b}.lstm.{n}"] for n in ("bias", "wx", "wh"))
+        # zero biases except the forget-gate slice, which starts at 1.0 so the
+        # gate is open from the first step
+        npt.assert_array_equal(bias.data[:f], 0.0)
+        npt.assert_array_equal(bias.data[f:2 * f], 1.0)
+        npt.assert_array_equal(bias.data[2 * f:], 0.0)
+        assert wx.shape == (4 * f, f) and wh.shape == (4 * f, f)
+        assert np.abs(wx.data).max() <= 1.0 / np.sqrt(f)
 
 
 def test_init_spatial_conv_shapes():
-    p = init_spatial_conv(np.random.default_rng(1), 8, 3, 5)
-    assert p.weight.shape == (8, 3, 5)
-    assert p.bias.shape == (3, 8)
-    assert (p.n_hidden, p.s_out, p.s_in) == (8, 3, 5)
-    npt.assert_array_equal(p.bias.data, 0.0)
+    # block 1 of a two-block model: F=8, S_out+1 = 3 streams, D = C = 5
+    store = build_params(ModelConfig(channels=5, hidden=8, spatial=2, blocks=2,
+                                     frame=FrameSpec(l_in=8, l_out=4, hop=2)), seed=1)
+    weight, bias = store["block1.conv.weight"], store["block1.conv.bias"]
+    assert weight.shape == (8, 3, 5)
+    assert bias.shape == (3, 8)
+    npt.assert_array_equal(bias.data, 0.0)

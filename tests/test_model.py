@@ -1,6 +1,8 @@
 """Model assembly: block wiring, resource accounting against the published
 table, full-model gradients, and streaming/batch equivalence."""
 
+import hashlib
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -9,8 +11,7 @@ import dllrnn.kernels as K
 from dllrnn.errors import ConfigError, ContractError, DimensionError
 from dllrnn.framing import FrameSpec
 from dllrnn.losses import pcm_loss
-from dllrnn.model import (ModelConfig, ParamStore, StreamingEnhancer, _forward, _param_names,
-                          build_params, count_flops, count_macs_per_frame, count_params,
+from dllrnn.model import (ModelConfig, ParamStore, StreamingEnhancer, _forward, build_params, count_flops, count_macs_per_frame, count_params,
                           enhance_waveform, model_forward)
 from dllrnn.tensor import Tape, Tensor
 
@@ -80,6 +81,19 @@ def test_build_params_deterministic():
     assert any(not np.array_equal(a[name].data, c[name].data) for name in a.names())
 
 
+def test_build_params_seed0_digest():
+    # sha256 over (name, bytes) in store order pins names, order, shapes,
+    # dtypes and every drawn value of the default model's parameters
+    want = {np.float32: "ee5f585f81dab2bb0ea1669ad25062f36c1db274f5d4b41626fe9224b4c94a38",
+            np.float64: "0b13ed5ee335943b197d6d67fe60a43d451fb423a61b73538d309b4514288641"}
+    for dtype, digest in want.items():
+        h = hashlib.sha256()
+        for name, tensor in build_params(ModelConfig(), seed=0, dtype=dtype).items():
+            h.update(name.encode())
+            h.update(tensor.data.tobytes())
+        assert h.hexdigest() == digest
+
+
 def test_count_params_tiny_hand_enumeration():
     # C=2, F=2, S=1, B=2, L_i=4, L_o=2 — every layer's shapes enumerated by hand:
     #   encoder: linear 2x4+2 = 10, norm 2+2 = 4, prelu 1          -> 15
@@ -135,7 +149,7 @@ def _run_forward(cfg, store, frames):
     """_forward from zero LSTM states with caches; returns (output, caches)."""
     zeros = np.zeros(cfg.hidden, frames.dtype)
     caches = []
-    params = [store[name].data for name in _param_names(cfg)]
+    params = [t.data for t in store.tensors()]
     out = _forward(cfg, params, frames, [(zeros, zeros)] * cfg.blocks, caches)
     return out, caches
 
@@ -284,14 +298,14 @@ def test_full_model_gradients_match_fd():
 
 
 def test_model_forward_is_one_tape_op():
-    # the whole network is one recorded op, then overlap-add and the rescale
+    # the network, its overlap-add and the rescale are one recorded op
     cfg = ModelConfig(channels=2, hidden=8, spatial=3, blocks=3,
                       frame=FrameSpec(l_in=32, l_out=8, hop=4))
     store = build_params(cfg, seed=0)
     y = np.random.default_rng(8).standard_normal((2, 100)).astype(np.float32)
     with Tape() as tape:
         model_forward(y, cfg, store)
-    assert len(tape) == 3
+    assert len(tape) == 1
 
 
 def test_pcm_loss_is_one_tape_op():
@@ -408,7 +422,13 @@ def test_dense_widths_consistent():
     cfg = ModelConfig(channels=5, hidden=4, spatial=3, blocks=4,
                       frame=FrameSpec(l_in=8, l_out=4, hop=2))
     store = build_params(cfg, seed=0)
-    assert store.names() == _param_names(cfg)
+    block = ("conv.weight", "conv.bias", "norm.weight", "norm.bias", "prelu",
+             "lstm.wx", "lstm.wh", "lstm.bias", "linear.weight", "linear.bias")
+    assert store.names() == (
+        ["encoder.linear.weight", "encoder.linear.bias", "encoder.norm.weight",
+         "encoder.norm.bias", "encoder.prelu"]
+        + [f"block{b}.{name}" for b in range(1, cfg.blocks + 1) for name in block]
+        + ["decoder.linear.weight", "decoder.linear.bias"])
     for b in range(1, cfg.blocks + 1):
         n_hidden, s_out, s_in = store[f"block{b}.conv.weight"].shape
         assert n_hidden == cfg.hidden

@@ -186,16 +186,6 @@ def test_fit_deterministic():
         npt.assert_array_equal(runs[0][1][name], runs[1][1][name])
 
 
-def _state_from_checkpoint(store, ck, lr):
-    state = OptState.for_store(store, lr=lr)
-    state.step = ck.opt_step
-    for name in store.names():
-        state.m[name] = ck.opt_arrays[f"{name}.m"].copy()
-        state.v[name] = ck.opt_arrays[f"{name}.v"].copy()
-        state.v_max[name] = ck.opt_arrays[f"{name}.vmax"].copy()
-    return state
-
-
 def test_resume_reproduces_uninterrupted_run(tmp_path):
     dataset = _tiny_dataset(n_examples=1)
     lr = 1e-3
@@ -214,7 +204,7 @@ def test_resume_reproduces_uninterrupted_run(tmp_path):
 
     store_resumed = build_params(SMALL, seed=2)
     store_resumed.load_arrays(ck.arrays)
-    state = _state_from_checkpoint(store_resumed, ck, lr)
+    state = OptState.from_checkpoint(ck, store_resumed, lr=lr)
     history = fit(SMALL, store_resumed, dataset,
                   Schedule(epochs=6, batch_size=1, chunk_seconds=0.04, seed=5, lr=lr),
                   state=state, start_step=ck.step)
