@@ -15,10 +15,11 @@ Layout, all integers little-endian:
 
 Loading validates the magic, version and config, that the parameter
 payload's total scalar count matches what the config says the model should
-have, that the optimizer records are exactly one ``.m``, ``.v`` and
-``.vmax`` per parameter record, each shaped like it, and that the file ends
-exactly after the last record, so a truncated, padded or mismatched file
-fails loudly, as a DataError, instead of poisoning a run.
+have, that every value is finite, that the optimizer records are exactly one
+``.m``, ``.v`` and ``.vmax`` per parameter record, each shaped like it, and
+that the file ends exactly after the last record, so a truncated, padded,
+non-finite or mismatched file fails loudly, as a DataError, instead of
+poisoning a run.
 """
 
 from __future__ import annotations
@@ -82,8 +83,12 @@ def _read_records(r: _Reader, count: int, kind: str) -> dict:
         if rank > 32:   # the most axes every supported numpy allows
             raise DataError(f"{r.path}: {kind} record '{name}' has rank {rank}")
         shape = r.unpack(f"<{rank}I")
-        arr = np.frombuffer(r.take(4 * math.prod(shape)), dtype="<f4").reshape(shape)
-        records[name] = arr.astype(np.float32)
+        arr = np.frombuffer(r.take(4 * math.prod(shape)), dtype="<f4").astype(np.float32)
+        bad = np.flatnonzero(~np.isfinite(arr))
+        if bad.size:
+            raise DataError(f"{r.path}: {kind} record '{name}' has non-finite value "
+                            f"{arr[bad[0]]} at flat index {bad[0]}")
+        records[name] = arr.reshape(shape)
     return records
 
 

@@ -1,8 +1,10 @@
 """Command-line surface: simulate, train, enhance, count, evaluate.
 
-Exit codes: 0 success, 1 usage or configuration error, 2 data error
-(unreadable or malformed files, or an all-zero input), 3 numerical failure
-during optimization.
+Audio, dataset examples and checkpoints each have one reader here, which
+checks them: 16 kHz, the model's channel count, an example's direct path as
+long as its mixture. Exit codes: 0 success, 1 usage or configuration error,
+2 data error (unreadable, malformed or mismatched files, or an all-zero
+input), 3 numerical failure during optimization.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from .errors import (ConfigError, ContractError, DataError, DegenerateInputError
 from .framing import SAMPLE_RATE
 from .losses import si_sdr
 from .model import (ModelConfig, build_params, count_flops, count_params, enhance_waveform)
-from .simulate import (draw_scene, manifest_read, manifest_write, pink_noise,spatialize_mixture,
+from .simulate import (draw_scene, manifest_read, manifest_write, pink_noise, spatialize_mixture,
                        speech_like, white_noise)
 from .train import OptState, TrainExample, fit
 from .wavio import read_wav, write_wav
@@ -93,25 +95,44 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _load_dataset(manifest_path, expect_channels=None):
-    if not os.path.exists(manifest_path):
-        raise DataError(f"manifest not found: {manifest_path}")
-    base = os.path.dirname(os.path.abspath(manifest_path))
-    dataset = []
-    for rec in manifest_read(manifest_path):
-        mixture, rate = read_wav(os.path.join(base, rec["mixture"]))
-        direct, rate_d = read_wav(os.path.join(base, rec["direct"]))
-        if rate != SAMPLE_RATE or rate_d != SAMPLE_RATE:
-            raise DataError(
-                f"example {rec.get('id', '?')}: sample rate {rate}/{rate_d}, need {SAMPLE_RATE}"
-            )
-        if expect_channels is not None and mixture.shape[0] != expect_channels:
-            raise ConfigError(
-                f"config expects {expect_channels} channels but "
-                f"{rec['mixture']} has {mixture.shape[0]}"
-            )
-        dataset.append(TrainExample(mixture=mixture, s_direct=direct))
-    return dataset
+def _read_audio(path, channels=None):
+    """A 16 kHz WAV as a C×N array; with ``channels``, C must equal it (else DataError)."""
+    data, rate = read_wav(path)
+    if rate != SAMPLE_RATE:
+        raise DataError(f"{path}: sample rate {rate}, need {SAMPLE_RATE}")
+    if channels is not None and data.shape[0] != channels:
+        raise DataError(f"{path}: {data.shape[0]} channels, the model expects {channels}")
+    return data
+
+
+def _read_manifest(path):
+    """``(id, mixture path, direct path)`` per record, paths resolved from its directory."""
+    if not os.path.exists(path):
+        raise DataError(f"manifest not found: {path}")
+    base = os.path.dirname(os.path.abspath(path))
+    return [(rec.get("id", "?"), os.path.join(base, rec["mixture"]),
+             os.path.join(base, rec["direct"])) for rec in manifest_read(path)]
+
+
+def _read_example(mixture_path, direct_path, channels=None):
+    """An example's mixture and direct path, read by :func:`_read_audio`, of equal length."""
+    mixture = _read_audio(mixture_path, channels)
+    direct = _read_audio(direct_path)
+    if direct.shape[1] != mixture.shape[1]:
+        raise DataError(f"{direct_path}: {direct.shape[1]} samples, its mixture "
+                        f"{mixture_path} has {mixture.shape[1]}")
+    return mixture, direct
+
+
+def _load_model(path):
+    """A checkpoint and a store holding its parameters (DataError on a bad record)."""
+    ck = load_checkpoint(path)
+    store = build_params(ck.config, seed=0)
+    try:
+        store.load_arrays(ck.arrays)
+    except (ContractError, DimensionError) as exc:
+        raise DataError(f"{path}: {exc}") from None
+    return ck, store
 
 
 def cmd_train(args) -> int:
@@ -121,21 +142,20 @@ def cmd_train(args) -> int:
         raise ConfigError("train needs a dataset manifest (--manifest)")
     out_dir = cfg.out or "train_out"
     mconfig = model_config(cfg)
-    dataset = _load_dataset(manifest_path, expect_channels=mconfig.channels)
+    dataset = [TrainExample(*_read_example(mixture, direct, mconfig.channels))
+               for _, mixture, direct in _read_manifest(manifest_path)]
     sched = schedule(cfg)
     start_step = 0
-    store = build_params(mconfig, seed=cfg.seed)
-    state = OptState.for_store(store, lr=sched.lr)
     if args.resume:
-        ck = load_checkpoint(args.resume)
+        ck, store = _load_model(args.resume)
         if ck.config != mconfig:
-            raise ConfigError(
-                f"checkpoint is for {ck.config.name} with frame {ck.config.frame}, "
-                f"config says {mconfig.name} with frame {mconfig.frame}"
-            )
-        _load_params(store, ck, args.resume)
+            raise ConfigError(f"checkpoint is for {ck.config.name} with frame {ck.config.frame}, "
+                              f"config says {mconfig.name} with frame {mconfig.frame}")
         start_step = ck.step
         state = OptState.from_checkpoint(ck, store, lr=sched.lr)
+    else:
+        store = build_params(mconfig, seed=cfg.seed)
+        state = OptState.for_store(store, lr=sched.lr)
     history = fit(mconfig, store, dataset, sched, out_dir=out_dir,
                   state=state, start_step=start_step, quiet=False)
     if history:
@@ -145,32 +165,10 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _load_params(store, ck, checkpoint_path):
-    """Copy a checkpoint's parameter records into the store (exit 2 on a bad record)."""
-    try:
-        store.load_arrays(ck.arrays)
-    except (ContractError, DimensionError) as exc:
-        raise DataError(f"{checkpoint_path}: {exc}") from None
-
-
-def _load_model(checkpoint_path):
-    ck = load_checkpoint(checkpoint_path)
-    store = build_params(ck.config, seed=0)
-    _load_params(store, ck, checkpoint_path)
-    return ck.config, store
-
-
 def cmd_enhance(args) -> int:
-    config, store = _load_model(args.checkpoint)
-    data, rate = read_wav(args.in_wav)
-    if rate != SAMPLE_RATE:
-        raise DataError(f"{args.in_wav}: sample rate {rate}, need {SAMPLE_RATE}")
-    if data.shape[0] != config.channels:
-        raise DataError(
-            f"{args.in_wav}: {data.shape[0]} channels, checkpoint model expects "
-            f"{config.channels}"
-        )
-    enhanced = enhance_waveform(data, config, store)
+    ck, store = _load_model(args.checkpoint)
+    data = _read_audio(args.in_wav, ck.config.channels)
+    enhanced = enhance_waveform(data, ck.config, store)
     write_wav(args.out, enhanced.astype(np.float32))
     print(f"wrote {args.out} ({enhanced.shape[1]} samples)")
     return 0
@@ -195,55 +193,43 @@ def cmd_count(args) -> int:
         gflops = count_flops(config, 1.0) / 1e9
         print(f"{config.name:<20} {params:>12} {params / 1e6:>10.3f} {gflops:>10.3f}")
     print(f"# convention: 2 FLOPs per multiply-accumulate, matrix contractions only, "
-          f"{SAMPLE_RATE // args.hop} frames/s of {args.channels}-channel audio")
+          f"{SAMPLE_RATE // config.frame.hop} frames/s of {args.channels}-channel audio")
     return 0
 
 
-def evaluate_manifest(enhance_fn, manifest_path, limit=None):
+def evaluate_manifest(enhance_fn, manifest_path, limit=None, channels=None):
     """SI-SDR of enhanced vs unprocessed audio against the direct path.
 
-    ``enhance_fn`` maps a C×N mixture to a 1×N estimate. Missing or broken
-    example files, and all-zero examples, are reported and skipped. Returns a report dict with
-    per-example rows, the two means, and the error list.
-    """
-    if not os.path.exists(manifest_path):
-        raise DataError(f"manifest not found: {manifest_path}")
-    base = os.path.dirname(os.path.abspath(manifest_path))
+    ``enhance_fn`` maps a C×N mixture to a 1×N estimate. An example that
+    :func:`_read_example` rejects (given ``channels``), or whose mixture is all
+    zero, is reported and skipped. Returns the per-example rows, the two
+    means, and the error list."""
     rows, errors = [], []
-    for rec in manifest_read(manifest_path)[:limit]:
+    for example_id, mixture_path, direct_path in _read_manifest(manifest_path)[:limit]:
         try:
-            mixture, _ = read_wav(os.path.join(base, rec["mixture"]))
-            direct, _ = read_wav(os.path.join(base, rec["direct"]))
+            mixture, direct = _read_example(mixture_path, direct_path, channels)
             estimate = np.asarray(enhance_fn(mixture)).reshape(-1)
             rows.append({
-                "id": rec.get("id", "?"),
+                "id": example_id,
                 "enhanced": si_sdr(estimate, direct[0]),
                 "unprocessed": si_sdr(mixture[0], direct[0]),
             })
         except (OSError, DataError, DegenerateInputError) as exc:
-            errors.append(f"{rec.get('id', '?')}: {exc}")
-    report = {
+            errors.append(f"{example_id}: {exc}")
+    return {
         "rows": rows,
         "errors": errors,
         "mean_enhanced": float(np.mean([r["enhanced"] for r in rows])) if rows else None,
         "mean_unprocessed": float(np.mean([r["unprocessed"] for r in rows])) if rows else None,
     }
-    return report
 
 
 def cmd_evaluate(args) -> int:
     if args.limit is not None and args.limit < 1:
         raise ConfigError(f"--limit must be at least 1, got {args.limit}")
-    config, store = _load_model(args.checkpoint)
-
-    def enhance_fn(mixture):
-        if mixture.shape[0] != config.channels:
-            raise DataError(
-                f"{mixture.shape[0]} channels, model expects {config.channels}"
-            )
-        return enhance_waveform(mixture, config, store)
-
-    report = evaluate_manifest(enhance_fn, args.manifest, limit=args.limit)
+    ck, store = _load_model(args.checkpoint)
+    report = evaluate_manifest(lambda mixture: enhance_waveform(mixture, ck.config, store),
+                               args.manifest, limit=args.limit, channels=ck.config.channels)
     for row in report["rows"]:
         print(f"example {row['id']}: enhanced {row['enhanced']:+.2f} dB, "
               f"unprocessed {row['unprocessed']:+.2f} dB")
@@ -290,7 +276,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("count", help="parameter and FLOP accounting")
     p.add_argument("configs", nargs="+", help="model configs as F-S-B, e.g. 64-8-8")
     p.add_argument("--channels", type=int, default=8)
-    p.add_argument("--hop", type=int, default=16)
     p.set_defaults(func=cmd_count)
 
     p = sub.add_parser("evaluate", help="SI-SDR report over a dataset manifest")

@@ -46,7 +46,6 @@ class RunConfig:
     # paths
     out: str = ""
     manifest: str = ""
-    checkpoint: str = ""
 
 
 _FIELDS = {f.name: f.type for f in fields(RunConfig)}

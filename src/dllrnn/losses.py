@@ -7,13 +7,13 @@ speech). Keeping real and imaginary parts separate inside the magnitude makes
 the loss sensitive to phase while remaining cheap and differentiable.
 
 The loss is one tape op with a hand-written backward. Its forward takes the
-Hann-windowed STFT of the estimate, target and mixture once each, as the
-frame matrix times one cached ``[cos | -sin]`` basis, and forms the
-interference spectra by subtraction, since the STFT is linear. Its backward
-sends sign(diff)·sign(spectrum) back through the transposed basis, then
-through :func:`~dllrnn.framing.overlap_sum`, the adjoint of the frame
-gather. Evaluation uses scale-invariant SDR, computed in double precision
-outside the tape.
+Hann-windowed STFT of the estimate, target and mixture once each, through
+the frame gather and cached ``[cos | -sin]`` basis product :func:`stft` also
+uses, and forms the interference spectra by subtraction, since the STFT is
+linear. Its backward sends sign(diff)·sign(spectrum) back through the
+transposed basis, then through :func:`~dllrnn.framing.overlap_sum`, the
+adjoint of the frame gather. Evaluation uses scale-invariant SDR, computed
+in double precision outside the tape.
 """
 
 from __future__ import annotations
@@ -58,9 +58,10 @@ def _flat(x) -> np.ndarray:
     return x
 
 
-def _n_frames(n: int, window: int, hop: int) -> int:
-    """STFT frames over n samples: one, or enough to cover the tail."""
-    return 1 + max(0, -(-(n - window) // hop))
+def _spectrum(x: np.ndarray, window: int, hop: int) -> np.ndarray:
+    """Frames × ``[real | imag]`` DFT bins: one frame, or enough at ``hop`` to cover the tail."""
+    n_frames = 1 + max(0, -(-(x.shape[0] - window) // hop))
+    return gather_frames(x, window, hop, n_frames) @ _dft_basis(window, x.dtype)
 
 
 def stft(x, window: int = STFT_WINDOW, hop: int = STFT_HOP):
@@ -74,9 +75,7 @@ def stft(x, window: int = STFT_WINDOW, hop: int = STFT_HOP):
         raise DimensionError(f"stft window must be a power of two, got {window}")
     if not (1 <= hop <= window):
         raise DimensionError(f"stft hop {hop} must lie in [1, window={window}]")
-    x = _flat(x)
-    frames = gather_frames(x, window, hop, _n_frames(x.shape[0], window, hop))
-    spec = frames @ _dft_basis(window, x.dtype)
+    spec = _spectrum(_flat(x), window, hop)
     bins = window // 2 + 1
     return spec[:, :bins], spec[:, bins:]
 
@@ -100,9 +99,8 @@ def pcm_loss(x_hat, x, y) -> Tensor:
     dtype = np.result_type(*signals)
     basis = _dft_basis(STFT_WINDOW, dtype)
     bins = STFT_WINDOW // 2 + 1
-    t_s = _n_frames(n, STFT_WINDOW, STFT_HOP)
-    s_hat, s, s_mix = (gather_frames(v.astype(dtype, copy=False), STFT_WINDOW, STFT_HOP, t_s)
-                       @ basis for v in signals)
+    s_hat, s, s_mix = (_spectrum(v.astype(dtype, copy=False), STFT_WINDOW, STFT_HOP)
+                       for v in signals)
     value = 0.0
     terms = []  # per term, d(term)/d(reference spectrum) and d(term)/d(estimate spectrum)
     for ref, est in ((s, s_hat), (s_mix - s, s_mix - s_hat)):

@@ -151,6 +151,8 @@ def fit(config: ModelConfig, store: ParamStore, dataset, schedule: Schedule, *,
 
     if not dataset:
         raise ConfigError("training dataset is empty")
+    if schedule.batch_size < 1:
+        raise ConfigError(f"batch size must be >= 1, got {schedule.batch_size}")
     if state is None:
         state = OptState.for_store(store, lr=schedule.lr)
     chunk_len = max(1, int(round(schedule.chunk_seconds * SAMPLE_RATE)))

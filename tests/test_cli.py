@@ -55,8 +55,9 @@ def test_usage_errors_exit_1(capsys):
     assert main(["--bogus"]) == 1
     assert main(["frobnicate"]) == 1
     assert main(["count", "64x8x8"]) == 1
+    assert main(["count", "64-8-8", "--hop", "16"]) == 1   # no such flag
     err = capsys.readouterr().err
-    assert "error:" in err
+    assert "error:" in err and "unrecognized arguments: --hop 16" in err
 
 
 def test_count_table(capsys):
@@ -68,6 +69,7 @@ def test_count_table(capsys):
     assert abs(float(fields[2]) - 0.49) <= 0.05   # params in millions
     assert abs(float(fields[3]) - 1.25) <= 0.19   # GFLOPs per second
     assert "2 FLOPs per multiply-accumulate" in out
+    assert out.splitlines()[-1].endswith("1000 frames/s of 8-channel audio")
 
     assert main(["count", "64-8-8", "64-1-8", "256-8-8"]) == 0
     assert capsys.readouterr().out == out
@@ -270,12 +272,18 @@ def test_enhance_non_finite_wav_exits_2(workspace, tmp_path, capsys, value):
     assert "Traceback" not in err and not out.exists()
 
 
-@pytest.mark.parametrize("fault", ["nan", "inf", "zero"])
-def test_evaluate_skips_unusable_example(workspace, tmp_path, capsys, fault):
+def _example_paths(workspace):
+    """The workspace manifest's records with absolute file paths."""
     records = manifest_read(workspace["manifest"])
     for rec in records:
         for key in ("mixture", "direct"):
             rec[key] = workspace["data"] / rec[key]
+    return records
+
+
+@pytest.mark.parametrize("fault", ["nan", "inf", "zero"])
+def test_evaluate_skips_unusable_example(workspace, tmp_path, capsys, fault):
+    records = _example_paths(workspace)
     mixture, _ = read_wav(records[0]["mixture"])
     if fault == "zero":
         mixture[:] = 0.0
@@ -294,7 +302,8 @@ def test_evaluate_skips_unusable_example(workspace, tmp_path, capsys, fault):
     ("simulate", "order=-1", "order must be >= 0, got -1"),
     ("train", "l_out=33", "l_out 33 not a multiple of hop 16"),
     ("train", "hop=0", "need hop <= l_out <= l_in, got (256, 32, 0)"),
-], ids=["order", "l_out", "hop"])
+    ("train", "channels=2\nbatch=0", "batch size must be >= 1, got 0"),
+], ids=["order", "l_out", "hop", "batch"])
 def test_bad_config_value_exits_1(workspace, tmp_path, capsys, command, line, message):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(line + "\n")
@@ -304,6 +313,69 @@ def test_bad_config_value_exits_1(workspace, tmp_path, capsys, command, line, me
     assert main(args) == 1
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("fault", ["short_direct", "rate_8k", "three_channels"])
+def test_bad_example_file(workspace, tmp_path, capsys, fault):
+    records = _example_paths(workspace)
+    mixture, _ = read_wav(records[0]["mixture"])
+    direct, _ = read_wav(records[0]["direct"])
+    mix_path, direct_path = tmp_path / "bad.mix.wav", tmp_path / "bad.direct.wav"
+    named = direct_path if fault == "short_direct" else mix_path
+    if fault == "short_direct":
+        direct = direct[:, :-1]
+    if fault == "three_channels":
+        mixture = np.concatenate([mixture, mixture[:1]])
+    rate = 8000 if fault == "rate_8k" else 16000
+    write_wav(mix_path, mixture, rate=rate)
+    write_wav(direct_path, direct, rate=rate)
+    records[0]["mixture"], records[0]["direct"] = mix_path, direct_path
+    manifest_write(tmp_path / "m.txt", records)
+
+    assert main(["train", "--config", str(workspace["cfg"]), "--manifest", str(tmp_path / "m.txt"),
+                 "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {named}: " in err and "Traceback" not in err
+
+    assert main(["evaluate", str(workspace["ckpt"]), str(tmp_path / "m.txt")]) == 0
+    captured = capsys.readouterr()
+    assert f"example {records[1]['id']}:" in captured.out and "over 1 examples" in captured.out
+    assert f"error: {records[0]['id']}: {named}: " in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_non_finite_parameter_record_exits_2(workspace, tmp_path, capsys):
+    ck = load_checkpoint(workspace["ckpt"])
+    store = build_params(ck.config)
+    store.load_arrays(ck.arrays)
+    store["decoder.linear.bias"].data[1] = np.nan
+    bad = tmp_path / "nan.ckpt"
+    save_checkpoint(bad, ck.config, store, ck.step)
+    mixture = workspace["data"] / manifest_read(workspace["manifest"])[0]["mixture"]
+    out = tmp_path / "o.wav"
+    assert main(["enhance", str(bad), str(mixture), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert (f"error: {bad}: parameter record 'decoder.linear.bias' has non-finite value nan "
+            f"at flat index 1") in err
+    assert "Traceback" not in err and not out.exists()
+
+
+def test_non_finite_optimizer_record_exits_2(workspace, tmp_path, capsys):
+    ck = load_checkpoint(workspace["ckpt"])
+    store = build_params(ck.config)
+    store.load_arrays(ck.arrays)
+    state = OptState.from_checkpoint(ck, store)
+    state.v["encoder.linear.weight"][2, 3] = np.inf
+    bad = tmp_path / "inf.ckpt"
+    save_checkpoint(bad, ck.config, store, ck.step, opt_state=state)
+    flat = 2 * state.v["encoder.linear.weight"].shape[1] + 3
+    assert main(["train", "--config", str(workspace["cfg"]),
+                 "--manifest", str(workspace["manifest"]),
+                 "--out", str(tmp_path / "run"), "--resume", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert (f"error: {bad}: optimizer record 'encoder.linear.weight.v' has non-finite value "
+            f"inf at flat index {flat}") in err
+    assert "Traceback" not in err
 
 
 def test_padded_checkpoint_exits_2(workspace, tmp_path, capsys):
@@ -318,10 +390,7 @@ def test_padded_checkpoint_exits_2(workspace, tmp_path, capsys):
 
 @pytest.mark.parametrize("missing", ["mixture", "direct"])
 def test_manifest_without_example_field_exits_2(workspace, tmp_path, capsys, missing):
-    records = manifest_read(workspace["manifest"])
-    for rec in records:
-        for key in ("mixture", "direct"):
-            rec[key] = workspace["data"] / rec[key]
+    records = _example_paths(workspace)
     del records[1][missing]
     manifest = tmp_path / f"no_{missing}.txt"
     manifest_write(manifest, records)

@@ -43,6 +43,8 @@ def test_emit_parse_roundtrip_exact():
 def test_parse_errors_carry_line_numbers():
     with pytest.raises(ConfigError, match="line 2.*unknown config key 'hidden_units'"):
         parse_config("hidden=16\nhidden_units=32\n")
+    with pytest.raises(ConfigError, match="line 1.*unknown config key 'checkpoint'"):
+        parse_config("checkpoint=run/final.ckpt\n")
     with pytest.raises(ConfigError, match="line 3.*key=value"):
         parse_config("hidden=16\n\njust some words\n")
     with pytest.raises(ConfigError, match="line 1.*cannot parse 'many' as int"):
