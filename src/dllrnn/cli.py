@@ -54,14 +54,12 @@ def cmd_simulate(args) -> int:
     cfg = _load_run_config(args)
     if not cfg.out:
         raise ConfigError("simulate needs an output directory (--out)")
-    try:
-        os.makedirs(cfg.out, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"cannot create output directory '{cfg.out}': {exc}") from None
     if cfg.count < 0:
         raise ConfigError(f"count must be >= 0, got {cfg.count}")
     if cfg.order < 0:
         raise ConfigError(f"order must be >= 0, got {cfg.order}")
+    if cfg.channels < 1:
+        raise ConfigError(f"channels must be >= 1, got {cfg.channels}")
     if cfg.snr_min > cfg.snr_max:
         raise ConfigError(f"snr_min {cfg.snr_min} exceeds snr_max {cfg.snr_max}")
     if not (1 <= cfg.noise_min <= cfg.noise_max <= 10):
@@ -69,6 +67,12 @@ def cmd_simulate(args) -> int:
             f"noise range [{cfg.noise_min}, {cfg.noise_max}] must sit inside [1, 10]"
         )
     n_samples = int(round(cfg.duration_s * SAMPLE_RATE))
+    if n_samples < 1:
+        raise ConfigError(f"duration_s {cfg.duration_s} is under one sample at {SAMPLE_RATE} Hz")
+    try:
+        os.makedirs(cfg.out, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory '{cfg.out}': {exc}") from None
     records = []
     for i in range(cfg.count):
         rng = np.random.default_rng((cfg.seed, _EXAMPLE_STREAM, i))
@@ -152,10 +156,10 @@ def cmd_train(args) -> int:
             raise ConfigError(f"checkpoint is for {ck.config.name} with frame {ck.config.frame}, "
                               f"config says {mconfig.name} with frame {mconfig.frame}")
         start_step = ck.step
-        state = OptState.from_checkpoint(ck, store, lr=sched.lr)
+        state = OptState.from_checkpoint(ck, store)
     else:
         store = build_params(mconfig, seed=cfg.seed)
-        state = OptState.for_store(store, lr=sched.lr)
+        state = OptState.for_store(store)
     history = fit(mconfig, store, dataset, sched, out_dir=out_dir,
                   state=state, start_step=start_step, quiet=False)
     if history:

@@ -9,6 +9,7 @@ rejected. All hyperparameters default to the full-scale training recipe
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 from .errors import ConfigError, DimensionError
@@ -64,11 +65,14 @@ def parse_config(text: str) -> RunConfig:
         if key not in _FIELDS:
             raise ConfigError(f"line {lineno}: unknown config key '{key}'")
         try:
-            setattr(cfg, key, _CASTS[_FIELDS[key]](value))
+            parsed = _CASTS[_FIELDS[key]](value)
         except ValueError:
             raise ConfigError(
                 f"line {lineno}: cannot parse '{value}' as {_FIELDS[key]} for key '{key}'"
             ) from None
+        if isinstance(parsed, float) and not math.isfinite(parsed):
+            raise ConfigError(f"line {lineno}: key '{key}' must be finite, got '{value}'")
+        setattr(cfg, key, parsed)
     return cfg
 
 

@@ -21,8 +21,6 @@ stacked ``dz`` (Appleyard, Kočiský & Blunsom, "Optimizing Performance of
 Recurrent Neural Networks on GPUs", arXiv 1604.01946).
 """
 
-import math
-
 import numpy as np
 
 
@@ -179,20 +177,20 @@ def lstm_backward(dh_out, x, wx, wh, gates, c, tanh_c, h, h0, c0):
 # ---------------------------------------------------------------------------
 # Fractional-delay tap placement for impulse responses: an 81-tap
 # Hann-tapered truncated sinc centered on each (possibly fractional) delay.
+# Row i of the M×81 sample-index matrix holds the samples nearest delay i;
+# those outside the buffer are dropped, and one bincount adds the rest in
+# row-major order, so each sample sums its taps in delay order from 0.0.
 # ---------------------------------------------------------------------------
 
 SINC_HALF_WIDTH = 40
-SINC_TAPS = 2 * SINC_HALF_WIDTH + 1
 
 
 def place_taps(delays, amps, length):
-    out = np.zeros(length, np.float64)
+    delays = np.asarray(delays, np.float64)
     offsets = np.arange(-SINC_HALF_WIDTH, SINC_HALF_WIDTH + 1)
-    for tau, a in zip(delays, amps):
-        center = int(math.floor(tau + 0.5))
-        n = center + offsets
-        keep = (n >= 0) & (n < length)
-        td = n[keep] - tau
-        taps = a * np.sinc(td) * 0.5 * (1.0 + np.cos(2.0 * np.pi * td / 81.0))
-        np.add.at(out, n[keep], taps)
-    return out
+    n = np.floor(delays + 0.5).astype(np.int64)[:, None] + offsets
+    td = n - delays[:, None]
+    taps = np.asarray(amps)[:, None] * np.sinc(td) * 0.5 * (1.0 + np.cos(2.0 * np.pi * td / 81.0))
+    keep = (n >= 0) & (n < length)
+    out = np.bincount(n[keep], weights=taps[keep], minlength=length)
+    return out.astype(np.float64, copy=False)  # int zeros when no tap lands inside

@@ -34,15 +34,12 @@ DEFAULT_ORDER = 6
 
 @dataclass(frozen=True)
 class RoomSpec:
-    """Shoebox geometry plus the acoustic constants of the simulation."""
+    """Shoebox dimensions in metres and the walls' energy absorption."""
 
     length: float
     width: float
     height: float
     absorption: float
-    speed_of_sound: float = SPEED_OF_SOUND
-    sample_rate: int = SAMPLE_RATE
-    seed: int = 0
 
     def __post_init__(self):
         if min(self.length, self.width, self.height) <= 0:
@@ -71,15 +68,13 @@ def _check_inside(room: RoomSpec, point, what: str):
 
 
 def _axis_images(size: float, coord: float, order: int):
-    """Image coordinates and reflection counts along one axis."""
-    coords, refl = [], []
-    for r in range(-order, order + 1):
-        for q in (0, 1):
-            k = abs(2 * r) if q == 0 else abs(2 * r - 1)
-            if k <= order:
-                coords.append(2.0 * r * size + (1 - 2 * q) * coord)
-                refl.append(k)
-    return np.array(coords), np.array(refl)
+    """Image coordinates and reflection counts along one axis, in (r, q) order:
+    image (r, q) sits at 2·r·size ± coord (q = 0, 1) after |2r - q| reflections."""
+    r = np.repeat(np.arange(-order, order + 1), 2)
+    q = np.tile([0, 1], 2 * order + 1)
+    k = np.abs(2 * r - q)
+    keep = k <= order
+    return (2.0 * r * size + (1 - 2 * q) * coord)[keep], k[keep]
 
 
 def image_sources(room: RoomSpec, src, order: int):
@@ -111,9 +106,9 @@ def simulate_rir(room: RoomSpec, src, mic, order: int = DEFAULT_ORDER):
     dist = np.linalg.norm(positions - mic[None, :], axis=1)
     beta = np.sqrt(1.0 - room.absorption)
     amps = beta ** reflections / (4.0 * np.pi * dist)
-    delays = dist * room.sample_rate / room.speed_of_sound
+    delays = dist * SAMPLE_RATE / SPEED_OF_SOUND
     length = int(np.ceil(delays.max())) + K.SINC_HALF_WIDTH + 2
-    return K.place_taps(np.ascontiguousarray(delays), np.ascontiguousarray(amps), length)
+    return K.place_taps(delays, amps, length)
 
 
 def mic_circle(center, radius: float = MIC_RADIUS, n: int = N_MICS):
@@ -133,7 +128,6 @@ class Scene:
     """One drawn acoustic configuration: room, array, sources, target SNR."""
 
     room: RoomSpec
-    array_center: np.ndarray
     mics: np.ndarray
     speech_pos: np.ndarray
     noise_pos: list
@@ -152,23 +146,20 @@ def draw_scene(rng, n_mics: int = N_MICS, snr_range=(-10.0, 10.0),
     room = RoomSpec(length=length, width=width, height=height, absorption=absorption)
 
     def draw_point(margin):
-        lo = np.full(3, margin)
-        hi = room.dims - margin
-        return rng.uniform(lo, hi)
+        return rng.uniform(np.full(3, margin), room.dims - margin)
 
-    center = draw_point(WALL_MARGIN + MIC_RADIUS)
-    speech = draw_point(WALL_MARGIN)
-    while np.linalg.norm(speech - center) < 2 * MIC_RADIUS:
-        speech = draw_point(WALL_MARGIN)
-    n_noise = int(rng.integers(n_noise_range[0], n_noise_range[1] + 1))
-    noise_pos = []
-    for _ in range(n_noise):
+    def draw_source():
         p = draw_point(WALL_MARGIN)
         while np.linalg.norm(p - center) < 2 * MIC_RADIUS:
             p = draw_point(WALL_MARGIN)
-        noise_pos.append(p)
+        return p
+
+    center = draw_point(WALL_MARGIN + MIC_RADIUS)
+    speech = draw_source()
+    n_noise = int(rng.integers(n_noise_range[0], n_noise_range[1] + 1))
+    noise_pos = [draw_source() for _ in range(n_noise)]
     snr_db = float(rng.uniform(snr_range[0], snr_range[1]))
-    return Scene(room=room, array_center=center, mics=mic_circle(center, n=n_mics),
+    return Scene(room=room, mics=mic_circle(center, n=n_mics),
                  speech_pos=speech, noise_pos=noise_pos, snr_db=snr_db, n_noise=n_noise)
 
 
@@ -183,14 +174,6 @@ class MixtureExample:
     snr_db: float
     n_noise: int
     scene: Scene = field(default=None, repr=False)
-
-
-def _fit_length(x, n: int):
-    x = np.asarray(x, dtype=np.float64).ravel()
-    if x.size >= n:
-        return x[:n]
-    reps = -(-n // x.size)
-    return np.tile(x, reps)[:n]
 
 
 def _convolve_to_mics(source, room, src_pos, mics, order):
@@ -208,10 +191,10 @@ def spatialize_mixture(scene: Scene, speech, noises, snr_db=None,
 
     ``speech`` is convolved per microphone with the full-order response and,
     separately, with the order-0 (direct-path) response; their difference is
-    the reverberation. Each noise waveform is convolved from its own drawn
-    position; all noises share one scale factor chosen so the channel-summed
-    direct-to-noise energy ratio equals ``snr_db`` (defaults to the scene's
-    drawn value).
+    the reverberation. Each noise waveform, as long as the speech, is
+    convolved from its own drawn position; all noises share one scale factor
+    chosen so the channel-summed direct-to-noise energy ratio equals
+    ``snr_db`` (defaults to the scene's drawn value).
     """
     speech = np.asarray(speech, dtype=np.float64).ravel()
     if speech.size == 0 or not np.any(speech):
@@ -220,18 +203,20 @@ def spatialize_mixture(scene: Scene, speech, noises, snr_db=None,
         raise DimensionError(
             f"got {len(noises)} noise waveforms for {len(scene.noise_pos)} drawn positions"
         )
+    noises = [np.asarray(nz, dtype=np.float64).ravel() for nz in noises]
+    for k, nz in enumerate(noises):
+        if nz.size != speech.size:
+            raise DimensionError(f"noise {k} has {nz.size} samples, the speech has {speech.size}")
+        if not np.any(nz):
+            raise DegenerateInputError(f"noise source {k} is silent")
     if snr_db is None:
         snr_db = scene.snr_db
-    n = speech.shape[0]
     s_full = _convolve_to_mics(speech, scene.room, scene.speech_pos, scene.mics, order)
     s_direct = _convolve_to_mics(speech, scene.room, scene.speech_pos, scene.mics, 0)
     s_reverb = s_full - s_direct
     noise = np.zeros_like(s_direct)
-    for k, nz in enumerate(noises):
-        nz = _fit_length(nz, n)
-        if not np.any(nz):
-            raise DegenerateInputError(f"noise source {k} is silent")
-        noise += _convolve_to_mics(nz, scene.room, scene.noise_pos[k], scene.mics, order)
+    for pos, nz in zip(scene.noise_pos, noises):
+        noise += _convolve_to_mics(nz, scene.room, pos, scene.mics, order)
     e_direct = float(np.sum(s_direct ** 2))
     e_noise = float(np.sum(noise ** 2))
     if e_noise == 0.0:

@@ -10,6 +10,7 @@ original run bit for bit in single-threaded mode.
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from dataclasses import dataclass, field
@@ -25,24 +26,24 @@ from . import tensor as T
 
 _EPOCH_STREAM = 7919
 _STEP_STREAM = 104729
+# Adam's moment decay rates and denominator offset; the step size is Schedule.lr
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
 
 
 @dataclass
 class OptState:
     """Adam moments with the AMSGrad running maximum of the second moment."""
 
-    lr: float = 2e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
     v_max: dict = field(default_factory=dict)
 
     @classmethod
-    def for_store(cls, store: ParamStore, lr: float = 2e-4) -> "OptState":
-        state = cls(lr=lr)
+    def for_store(cls, store: ParamStore) -> "OptState":
+        state = cls()
         for name, tensor in store.items():
             state.m[name] = np.zeros_like(tensor.data)
             state.v[name] = np.zeros_like(tensor.data)
@@ -50,10 +51,10 @@ class OptState:
         return state
 
     @classmethod
-    def from_checkpoint(cls, ck, store: ParamStore, lr: float = 2e-4) -> "OptState":
+    def from_checkpoint(cls, ck, store: ParamStore) -> "OptState":
         """The moments and step a checkpoint carries (checked by ``load_checkpoint``),
         or fresh ones if it has none."""
-        state = cls.for_store(store, lr=lr)
+        state = cls.for_store(store)
         if ck.opt_arrays is not None:
             state.step = ck.opt_step
             for name in store.names():
@@ -63,8 +64,8 @@ class OptState:
         return state
 
 
-def adam_step(store: ParamStore, state: OptState):
-    """One bias-corrected update; v_max (not v) feeds the denominator.
+def adam_step(store: ParamStore, state: OptState, lr: float):
+    """One bias-corrected update of step size ``lr``; v_max (not v) feeds the denominator.
 
     Aborts before touching any parameter if some gradient is non-finite.
     """
@@ -75,24 +76,24 @@ def adam_step(store: ParamStore, state: OptState):
                 f"non-finite gradient in parameter '{name}' at step {state.step + 1}"
             )
     state.step += 1
-    bc1 = 1.0 - state.beta1 ** state.step
-    bc2 = 1.0 - state.beta2 ** state.step
+    bc1 = 1.0 - BETA1 ** state.step
+    bc2 = 1.0 - BETA2 ** state.step
     for name, tensor in store.items():
         g = tensor.grad
         if g is None:
             g = np.zeros_like(tensor.data)
         m = state.m[name]
         v = state.v[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * g * g
         np.maximum(state.v_max[name], v, out=state.v_max[name])
-        denom = np.sqrt(state.v_max[name] / bc2) + state.eps
-        tensor.data = tensor.data - (state.lr / bc1) * m / denom
+        denom = np.sqrt(state.v_max[name] / bc2) + EPS
+        tensor.data = tensor.data - (lr / bc1) * m / denom
 
 
-def clip_grad_norm(store: ParamStore, max_norm: float = 0.03) -> float:
+def clip_grad_norm(store: ParamStore, max_norm: float) -> float:
     """Scale all gradients so their global L2 norm is at most ``max_norm``.
 
     Returns the pre-clip norm, computed in double precision.
@@ -153,8 +154,14 @@ def fit(config: ModelConfig, store: ParamStore, dataset, schedule: Schedule, *,
         raise ConfigError("training dataset is empty")
     if schedule.batch_size < 1:
         raise ConfigError(f"batch size must be >= 1, got {schedule.batch_size}")
+    for key, value in (("lr", schedule.lr), ("clip", schedule.clip),
+                       ("chunk_seconds", schedule.chunk_seconds)):
+        if not (math.isfinite(value) and value > 0):
+            raise ConfigError(f"{key} must be finite and positive, got {value}")
+    if schedule.epochs < 0:
+        raise ConfigError(f"epochs must be >= 0, got {schedule.epochs}")
     if state is None:
-        state = OptState.for_store(store, lr=schedule.lr)
+        state = OptState.for_store(store)
     chunk_len = max(1, int(round(schedule.chunk_seconds * SAMPLE_RATE)))
     steps_per_epoch = -(-len(dataset) // schedule.batch_size)
     start_epoch = start_step // steps_per_epoch
@@ -191,7 +198,7 @@ def fit(config: ModelConfig, store: ParamStore, dataset, schedule: Schedule, *,
                         raise NumericalError(f"non-finite loss {loss_value} at step {step + 1}")
                     tape.backward(loss)
                 grad_norm = clip_grad_norm(store, schedule.clip)
-                adam_step(store, state)
+                adam_step(store, state, schedule.lr)
                 step += 1
                 wall = time.perf_counter() - t0
                 record = {"step": step, "epoch": epoch, "loss": loss_value,

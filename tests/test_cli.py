@@ -303,7 +303,23 @@ def test_evaluate_skips_unusable_example(workspace, tmp_path, capsys, fault):
     ("train", "l_out=33", "l_out 33 not a multiple of hop 16"),
     ("train", "hop=0", "need hop <= l_out <= l_in, got (256, 32, 0)"),
     ("train", "channels=2\nbatch=0", "batch size must be >= 1, got 0"),
-], ids=["order", "l_out", "hop", "batch"])
+    ("simulate", "snr_min=nan", "key 'snr_min' must be finite, got 'nan'"),
+    ("simulate", "snr_max=inf", "key 'snr_max' must be finite, got 'inf'"),
+    ("simulate", "duration_s=nan", "key 'duration_s' must be finite, got 'nan'"),
+    ("simulate", "duration_s=inf", "key 'duration_s' must be finite, got 'inf'"),
+    ("simulate", "duration_s=-1", "duration_s -1.0 is under one sample"),
+    ("simulate", "duration_s=0", "duration_s 0.0 is under one sample"),
+    ("simulate", "duration_s=0.00001", "duration_s 1e-05 is under one sample"),
+    ("simulate", "channels=0", "channels must be >= 1, got 0"),
+    ("simulate", "channels=-1", "channels must be >= 1, got -1"),
+    ("train", "channels=2\nclip=-0.03", "clip must be finite and positive, got -0.03"),
+    ("train", "channels=2\nlr=-0.001", "lr must be finite and positive, got -0.001"),
+    ("train", "channels=2\nchunk_s=0", "chunk_seconds must be finite and positive, got 0.0"),
+    ("train", "channels=2\nepochs=-1", "epochs must be >= 0, got -1"),
+], ids=["order", "l_out", "hop", "batch", "snr_nan", "snr_inf", "duration_nan",
+        "duration_inf", "duration_negative", "duration_zero", "duration_under_one_sample",
+        "channels_zero", "channels_negative", "clip_negative", "lr_negative", "chunk_zero",
+        "epochs_negative"])
 def test_bad_config_value_exits_1(workspace, tmp_path, capsys, command, line, message):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(line + "\n")

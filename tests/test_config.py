@@ -51,6 +51,9 @@ def test_parse_errors_carry_line_numbers():
         parse_config("epochs=many\n")
     with pytest.raises(ConfigError, match="cannot parse 'fast' as float"):
         parse_config("lr=fast\n")
+    for text in ("nan", "NaN", "inf", "-inf"):
+        with pytest.raises(ConfigError, match=f"line 2: key 'snr_min' must be finite, got '{text}'"):
+            parse_config(f"hidden=16\nsnr_min={text}\n")
 
 
 def test_load_config(tmp_path):

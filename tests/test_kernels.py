@@ -220,6 +220,40 @@ def test_place_taps_matches_sinc_hann_oracle():
                             _place_taps_oracle(delays, amps, length), rtol=1e-12, atol=1e-14)
 
 
+def _place_taps_loop(delays, amps, length):
+    """The per-image ``np.add.at`` loop that ``place_taps`` replaces, kept as its
+    bit-exact reference: the same taps, added to each sample in image order."""
+    out = np.zeros(length, np.float64)
+    offsets = np.arange(-40, 41)
+    for tau, a in zip(delays, amps):
+        center = int(math.floor(tau + 0.5))
+        n = center + offsets
+        keep = (n >= 0) & (n < length)
+        td = n[keep] - tau
+        taps = a * np.sinc(td) * 0.5 * (1.0 + np.cos(2.0 * np.pi * td / 81.0))
+        np.add.at(out, n[keep], taps)
+    return out
+
+
+def test_place_taps_bit_equal_to_loop_reference():
+    rng = np.random.default_rng(21)
+    cases = [(np.array([]), np.array([]), 50),           # zero images
+             (np.array([17.3]), np.array([0.7]), 60),      # one image
+             (np.array([-90.0, 500.5]), np.array([1.0, 2.0]), 60),  # no tap inside
+             (np.array([-41.0, -3.5, 12.0, 12.0, 99.0, 140.0]), rng.standard_normal(6), 100)]
+    for _ in range(40):
+        m = int(rng.integers(1, 400))
+        length = int(rng.integers(50, 1200))
+        spread = rng.choice([3.0, float(length)])   # heavily overlapping, or spread out
+        delays = rng.uniform(-60.0, 0.0) + rng.uniform(0.0, spread + 120.0, m)
+        cases.append((delays, rng.standard_normal(m), length))
+        cases.append((np.floor(delays), rng.standard_normal(m), length))  # integer delays
+    for delays, amps, length in cases:
+        got = K.place_taps(delays, amps, length)
+        assert got.dtype == np.float64 and got.shape == (length,)
+        assert np.array_equal(got, _place_taps_loop(delays, amps, length)), (delays, length)
+
+
 def test_place_taps_integer_delay_is_exact():
     # sinc vanishes at nonzero integers, so an integer delay is a single tap
     out = K.place_taps(np.array([10.0]), np.array([2.0]), 64)

@@ -8,9 +8,9 @@ import numpy.testing as npt
 import pytest
 
 from dllrnn.errors import DataError, DegenerateInputError, DimensionError, GeometryError
-from dllrnn.simulate import (MixtureExample, RoomSpec, achieved_snr, draw_scene, image_sources,
-                             manifest_read, manifest_write, mic_circle, pink_noise, simulate_rir,
-                             spatialize_mixture, speech_like, white_noise)
+from dllrnn.simulate import (MixtureExample, RoomSpec, _axis_images, achieved_snr, draw_scene,
+                             image_sources, manifest_read, manifest_write, mic_circle, pink_noise,
+                             simulate_rir, spatialize_mixture, speech_like, white_noise)
 
 ROOM = RoomSpec(length=6.0, width=6.0, height=6.0, absorption=0.3)
 
@@ -49,6 +49,28 @@ def test_image_source_counts():
     assert reflections[0] == 0
     _, refl1 = image_sources(ROOM, src, 1)
     assert sorted(refl1) == [0] + [1] * 6
+
+
+def _axis_images_reference(size, coord, order):
+    """The per-image loop that ``_axis_images`` replaces, kept as its exact reference."""
+    coords, refl = [], []
+    for r in range(-order, order + 1):
+        for q in (0, 1):
+            k = abs(2 * r) if q == 0 else abs(2 * r - 1)
+            if k <= order:
+                coords.append(2.0 * r * size + (1 - 2 * q) * coord)
+                refl.append(k)
+    return np.array(coords), np.array(refl)
+
+
+def test_axis_images_match_loop_reference():
+    rng = np.random.default_rng(12)
+    for order in range(7):
+        for size in (np.float64(6.0), *rng.uniform(2.0, 10.0, 3)):
+            coord = rng.uniform(0.1, size - 0.1)
+            got, want = _axis_images(size, coord, order), _axis_images_reference(size, coord, order)
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype and np.array_equal(g, w), (order, size, coord)
 
 
 def test_image_distances_hand_case():
@@ -182,12 +204,15 @@ def test_spatialize_input_validation():
         spatialize_mixture(scene, speech, [noises[0]], order=0)
 
 
-def test_noise_shorter_than_speech_is_looped():
+@pytest.mark.parametrize("n_noise_samples", [300, 1199, 1201],
+                         ids=["quarter", "one_short", "one_long"])
+def test_noise_length_must_match_speech(n_noise_samples):
     rng = np.random.default_rng(7)
-    scene = draw_scene(rng, n_mics=2, n_noise_range=(1, 1))
-    ex = spatialize_mixture(scene, speech_like(rng, 1200), [white_noise(rng, 300)], order=0)
-    assert ex.noise.shape == (2, 1200)
-    assert np.any(ex.noise[:, 600:])
+    scene = draw_scene(rng, n_mics=2, n_noise_range=(2, 2))
+    noises = [white_noise(rng, 1200), white_noise(rng, n_noise_samples)]
+    with pytest.raises(DimensionError, match=f"noise 1 has {n_noise_samples} samples, "
+                                             f"the speech has 1200"):
+        spatialize_mixture(scene, speech_like(rng, 1200), noises, order=0)
 
 
 def test_render_deterministic():

@@ -29,8 +29,8 @@ def _toy_store(values=(0.5, -1.0, 2.0)):
 
 def test_opt_state_for_store():
     store = _toy_store()
-    state = OptState.for_store(store, lr=0.01)
-    assert state.lr == 0.01 and state.step == 0
+    state = OptState.for_store(store)
+    assert state.step == 0
     for name in ("w", "b"):
         for bank in (state.m, state.v, state.v_max):
             npt.assert_array_equal(bank[name], np.zeros_like(store[name].data))
@@ -40,7 +40,7 @@ def test_adam_zero_grad_is_noop():
     store = _toy_store()
     before = {n: store[n].data.copy() for n in store.names()}
     state = OptState.for_store(store)
-    adam_step(store, state)  # all grads None
+    adam_step(store, state, 2e-4)  # all grads None
     assert state.step == 1
     for name in store.names():
         npt.assert_array_equal(store[name].data, before[name])
@@ -49,11 +49,11 @@ def test_adam_zero_grad_is_noop():
 def test_adam_first_step_moves_by_lr():
     # bias correction makes the very first update -lr * g/|g| for constant g
     store = _toy_store()
-    state = OptState.for_store(store, lr=0.01)
+    state = OptState.for_store(store)
     for name in store.names():
         store[name].grad = np.ones_like(store[name].data)
     before = {n: store[n].data.copy() for n in store.names()}
-    adam_step(store, state)
+    adam_step(store, state, 0.01)
     for name in store.names():
         # float32 parameters: agreement is to the ulp of the stored values
         delta = store[name].data - before[name]
@@ -62,13 +62,13 @@ def test_adam_first_step_moves_by_lr():
 
 def test_adam_vmax_never_decreases():
     store = _toy_store()
-    state = OptState.for_store(store, lr=1e-3)
+    state = OptState.for_store(store)
     rng = np.random.default_rng(0)
     prev = {n: state.v_max[n].copy() for n in store.names()}
     for _ in range(100):
         for name in store.names():
             store[name].grad = rng.standard_normal(store[name].shape).astype(np.float32)
-        adam_step(store, state)
+        adam_step(store, state, 1e-3)
         for name in store.names():
             assert np.all(state.v_max[name] >= prev[name])
             assert np.all(np.isfinite(store[name].data))
@@ -82,7 +82,7 @@ def test_adam_rejects_nonfinite_gradient():
     store["w"].grad = np.array([1.0, np.inf, 0.0], dtype=np.float32)
     store["b"].grad = np.zeros(1, dtype=np.float32)
     with pytest.raises(NumericalError, match="'w'"):
-        adam_step(store, state)
+        adam_step(store, state, 2e-4)
     assert state.step == 0  # aborted before any mutation
     for name in store.names():
         npt.assert_array_equal(store[name].data, before[name])
@@ -131,6 +131,40 @@ def test_fit_rejects_empty_dataset():
     store = build_params(SMALL, seed=0)
     with pytest.raises(ConfigError):
         fit(SMALL, store, [], Schedule(epochs=1))
+
+
+@pytest.mark.parametrize("change,message", [
+    ({"lr": float("nan")}, "lr must be finite and positive"),
+    ({"lr": 0.0}, "lr must be finite and positive"),
+    ({"clip": float("inf")}, "clip must be finite and positive"),
+    ({"chunk_seconds": -1.0}, "chunk_seconds must be finite and positive"),
+    ({"epochs": -2}, "epochs must be >= 0"),
+], ids=["lr_nan", "lr_zero", "clip_inf", "chunk_negative", "epochs_negative"])
+def test_fit_rejects_schedule_that_trains_wrong(change, message):
+    store = build_params(SMALL, seed=0)
+    before = {n: store[n].data.copy() for n in store.names()}
+    with pytest.raises(ConfigError, match=message):
+        fit(SMALL, store, _tiny_dataset(n_examples=1), Schedule(batch_size=1, **change))
+    for name in store.names():
+        npt.assert_array_equal(store[name].data, before[name])
+
+
+def test_fit_with_given_state_steps_by_schedule_lr():
+    # the schedule owns the learning rate: a passed optimizer state steps
+    # exactly as the one fit makes itself, and the first Adam step moves a
+    # parameter with a nonzero gradient by about lr
+    dataset = _tiny_dataset(n_examples=1)
+    sched = Schedule(epochs=1, batch_size=1, chunk_seconds=0.04, seed=0, lr=1e-2)
+    start = build_params(SMALL, seed=0)
+    runs = []
+    for given in (False, True):
+        store = build_params(SMALL, seed=0)
+        fit(SMALL, store, dataset, sched, state=OptState.for_store(store) if given else None)
+        runs.append(store)
+    for name in start.names():
+        npt.assert_array_equal(runs[1][name].data, runs[0][name].data)
+    moved = np.abs(runs[1]["decoder.linear.bias"].data - start["decoder.linear.bias"].data)
+    npt.assert_allclose(moved, 1e-2, rtol=1e-3)
 
 
 def test_fit_history_and_loss_decrease():
@@ -204,7 +238,7 @@ def test_resume_reproduces_uninterrupted_run(tmp_path):
 
     store_resumed = build_params(SMALL, seed=2)
     store_resumed.load_arrays(ck.arrays)
-    state = OptState.from_checkpoint(ck, store_resumed, lr=lr)
+    state = OptState.from_checkpoint(ck, store_resumed)
     history = fit(SMALL, store_resumed, dataset,
                   Schedule(epochs=6, batch_size=1, chunk_seconds=0.04, seed=5, lr=lr),
                   state=state, start_step=ck.step)
