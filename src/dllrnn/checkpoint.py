@@ -14,12 +14,12 @@ Layout, all integers little-endian:
     n_opt_records    u32      records named "<param>.m", ".v", ".vmax"
 
 Loading validates the magic, version and config, that the parameter
-payload's total scalar count matches what the config says the model should
-have, that every value is finite, that the optimizer records are exactly one
-``.m``, ``.v`` and ``.vmax`` per parameter record, each shaped like it, and
-that the file ends exactly after the last record, so a truncated, padded,
-non-finite or mismatched file fails loudly, as a DataError, instead of
-poisoning a run.
+records are exactly the rows of the config's ``param_table``, each by name
+and shape, that every value is finite, that the optimizer records are
+exactly one ``.m``, ``.v`` and ``.vmax`` per parameter row, each shaped
+like it, and that the file ends exactly after the last record, so a
+truncated, padded, non-finite or mismatched file fails loudly, as a
+DataError naming the record, instead of poisoning a run.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError, DimensionError
 from .framing import FrameSpec
-from .model import ModelConfig, count_params
+from .model import ModelConfig, param_table
 
 MAGIC = b"DLLRNNCK"
 VERSION = 1
@@ -92,6 +92,18 @@ def _read_records(r: _Reader, count: int, kind: str) -> dict:
     return records
 
 
+def _check_records(path, kind: str, records: dict, shapes: dict, config: ModelConfig):
+    """Require exactly the records named in ``shapes``, each with its shape."""
+    stray = sorted(shapes.keys() ^ records.keys())
+    if stray:
+        what = "unknown" if stray[0] in records else "missing"
+        raise DataError(f"{path}: {what} {kind} record '{stray[0]}' for config {config.name}")
+    for name, arr in records.items():
+        if arr.shape != shapes[name]:
+            raise DataError(f"{path}: {kind} record '{name}' has shape {arr.shape}, "
+                            f"config {config.name} requires {shapes[name]}")
+
+
 @dataclass
 class CheckpointData:
     config: ModelConfig
@@ -147,33 +159,21 @@ def load_checkpoint(path) -> CheckpointData:
     (step,) = r.unpack("<Q")
     (n_records,) = r.unpack("<I")
     arrays = _read_records(r, n_records, "parameter")
-    # Every block owns parameter records; this also bounds count_params' loop.
+    # Every block owns parameter records; this also bounds param_table's loop.
     if b > len(arrays):
         raise DataError(f"{path}: config {config.name} has {b} blocks but only "
                         f"{len(arrays)} parameter records")
-    total = sum(a.size for a in arrays.values())
-    expected = count_params(config)
-    if total != expected:
-        raise DataError(
-            f"{path}: parameter payload holds {total} scalars, "
-            f"config {config.name} requires {expected}"
-        )
+    shapes = {name: shape for name, shape, _ in param_table(config)}
+    _check_records(path, "parameter", arrays, shapes, config)
     (opt_flag,) = r.unpack("<B")
     opt_step, opt_arrays = 0, None
     if opt_flag:
         (opt_step,) = r.unpack("<Q")
         (n_opt,) = r.unpack("<I")
         opt_arrays = _read_records(r, n_opt, "optimizer")
-        want = {f"{name}.{moment}": arr.shape for name, arr in arrays.items()
-                for moment in ("m", "v", "vmax")}
-        stray = sorted(want.keys() ^ opt_arrays.keys())
-        if stray:
-            what = "unknown" if stray[0] in opt_arrays else "missing"
-            raise DataError(f"{path}: {what} optimizer record '{stray[0]}'")
-        for name, arr in opt_arrays.items():
-            if arr.shape != want[name]:
-                raise DataError(f"{path}: optimizer record '{name}' has shape {arr.shape}, "
-                                f"its parameter has {want[name]}")
+        _check_records(path, "optimizer", opt_arrays,
+                       {f"{name}.{moment}": shape for name, shape in shapes.items()
+                        for moment in ("m", "v", "vmax")}, config)
     if r.pos != len(r.blob):
         raise DataError(f"{path}: {len(r.blob) - r.pos} trailing bytes after the last record, "
                         f"at byte {r.pos}")

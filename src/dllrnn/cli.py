@@ -17,8 +17,7 @@ import numpy as np
 
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import RunConfig, load_config, model_config, schedule
-from .errors import (ConfigError, ContractError, DataError, DegenerateInputError, DimensionError,
-                     NumericalError)
+from .errors import ConfigError, DataError, DegenerateInputError, NumericalError
 from .framing import SAMPLE_RATE
 from .losses import si_sdr
 from .model import (ModelConfig, build_params, count_flops, count_params, enhance_waveform)
@@ -41,6 +40,8 @@ def _load_run_config(args) -> RunConfig:
     cfg = load_config(args.config) if args.config else RunConfig()
     if getattr(args, "seed", None) is not None:
         cfg.seed = args.seed
+    if cfg.seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {cfg.seed}")
     if getattr(args, "out", None):
         cfg.out = args.out
     for key in ("count", "epochs", "batch"):
@@ -129,13 +130,10 @@ def _read_example(mixture_path, direct_path, channels=None):
 
 
 def _load_model(path):
-    """A checkpoint and a store holding its parameters (DataError on a bad record)."""
+    """A checkpoint and a store holding its parameters."""
     ck = load_checkpoint(path)
     store = build_params(ck.config, seed=0)
-    try:
-        store.load_arrays(ck.arrays)
-    except (ContractError, DimensionError) as exc:
-        raise DataError(f"{path}: {exc}") from None
+    store.load_arrays(ck.arrays)
     return ck, store
 
 

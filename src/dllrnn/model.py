@@ -18,9 +18,11 @@ Assembly (all widths in the config):
 The input waveform is scaled to pooled unit variance before framing and the
 estimate is scaled back afterwards, so the output lives at input level.
 
-The parameters are one table, :func:`build_params`, in the order
-:func:`_forward` takes them. The assembly is written once, as :func:`_forward`
-on plain arrays, and every layer's arithmetic lives in :mod:`dllrnn.kernels`.
+The parameters are one table, :func:`param_table`: names, shapes and
+initializers in the order :func:`_forward` takes them. :func:`build_params`,
+:func:`count_params` and the checkpoint loader all read it. The assembly is
+written once, as :func:`_forward` on plain arrays, and every layer's
+arithmetic lives in :mod:`dllrnn.kernels`.
 :func:`model_forward` runs it over the T frames of an utterance and records
 it, with the overlap-add and the output rescale, on the tape as a single op.
 Its backward gathers the gradient back into frames and runs
@@ -34,6 +36,7 @@ latency contract is checked bit-exactly on the whole-utterance path.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -131,52 +134,58 @@ class ParamStore:
             raise ContractError(f"unknown parameters {sorted(extra)}")
 
 
-def build_params(config: ModelConfig, seed: int = 0, dtype=np.float32) -> ParamStore:
-    """Initialize every trainable array of the configured model, seeded.
+def param_table(config: ModelConfig):
+    """Every trainable array as a ``(name, shape, init)`` row, in :func:`_forward`'s order.
 
-    Arrays are created in :func:`_forward`'s order. Weights are uniform in
-    ±1/sqrt(fan_in), fan-in on the trailing axis; biases start at zero,
-    layer-norm gains at one, PReLU slopes at 0.25, and LSTM forget-gate
-    biases at 1.0, so the gate starts open and keeps the cell state.
+    ``init`` is ``"uniform"`` (±1/sqrt(fan_in), fan-in on the trailing axis),
+    ``"forget"`` (the LSTM bias: 1.0 on the forget-gate rows, so the gate
+    starts open and keeps the cell state) or a constant fill: zero biases,
+    unit layer-norm gains, PReLU slopes of 0.25. The table holds no arrays.
     """
-    rng = np.random.default_rng(seed)
     f, l_in, l_out = config.hidden, config.frame.l_in, config.frame.l_out
-    store = ParamStore()
-
-    def param(name, data):
-        store.add(name, Tensor(np.asarray(data, dtype=dtype), requires_grad=True))
-
-    def weight(name, *shape):
-        bound = 1.0 / np.sqrt(shape[-1])
-        param(name, rng.uniform(-bound, bound, size=shape))
-
-    weight("encoder.linear.weight", f, l_in)
-    param("encoder.linear.bias", np.zeros(f))
-    param("encoder.norm.weight", np.ones(f))
-    param("encoder.norm.bias", np.zeros(f))
-    param("encoder.prelu", 0.25)
+    rows = [("encoder.linear.weight", (f, l_in), "uniform"),
+            ("encoder.linear.bias", (f,), 0.0),
+            ("encoder.norm.weight", (f,), 1.0),
+            ("encoder.norm.bias", (f,), 0.0),
+            ("encoder.prelu", (), 0.25)]
     for b in range(1, config.blocks + 1):
         n_streams = config.block_out_width(b) + 1
-        weight(f"block{b}.conv.weight", f, n_streams, config.block_in_width(b))
-        param(f"block{b}.conv.bias", np.zeros((n_streams, f)))
-        param(f"block{b}.norm.weight", np.ones(f))
-        param(f"block{b}.norm.bias", np.zeros(f))
-        param(f"block{b}.prelu", 0.25)
-        weight(f"block{b}.lstm.wx", 4 * f, f)
-        weight(f"block{b}.lstm.wh", 4 * f, f)
-        # gate rows in (input, forget, cell, output) order
-        param(f"block{b}.lstm.bias", np.repeat([0.0, 1.0, 0.0, 0.0], f))
-        weight(f"block{b}.linear.weight", f, f)
-        param(f"block{b}.linear.bias", np.zeros(f))
-    weight("decoder.linear.weight", l_out, f)
-    param("decoder.linear.bias", np.zeros(l_out))
+        rows += [(f"block{b}.{name}", shape, init) for name, shape, init in (
+            ("conv.weight", (f, n_streams, config.block_in_width(b)), "uniform"),
+            ("conv.bias", (n_streams, f), 0.0),
+            ("norm.weight", (f,), 1.0),
+            ("norm.bias", (f,), 0.0),
+            ("prelu", (), 0.25),
+            ("lstm.wx", (4 * f, f), "uniform"),
+            ("lstm.wh", (4 * f, f), "uniform"),
+            ("lstm.bias", (4 * f,), "forget"),
+            ("linear.weight", (f, f), "uniform"),
+            ("linear.bias", (f,), 0.0))]
+    return rows + [("decoder.linear.weight", (l_out, f), "uniform"),
+                   ("decoder.linear.bias", (l_out,), 0.0)]
+
+
+def build_params(config: ModelConfig, seed: int = 0, dtype=np.float32) -> ParamStore:
+    """Initialize every row of :func:`param_table`, seeded, drawing in table order."""
+    rng = np.random.default_rng(seed)
+    store = ParamStore()
+    for name, shape, init in param_table(config):
+        if init == "uniform":
+            bound = 1.0 / np.sqrt(shape[-1])
+            data = rng.uniform(-bound, bound, size=shape)
+        elif init == "forget":
+            # gate rows in (input, forget, cell, output) order
+            data = np.repeat([0.0, 1.0, 0.0, 0.0], shape[0] // 4)
+        else:
+            data = np.full(shape, init)
+        store.add(name, Tensor(np.asarray(data, dtype=dtype), requires_grad=True))
     return store
 
 
 def _forward(config: ModelConfig, params, frames, states, caches=None):
     """The network on plain arrays: C×T×l_in frames in, T×l_out decoder frames out.
 
-    ``params`` are the parameter arrays in :func:`build_params` order.
+    ``params`` are the parameter arrays in :func:`param_table` order.
     ``states`` holds each block's LSTM ``(h, c)``: it is read as the state
     before frame 0 and overwritten with the state after frame T-1. When
     ``caches`` is a list, the activations :func:`_backward` replays are
@@ -295,25 +304,15 @@ def model_forward(y, config: ModelConfig, store: ParamStore, *, scale=None) -> T
 
 
 # ---------------------------------------------------------------------------
-# Resource accounting. Parameter counts enumerate the same shapes the builder
-# allocates; FLOPs count 2 per multiply-accumulate in the matrix-style
+# Resource accounting. Parameter counts sum the shapes of the table the
+# builder allocates; FLOPs count 2 per multiply-accumulate in the matrix-style
 # contractions only (encoder, spatial convs, LSTM gate products, post-LSTM
 # linear, decoder), per frame, at sample_rate/hop frames per second.
 # ---------------------------------------------------------------------------
 
 def count_params(config: ModelConfig) -> int:
     """Exact trainable-scalar total of the configured model."""
-    f, l_in, l_out = config.hidden, config.frame.l_in, config.frame.l_out
-    total = (f * l_in + f) + 2 * f + 1            # encoder linear + norm + prelu
-    for b in range(1, config.blocks + 1):
-        d_in = config.block_in_width(b)
-        n_streams = config.block_out_width(b) + 1
-        total += f * n_streams * d_in + n_streams * f   # spatial conv
-        total += 2 * f + 1                              # norm + prelu
-        total += 2 * (4 * f * f) + 4 * f                # lstm
-        total += f * f + f                              # post-lstm linear
-    total += l_out * f + l_out                    # decoder
-    return total
+    return sum(math.prod(shape) for _, shape, _ in param_table(config))
 
 
 def count_macs_per_frame(config: ModelConfig) -> int:

@@ -158,8 +158,9 @@ def fit(config: ModelConfig, store: ParamStore, dataset, schedule: Schedule, *,
                        ("chunk_seconds", schedule.chunk_seconds)):
         if not (math.isfinite(value) and value > 0):
             raise ConfigError(f"{key} must be finite and positive, got {value}")
-    if schedule.epochs < 0:
-        raise ConfigError(f"epochs must be >= 0, got {schedule.epochs}")
+    for key, value in (("epochs", schedule.epochs), ("seed", schedule.seed)):
+        if value < 0:
+            raise ConfigError(f"{key} must be >= 0, got {value}")
     if state is None:
         state = OptState.for_store(store)
     chunk_len = max(1, int(round(schedule.chunk_seconds * SAMPLE_RATE)))

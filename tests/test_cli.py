@@ -222,7 +222,7 @@ def test_bad_parameter_record_exits_2(workspace, tmp_path, capsys, fault):
             if fault == "renamed":
                 name = "encoder.linear.weights"
             else:
-                arr = arr.T  # same scalar count, so only the store's shape check sees it
+                arr = arr.T  # same scalar count; the shape check against the table sees it
         store.add(name, Tensor(arr))
     bad = tmp_path / f"{fault}.ckpt"
     save_checkpoint(bad, ck.config, store, ck.step)
@@ -316,10 +316,11 @@ def test_evaluate_skips_unusable_example(workspace, tmp_path, capsys, fault):
     ("train", "channels=2\nlr=-0.001", "lr must be finite and positive, got -0.001"),
     ("train", "channels=2\nchunk_s=0", "chunk_seconds must be finite and positive, got 0.0"),
     ("train", "channels=2\nepochs=-1", "epochs must be >= 0, got -1"),
+    ("train", "channels=2\nseed=-1", "seed must be >= 0, got -1"),
 ], ids=["order", "l_out", "hop", "batch", "snr_nan", "snr_inf", "duration_nan",
         "duration_inf", "duration_negative", "duration_zero", "duration_under_one_sample",
         "channels_zero", "channels_negative", "clip_negative", "lr_negative", "chunk_zero",
-        "epochs_negative"])
+        "epochs_negative", "seed_negative"])
 def test_bad_config_value_exits_1(workspace, tmp_path, capsys, command, line, message):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(line + "\n")
@@ -329,6 +330,15 @@ def test_bad_config_value_exits_1(workspace, tmp_path, capsys, command, line, me
     assert main(args) == 1
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
+
+
+def test_simulate_negative_seed_flag_exits_1(workspace, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(workspace["cfg"]), "--out", str(out),
+                 "--seed", "-1"]) == 1
+    err = capsys.readouterr().err
+    assert "seed must be >= 0, got -1" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("fault", ["short_direct", "rate_8k", "three_channels"])

@@ -12,7 +12,7 @@ from dllrnn.errors import ConfigError, ContractError, DimensionError
 from dllrnn.framing import FrameSpec
 from dllrnn.losses import pcm_loss
 from dllrnn.model import (ModelConfig, ParamStore, StreamingEnhancer, _forward, build_params, count_flops, count_macs_per_frame, count_params,
-                          enhance_waveform, model_forward)
+                          enhance_waveform, model_forward, param_table)
 from dllrnn.tensor import Tape, Tensor
 
 TINY = ModelConfig(channels=2, hidden=2, spatial=1, blocks=2,
@@ -70,6 +70,10 @@ def test_build_params_matches_count_params():
                             frame=FrameSpec(l_in=16, l_out=4, hop=2))):
         store = build_params(cfg, seed=0)
         assert store.n_scalars() == count_params(cfg)
+        assert [(n, s) for n, s, _ in param_table(cfg)] == [
+            (name, t.shape) for name, t in store.items()]
+    # the table holds no arrays, so counting a huge model allocates nothing
+    assert count_params(ModelConfig(hidden=2**30)) > 2**60
 
 
 def test_build_params_deterministic():

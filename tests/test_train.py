@@ -139,7 +139,8 @@ def test_fit_rejects_empty_dataset():
     ({"clip": float("inf")}, "clip must be finite and positive"),
     ({"chunk_seconds": -1.0}, "chunk_seconds must be finite and positive"),
     ({"epochs": -2}, "epochs must be >= 0"),
-], ids=["lr_nan", "lr_zero", "clip_inf", "chunk_negative", "epochs_negative"])
+    ({"seed": -1}, "seed must be >= 0, got -1"),
+], ids=["lr_nan", "lr_zero", "clip_inf", "chunk_negative", "epochs_negative", "seed_negative"])
 def test_fit_rejects_schedule_that_trains_wrong(change, message):
     store = build_params(SMALL, seed=0)
     before = {n: store[n].data.copy() for n in store.names()}
@@ -288,8 +289,36 @@ def test_checkpoint_rejects_corruption(tmp_path):
     tampered = bytearray(good_blob)
     tampered[16:20] = (8).to_bytes(4, "little")
     bad.write_bytes(bytes(tampered))
-    with pytest.raises(DataError, match="scalars"):
+    with pytest.raises(DataError, match=re.escape(
+            "parameter record 'encoder.linear.weight' has shape (4, 32), "
+            "config D-LL-RNN-8-2-2 requires (8, 32)")):
         load_checkpoint(bad)
+
+
+@pytest.mark.parametrize("fault,message", [
+    ("renamed", "missing parameter record 'encoder.linear.weight'"),
+    ("reshaped", "parameter record 'encoder.linear.weight' has shape (32, 8), "
+                 "config D-LL-RNN-8-2-2 requires (8, 32)"),
+    ("missing", "missing parameter record 'decoder.linear.bias'"),
+    ("unknown", "unknown parameter record 'extra.weight'"),
+], ids=["renamed", "reshaped", "missing", "unknown"])
+def test_checkpoint_rejects_mismatched_records(tmp_path, fault, message):
+    store = ParamStore()
+    for name, tensor in build_params(SMALL, seed=0).items():
+        arr = tensor.data
+        if name == "encoder.linear.weight" and fault == "renamed":
+            name = "encoder.linear.weights"
+        elif name == "encoder.linear.weight" and fault == "reshaped":
+            arr = arr.T   # same scalar count
+        elif name == "decoder.linear.bias" and fault == "missing":
+            continue
+        store.add(name, Tensor(arr))
+    if fault == "unknown":
+        store.add("extra.weight", Tensor(np.zeros(3, np.float32)))
+    path = tmp_path / f"{fault}.ckpt"
+    save_checkpoint(path, SMALL, store, 1)
+    with pytest.raises(DataError, match=re.escape(f"{path}: {message}")):
+        load_checkpoint(path)
 
 
 def test_checkpoint_rejects_trailing_bytes(tmp_path):
