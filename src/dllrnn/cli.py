@@ -83,7 +83,10 @@ def cmd_simulate(args) -> int:
         speech = speech_like(rng, n_samples)
         noises = [white_noise(rng, n_samples) if rng.integers(0, 2) == 0
                   else pink_noise(rng, n_samples) for _ in range(scene.n_noise)]
-        ex = spatialize_mixture(scene, speech, noises, order=cfg.order)
+        try:
+            ex = spatialize_mixture(scene, speech, noises, order=cfg.order)
+        except DegenerateInputError as exc:
+            raise DegenerateInputError(f"example {i}: {exc}") from None
         mix_name = f"ex{i:05d}.mix.wav"
         direct_name = f"ex{i:05d}.direct.wav"
         write_wav(os.path.join(cfg.out, mix_name), ex.mixture.astype(np.float32))

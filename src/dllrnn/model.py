@@ -107,9 +107,6 @@ class ParamStore:
     def tensors(self):
         return list(self._params.values())
 
-    def n_scalars(self) -> int:
-        return sum(t.size for t in self._params.values())
-
     def zero_grad(self):
         for t in self._params.values():
             t.grad = None

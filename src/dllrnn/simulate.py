@@ -194,7 +194,9 @@ def spatialize_mixture(scene: Scene, speech, noises, snr_db=None,
     the reverberation. Each noise waveform, as long as the speech, is
     convolved from its own drawn position; all noises share one scale factor
     chosen so the channel-summed direct-to-noise energy ratio equals
-    ``snr_db`` (defaults to the scene's drawn value).
+    ``snr_db`` (defaults to the scene's drawn value). A source whose direct
+    path reaches no microphone within the example's samples is a
+    ``DegenerateInputError``: the example would hold only sinc tails.
     """
     speech = np.asarray(speech, dtype=np.float64).ravel()
     if speech.size == 0 or not np.any(speech):
@@ -209,6 +211,15 @@ def spatialize_mixture(scene: Scene, speech, noises, snr_db=None,
             raise DimensionError(f"noise {k} has {nz.size} samples, the speech has {speech.size}")
         if not np.any(nz):
             raise DegenerateInputError(f"noise source {k} is silent")
+    sources = [("speech", scene.speech_pos)]
+    sources += [(f"noise {k}", pos) for k, pos in enumerate(scene.noise_pos)]
+    for what, pos in sources:
+        dist = np.linalg.norm(scene.mics - pos[None, :], axis=1)
+        arrival = int(np.floor(dist * SAMPLE_RATE / SPEED_OF_SOUND + 0.5).min())
+        if arrival >= speech.size:
+            raise DegenerateInputError(
+                f"{what} source's direct path first reaches a microphone at sample "
+                f"{arrival}, past the example's {speech.size} samples")
     if snr_db is None:
         snr_db = scene.snr_db
     s_full = _convolve_to_mics(speech, scene.room, scene.speech_pos, scene.mics, order)

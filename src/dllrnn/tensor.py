@@ -5,18 +5,18 @@ active (``with Tape() as tape: ...``). Calling ``tape.backward(root)`` on a
 scalar output replays the records in reverse and accumulates ``d root / d
 leaf`` into the ``grad`` of every leaf tensor created with
 ``requires_grad=True``. Gradients of intermediate results are kept only for
-the duration of the sweep; leaf gradients add up across sweeps until
-``zero_grad`` is called, which is what a training step expects.
+the duration of the sweep; leaf gradients add up across sweeps until their
+``grad`` is reset to None (``ParamStore.zero_grad``), which is how a training
+step sums its examples' gradients.
 
 Tapes are thread-confined: the active-tape stack is thread-local, so
 independent tapes may run on separate threads without sharing state.
 
 The tape keeps only composition. Differentiable work is recorded through
 :func:`from_op`, which takes an output array, its input tensors and a
-hand-written backward: the network (``model._backward``), its overlap-add
-and the PCM loss (``losses.pcm_loss``) are one such op each. :func:`add`
-and :func:`mul` join them, e.g. to sum per-example losses or to rescale the
-network's output.
+hand-written backward. Training records two such ops per example, on one
+tape per example: the network with its overlap-add and output rescale
+(``model.model_forward``) and the PCM loss (``losses.pcm_loss``).
 
 Precision follows the data: float32 is the training default, float64 is used
 by the finite-difference verification suites. Operations never mutate their
@@ -29,7 +29,7 @@ import threading
 
 import numpy as np
 
-from .errors import ContractError, DimensionError
+from .errors import ContractError
 
 _state = threading.local()
 
@@ -74,9 +74,6 @@ class Tensor:
     def size(self):
         return self.data.size
 
-    def zero_grad(self):
-        self.grad = None
-
     def item(self):
         if self.data.size != 1:
             raise ContractError(f"item() needs a single-element tensor, got shape {self.shape}")
@@ -84,11 +81,6 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={tuple(self.shape)}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
-
-    def __truediv__(self, other):
-        if isinstance(other, Tensor):
-            raise ContractError("division is supported by constants only")
-        return mul(self, Tensor(np.asarray(1.0 / other, dtype=self.dtype)))
 
 
 class Tape:
@@ -153,38 +145,3 @@ def from_op(data, inputs, backward):
         tape._record(out, tuple(inputs), backward)
     return out
 
-
-def _unbroadcast(grad, shape):
-    """Sum `grad` down to `shape`, undoing numpy broadcasting."""
-    extra = grad.ndim - len(shape)
-    if extra:
-        grad = grad.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, n in enumerate(shape) if n == 1 and grad.shape[i] != 1)
-    if axes:
-        grad = grad.sum(axis=axes, keepdims=True)
-    return grad
-
-
-def _check_broadcast(a, b, op):
-    try:
-        np.broadcast_shapes(a.shape, b.shape)
-    except ValueError:
-        raise DimensionError(f"{op}: shapes {a.shape} and {b.shape} do not broadcast") from None
-
-
-def add(a, b):
-    _check_broadcast(a, b, "add")
-
-    def backward(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
-
-    return from_op(a.data + b.data, (a, b), backward)
-
-
-def mul(a, b):
-    _check_broadcast(a, b, "mul")
-
-    def backward(g):
-        return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
-
-    return from_op(a.data * b.data, (a, b), backward)

@@ -22,7 +22,6 @@ from .framing import SAMPLE_RATE
 from .losses import pcm_loss
 from .model import ModelConfig, ParamStore, model_forward
 from .tensor import Tape
-from . import tensor as T
 
 _EPOCH_STREAM = 7919
 _STEP_STREAM = 104729
@@ -141,10 +140,13 @@ def fit(config: ModelConfig, store: ParamStore, dataset, schedule: Schedule, *,
         out_dir=None, state: OptState = None, start_step: int = 0, quiet: bool = True):
     """Train ``store`` in place on a list of examples; returns the step history.
 
-    Each step draws one seeded random chunk per batch example, runs the
-    model on the mixture, scores the estimate with the spectral loss against
-    the first-microphone direct path, backpropagates, clips the global
-    gradient norm, and applies one optimizer step. With ``out_dir`` set, a
+    Each step draws one seeded random chunk per batch example. Each example
+    gets its own tape: the model runs on the mixture, the spectral loss
+    scores the estimate against the first-microphone direct path, and the
+    backward sweep follows at once, so only one example's activations are
+    alive at a time. The parameters' gradients add up over the batch and are
+    scaled by 1/B into the batch mean; then the global gradient norm is
+    clipped and one optimizer step applied. With ``out_dir`` set, a
     checkpoint is written per epoch plus a best-loss one, and log lines go to
     ``train.log``.
     """
@@ -183,21 +185,24 @@ def fit(config: ModelConfig, store: ParamStore, dataset, schedule: Schedule, *,
                 rng = np.random.default_rng((schedule.seed, _STEP_STREAM, step))
                 t0 = time.perf_counter()
                 store.zero_grad()
-                with Tape() as tape:
-                    total = None
-                    for idx in batch:
-                        ex = dataset[idx]
-                        window = _crop(rng, ex.mixture.shape[1], chunk_len)
-                        mix = ex.mixture[:, window].astype(store.dtype, copy=False)
-                        target = ex.s_direct[0, window].astype(store.dtype, copy=False)
+                total = 0
+                for idx in batch:
+                    ex = dataset[idx]
+                    window = _crop(rng, ex.mixture.shape[1], chunk_len)
+                    mix = ex.mixture[:, window].astype(store.dtype, copy=False)
+                    target = ex.s_direct[0, window].astype(store.dtype, copy=False)
+                    with Tape() as tape:
                         est = model_forward(mix, config, store)
                         item = pcm_loss(est, target, mix[0])
-                        total = item if total is None else T.add(total, item)
-                    loss = total / len(batch) if len(batch) > 1 else total
-                    loss_value = loss.item()
-                    if not np.isfinite(loss_value):
-                        raise NumericalError(f"non-finite loss {loss_value} at step {step + 1}")
-                    tape.backward(loss)
+                        tape.backward(item)
+                    total = total + item.data
+                inv_batch = store.dtype.type(1.0 / len(batch))
+                for tensor in store.tensors():
+                    if tensor.grad is not None:
+                        tensor.grad *= inv_batch
+                loss_value = float(total * inv_batch)
+                if not np.isfinite(loss_value):
+                    raise NumericalError(f"non-finite loss {loss_value} at step {step + 1}")
                 grad_norm = clip_grad_norm(store, schedule.clip)
                 adam_step(store, state, schedule.lr)
                 step += 1

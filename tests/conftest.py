@@ -51,6 +51,16 @@ def tape_sum(t):
                    lambda g: (np.full_like(t.data, g.reshape(())),))
 
 
+def tape_add(a, b):
+    """Elementwise sum of two same-shape tensors: a test-local op built with from_op."""
+    return from_op(a.data + b.data, (a, b), lambda g: (g, g))
+
+
+def tape_mul(a, b):
+    """Elementwise product of two same-shape tensors: a test-local op built with from_op."""
+    return from_op(a.data * b.data, (a, b), lambda g: (g * b.data, g * a.data))
+
+
 def make_anechoic_example(seed=42, n_mics=2, snr_db=0.0, n=4000):
     """One reflection-free mixture with a single point noise source.
 

@@ -341,6 +341,20 @@ def test_simulate_negative_seed_flag_exits_1(workspace, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_simulate_duration_before_direct_arrival_exits_2(tmp_path, capsys):
+    # 16 samples end before the speech reaches any microphone: only sinc
+    # tails (peak ~1e-18) would land in the example
+    cfg = tmp_path / "short.cfg"
+    cfg.write_text("count=2\nchannels=2\norder=1\nduration_s=0.001\n")
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: example 0: speech source's direct path first reaches "
+                          "a microphone at sample ")
+    assert err.rstrip().endswith("past the example's 16 samples") and "Traceback" not in err
+    assert not (out / "manifest.txt").exists()
+
+
 @pytest.mark.parametrize("fault", ["short_direct", "rate_8k", "three_channels"])
 def test_bad_example_file(workspace, tmp_path, capsys, fault):
     records = _example_paths(workspace)

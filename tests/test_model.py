@@ -52,7 +52,7 @@ def test_param_store_contracts():
         store.add("a", Tensor(np.zeros(3)))
     store.add("b", Tensor(np.zeros((2, 2))))
     assert store.names() == ["a", "b"]
-    assert store.n_scalars() == 7
+    assert sum(t.size for t in store.tensors()) == 7
     with pytest.raises(ContractError):
         store.load_arrays({"a": np.zeros(3)})  # "b" missing
     with pytest.raises(DimensionError):
@@ -69,7 +69,7 @@ def test_build_params_matches_count_params():
                 ModelConfig(channels=3, hidden=16, spatial=1, blocks=1,
                             frame=FrameSpec(l_in=16, l_out=4, hop=2))):
         store = build_params(cfg, seed=0)
-        assert store.n_scalars() == count_params(cfg)
+        assert sum(t.size for t in store.tensors()) == count_params(cfg)
         assert [(n, s) for n, s, _ in param_table(cfg)] == [
             (name, t.shape) for name, t in store.items()]
     # the table holds no arrays, so counting a huge model allocates nothing
@@ -106,7 +106,7 @@ def test_count_params_tiny_hand_enumeration():
     #   block2 (D=3, streams 2): conv 2*2*3+2*2 = 16, 5, 40, 6     -> 67
     #   decoder: 2*2+2                                             -> 6
     assert count_params(TINY) == 15 + 63 + 67 + 6 == 151
-    assert build_params(TINY, seed=0).n_scalars() == 151
+    assert sum(t.size for t in build_params(TINY, seed=0).tensors()) == 151
 
 
 def test_count_macs_tiny_hand_enumeration():

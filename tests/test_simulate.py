@@ -8,7 +8,7 @@ import numpy.testing as npt
 import pytest
 
 from dllrnn.errors import DataError, DegenerateInputError, DimensionError, GeometryError
-from dllrnn.simulate import (MixtureExample, RoomSpec, _axis_images, achieved_snr, draw_scene,
+from dllrnn.simulate import (MixtureExample, RoomSpec, Scene, _axis_images, achieved_snr, draw_scene,
                              image_sources, manifest_read, manifest_write, mic_circle, pink_noise,
                              simulate_rir, spatialize_mixture, speech_like, white_noise)
 
@@ -202,6 +202,27 @@ def test_spatialize_input_validation():
         spatialize_mixture(scene, speech, [noises[0], np.zeros(n)], order=0)
     with pytest.raises(DimensionError):
         spatialize_mixture(scene, speech, [noises[0]], order=0)
+
+
+def test_spatialize_rejects_example_shorter_than_direct_arrival():
+    # speech ~0.5 m from the array, noise ~11 m: an example that ends
+    # before a source's first direct-path tap carries only sinc tails
+    mics = mic_circle([1.0, 1.0, 1.5], n=2)
+    scene = Scene(room=ROOM, mics=mics, speech_pos=np.array([1.5, 1.0, 1.5]),
+                  noise_pos=[np.array([5.5, 5.5, 1.5])], snr_db=0.0, n_noise=1)
+    dist = np.linalg.norm(mics - scene.noise_pos[0], axis=1)
+    arrival = int(np.floor(dist * 16000.0 / 343.0 + 0.5).min())
+    rng = np.random.default_rng(11)
+    for n in (arrival, arrival - 1):
+        with pytest.raises(DegenerateInputError, match=(
+                f"noise 0 source's direct path first reaches a microphone at sample "
+                f"{arrival}, past the example's {n} samples")):
+            spatialize_mixture(scene, speech_like(rng, n), [white_noise(rng, n)], order=1)
+    n = arrival + 1
+    ex = spatialize_mixture(scene, speech_like(rng, n), [white_noise(rng, n)], order=1)
+    assert ex.mixture.shape == (2, n)
+    with pytest.raises(DegenerateInputError, match="^speech source's direct path"):
+        spatialize_mixture(scene, speech_like(rng, 8), [white_noise(rng, 8)], order=1)
 
 
 @pytest.mark.parametrize("n_noise_samples", [300, 1199, 1201],

@@ -8,11 +8,13 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from dllrnn import train
 from dllrnn.checkpoint import load_checkpoint, save_checkpoint
 from dllrnn.errors import ConfigError, DataError, NumericalError
 from dllrnn.framing import FrameSpec
-from dllrnn.model import ModelConfig, ParamStore, build_params
-from dllrnn.tensor import Tensor
+from dllrnn.losses import pcm_loss
+from dllrnn.model import ModelConfig, ParamStore, build_params, model_forward
+from dllrnn.tensor import Tape, Tensor
 from dllrnn.train import OptState, Schedule, TrainExample, adam_step, clip_grad_norm, fit
 from conftest import make_anechoic_example
 
@@ -182,6 +184,72 @@ def test_fit_history_and_loss_decrease():
         assert np.isfinite(h["grad_norm"]) and h["grad_norm"] >= 0.0
         assert h["wall_s"] > 0.0
     assert history[-1]["loss"] < history[0]["loss"]
+
+
+def test_fit_backward_follows_each_forward(monkeypatch):
+    # one tape per example: each forward is differentiated before the next
+    # example runs, so only one example's activations are alive at a time
+    calls = []
+    forward, backward = train.model_forward, Tape.backward
+
+    def traced_forward(*args, **kwargs):
+        calls.append("f")
+        return forward(*args, **kwargs)
+
+    def traced_backward(self, root):
+        calls.append("b")
+        return backward(self, root)
+
+    monkeypatch.setattr(train, "model_forward", traced_forward)
+    monkeypatch.setattr(Tape, "backward", traced_backward)
+    fit(SMALL, build_params(SMALL, seed=0), _tiny_dataset(n_examples=3, n=300),
+        Schedule(epochs=1, batch_size=3, chunk_seconds=0.01, seed=0))
+    assert calls == ["f", "b"] * 3
+
+
+def test_fit_gradient_is_batch_mean():
+    # history's loss and pre-clip grad norm, and the gradient fit leaves on
+    # the store (an unreachable clip leaves it unscaled), are the mean over
+    # the batch of each example's loss and gradient, each on its own tape
+    dataset = _tiny_dataset(n_examples=3)
+    start = build_params(SMALL, seed=0, dtype=np.float64)
+    losses, grads = [], []
+    for ex in dataset:
+        store = build_params(SMALL, seed=0, dtype=np.float64)
+        mix = ex.mixture.astype(np.float64)
+        with Tape() as tape:
+            item = pcm_loss(model_forward(mix, SMALL, store),
+                            ex.s_direct[0].astype(np.float64), mix[0])
+            tape.backward(item)
+        losses.append(item.item())
+        grads.append({name: t.grad for name, t in store.items()})
+    mean = {name: sum(g[name] for g in grads) / 3 for name in start.names()}
+    norm = np.sqrt(sum(np.sum(g ** 2) for g in mean.values()))
+
+    history = fit(SMALL, start, dataset,
+                  Schedule(epochs=1, batch_size=3, chunk_seconds=1.0, seed=0, clip=1e9))
+    assert len(history) == 1
+    assert history[0]["loss"] == pytest.approx(np.mean(losses), rel=1e-12, abs=0.0)
+    assert history[0]["grad_norm"] == pytest.approx(norm, rel=1e-12, abs=0.0)
+    for name, g in mean.items():
+        npt.assert_allclose(start[name].grad, g, rtol=0.0, atol=1e-12 * np.abs(g).max(),
+                            err_msg=name)
+
+
+def test_fit_nonfinite_loss_aborts_before_update():
+    # the second example's loss is NaN; its backward has already run when
+    # the batch loss is checked, but no parameter or optimizer state moves
+    dataset = _tiny_dataset(n_examples=2)
+    dataset[1].s_direct[0, 5] = np.nan
+    store = build_params(SMALL, seed=0)
+    before = {n: store[n].data.copy() for n in store.names()}
+    state = OptState.for_store(store)
+    with pytest.raises(NumericalError, match="^non-finite loss nan at step 1$"):
+        fit(SMALL, store, dataset, Schedule(epochs=1, batch_size=2, chunk_seconds=1.0),
+            state=state)
+    assert state.step == 0
+    for name in store.names():
+        npt.assert_array_equal(store[name].data, before[name])
 
 
 def test_fit_writes_log_and_checkpoints(tmp_path):
