@@ -43,7 +43,11 @@ def linear_backward(dout, x, w):
 
 # ---------------------------------------------------------------------------
 # Per-hidden-unit spatial filtering: x (D, T, F), w (F, O, D), b (O, F).
-# Batched matmuls over F; the forward one is also stacked over T.
+# Batched matmuls over F; the forward one is also stacked over T. The model
+# stores x with D innermost (F×T×D memory, read through a D×T×F view), so
+# each (t, f) product reads its D inputs contiguously and the output comes
+# back O-innermost. The backward's dx is the (F,T,O)@(F,O,D) product, which
+# leaves it D-innermost like x, and dw contracts over T.
 # ---------------------------------------------------------------------------
 
 def spatial_conv_forward(x, w, b):
@@ -54,7 +58,7 @@ def spatial_conv_forward(x, w, b):
 
 
 def spatial_conv_backward(dout, x, w):
-    dx = np.matmul(w.transpose(0, 2, 1), dout.transpose(2, 0, 1)).transpose(1, 2, 0)
+    dx = np.matmul(dout.transpose(2, 1, 0), w).transpose(2, 1, 0)
     dw = np.matmul(dout.transpose(2, 0, 1), x.transpose(2, 1, 0))
     db = dout.sum(axis=1)
     return dx, dw, db
@@ -85,17 +89,22 @@ def layer_norm_backward(dout, xhat, inv_std, gain):
 
 
 # ---------------------------------------------------------------------------
-# PReLU with one scalar slope a: x where x >= 0, a·x otherwise
+# PReLU with one scalar slope a: x where x >= 0, a·x otherwise. Both
+# directions are branch-free products and sums, not np.where selects: a
+# select branches per element, and on activations of random sign that costs
+# about four times the arithmetic. Each gives the select's values, except
+# that a zero may come out +0 where the select gives -0.
 # ---------------------------------------------------------------------------
 
 def prelu_forward(x, a):
-    return np.where(x < 0, a * x, x)
+    return np.maximum(x, 0) + a * np.minimum(x, 0)
 
 
 def prelu_backward(dout, x, a):
     neg = x < 0
-    dx = np.where(neg, a, x.dtype.type(1.0)) * dout
-    da = np.asarray((dout * np.where(neg, x, 0.0)).sum(), dtype=x.dtype).reshape(np.shape(a))
+    slope = neg * a + ~neg                   # exactly a where x < 0, else 1
+    dx = slope * dout
+    da = np.asarray((dout * np.minimum(x, 0)).sum(), dtype=x.dtype).reshape(np.shape(a))
     return dx, da
 
 

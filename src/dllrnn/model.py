@@ -18,6 +18,15 @@ Assembly (all widths in the config):
 The input waveform is scaled to pooled unit variance before framing and the
 estimate is scaled back afterwards, so the output lives at input level.
 
+Storage order: the dense stack is indexed D×T×F but stored F×T×D, with the
+stream axis D innermost (Goto & van de Geijn, ACM TOMS 2008). Block ``b``'s
+spatial conv therefore reads each (t, f) position's ``D_b`` streams as one
+contiguous run, and its input gradient comes out of one batched product in
+the same order, ready to add into the stack's gradient. The block tensors
+after the conv (its output, the layer-norm and PReLU rows, ``mixed`` and
+their gradients) are O×T×F stored F×T×O, so no layer hands the next a
+transposed copy; only the LSTM reads a contiguous T×F copy of stream 0.
+
 The parameters are one table, :func:`param_table`: names, shapes and
 initializers in the order :func:`_forward` takes them. :func:`build_params`,
 :func:`count_params` and the checkpoint loader all read it. The assembly is
@@ -179,6 +188,16 @@ def build_params(config: ModelConfig, seed: int = 0, dtype=np.float32) -> ParamS
     return store
 
 
+def _rows(streams):
+    """An O×T×F block tensor stored F×T×O as T·O rows of F, without a copy."""
+    return streams.transpose(1, 0, 2).reshape(-1, streams.shape[2])
+
+
+def _streams(rows, n):
+    """The inverse of :func:`_rows` for ``n`` streams: rows back to O×T×F."""
+    return rows.reshape(-1, n, rows.shape[1]).transpose(1, 0, 2)
+
+
 def _forward(config: ModelConfig, params, frames, states, caches=None):
     """The network on plain arrays: C×T×l_in frames in, T×l_out decoder frames out.
 
@@ -187,6 +206,11 @@ def _forward(config: ModelConfig, params, frames, states, caches=None):
     before frame 0 and overwritten with the state after frame T-1. When
     ``caches`` is a list, the activations :func:`_backward` replays are
     appended to it.
+
+    Every block tensor is stored with its stream axis innermost, like the
+    dense stack: the spatial conv returns O×T×F stored F×T×O, layer norm and
+    PReLU run on :func:`_rows` views of it, and the only copy is the LSTM's
+    contiguous T×F input stream.
     """
     c, t_len, l_in = frames.shape
     f = config.hidden
@@ -197,26 +221,31 @@ def _forward(config: ModelConfig, params, frames, states, caches=None):
                                             params[2], params[3], eps)
     # The dense stack: block b reads rows [:D_b] and writes its output to the
     # rows after them; the final block's single row is the decoder's input.
-    dense = np.empty((config.block_in_width(config.blocks) + 1, t_len, f), frames.dtype)
+    # It is indexed D×T×F and stored F×T×D, stream axis innermost.
+    dense = np.empty((f, t_len, config.block_in_width(config.blocks) + 1),
+                     frames.dtype).transpose(2, 1, 0)
     dense[:c] = K.prelu_forward(y, params[4]).reshape(c, t_len, f)
     if keep:
         caches.append((x, y, xhat, inv_std))
     for b in range(1, config.blocks + 1):
         i = 10 * b - 5
         conv_w, conv_b, ln_g, ln_b, a, wx, wh, lstm_b, lin_w, lin_b = params[i:i + 10]
-        lo = config.block_in_width(b)
+        lo, n_out = config.block_in_width(b), config.block_out_width(b)
         conv = K.spatial_conv_forward(dense[:lo], conv_w, conv_b)
-        y, xhat, inv_std = K.layer_norm_forward(np.ascontiguousarray(conv.reshape(-1, f)),
-                                                ln_g, ln_b, eps)
-        mixed = K.prelu_forward(y, a).reshape(conv.shape)
+        y, xhat, inv_std = K.layer_norm_forward(_rows(conv), ln_g, ln_b, eps)
+        mixed = _streams(K.prelu_forward(y, a), n_out + 1)
         # Stream 0 is the temporal stream: LSTM plus linear, then it gates the rest.
+        temporal = np.ascontiguousarray(mixed[0])
         h0, c0 = states[b - 1]
-        h, gates, cell, tanh_c = K.lstm_forward(mixed[0], wx, wh, lstm_b, h0, c0)
+        h, gates, cell, tanh_c = K.lstm_forward(temporal, wx, wh, lstm_b, h0, c0)
         states[b - 1] = (h[-1], cell[-1])
         gate = K.linear_forward(h, lin_w, lin_b)
-        np.multiply(mixed[1:], gate, out=dense[lo:lo + config.block_out_width(b)])
+        # order="F" walks the S×T×F product S-fastest, in storage order; by
+        # default numpy would follow the C-ordered gate and stride across F.
+        np.multiply(mixed[1:], gate, out=dense[lo:lo + n_out], order="F")
         if keep:
-            caches.append((y, xhat, inv_std, mixed, (h, gates, cell, tanh_c, h0, c0), gate))
+            caches.append((y, xhat, inv_std, mixed, (temporal, h, gates, cell, tanh_c, h0, c0),
+                           gate))
     if keep:
         caches.append(dense)
     return K.linear_forward(dense[-1], params[-2], params[-1])
@@ -225,7 +254,9 @@ def _forward(config: ModelConfig, params, frames, states, caches=None):
 def _backward(config: ModelConfig, params, caches, g):
     """Every parameter's gradient, in ``params`` order, from the gradient ``g``
     of the T×l_out frames that :func:`_forward` returned while filling
-    ``caches``: the forward's layers in reverse, each through its backward kernel.
+    ``caches``: the forward's layers in reverse, each through its backward
+    kernel. Each gradient is stored in the order of the activation it belongs
+    to, so the stack's gradient is D-innermost too.
     """
     f = config.hidden
     grads = [None] * len(params)
@@ -237,21 +268,20 @@ def _backward(config: ModelConfig, params, caches, g):
     for b in range(config.blocks, 0, -1):
         i = 10 * b - 5
         conv_w, _, ln_g, _, a, wx, wh, _, lin_w, _ = params[i:i + 10]
-        y, xhat, inv_std, mixed, (h, gates, cell, tanh_c, h0, c0), gate = caches[b]
-        lo = config.block_in_width(b)
-        d_out = d_dense[lo:lo + config.block_out_width(b)]
+        y, xhat, inv_std, mixed, (temporal, h, gates, cell, tanh_c, h0, c0), gate = caches[b]
+        lo, n_out = config.block_in_width(b), config.block_out_width(b)
+        d_out = d_dense[lo:lo + n_out]
         # The gate was broadcast over the S_out gated streams; with one stream
         # there is nothing to sum, and summing would turn a -0 into +0.
-        d_gate = d_out * mixed[1:]
-        d_gate = d_gate.sum(axis=0) if d_gate.shape[0] > 1 else d_gate[0]
+        d_gate = np.einsum("stf,stf->tf", d_out, mixed[1:]) if n_out > 1 else d_out[0] * mixed[1]
         d_h, d_lin_w, d_lin_b = K.linear_backward(d_gate, h, lin_w)
         d_mixed = np.empty_like(mixed)
-        d_mixed[1:] = d_out * gate
-        d_mixed[0], d_wx, d_wh, d_lstm_b = K.lstm_backward(d_h, mixed[0], wx, wh, gates, cell,
+        np.multiply(d_out, gate, out=d_mixed[1:], order="F")  # storage order, as in _forward
+        d_mixed[0], d_wx, d_wh, d_lstm_b = K.lstm_backward(d_h, temporal, wx, wh, gates, cell,
                                                            tanh_c, h, h0, c0)
-        d_y, d_a = K.prelu_backward(d_mixed.reshape(-1, f), y, a)
+        d_y, d_a = K.prelu_backward(_rows(d_mixed), y, a)
         d_conv, d_ln_g, d_ln_b = K.layer_norm_backward(d_y, xhat, inv_std, ln_g)
-        d_in, d_conv_w, d_conv_b = K.spatial_conv_backward(d_conv.reshape(mixed.shape),
+        d_in, d_conv_w, d_conv_b = K.spatial_conv_backward(_streams(d_conv, n_out + 1),
                                                            dense[:lo], conv_w)
         d_dense[:lo] += d_in
         grads[i:i + 10] = (d_conv_w, d_conv_b, d_ln_g, d_ln_b, d_a,

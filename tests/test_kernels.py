@@ -25,6 +25,16 @@ def _f32(rng, *shape):
     return rng.standard_normal(shape).astype(np.float32)
 
 
+def _d_innermost(x):
+    """A copy of a D×T×F array stored F×T×D, the model's dense-stack order."""
+    return np.ascontiguousarray(x.transpose(2, 1, 0)).transpose(2, 1, 0)
+
+
+def _stream_rows(x):
+    """The T·O rows of F that the model's layer norm reads from an O×T×F block."""
+    return x.transpose(1, 0, 2).reshape(-1, x.shape[2])
+
+
 def test_forward_rows_are_independent_of_row_count():
     rng = np.random.default_rng(10)
     t_len, f = 40, 64
@@ -48,6 +58,34 @@ def test_forward_rows_are_independent_of_row_count():
     for i in range(x.shape[0]):
         for got, want in zip(K.layer_norm_forward(x[i:i + 1].copy(), gain, bias, eps), full):
             npt.assert_array_equal(got[0], want[i])
+    # the same kernels at the strides the model passes them, T=40 against the
+    # one-frame buffers a push builds: numpy picks its matmul and reduce loops
+    # by stride, so C-order copies do not stand in for these
+    stack = _d_innermost(_f32(rng, 65, t_len, f))  # the 64-8-8 dense stack, F×T×65
+    frame_stacks = [_d_innermost(stack[:, t:t + 1]) for t in range(t_len)]
+    for d in range(8, 65, 8):
+        o = 2 if d == 64 else 9
+        w, b = _f32(rng, f, o, d), _f32(rng, o, f)
+        full = K.spatial_conv_forward(stack[:d], w, b)
+        for t in range(t_len):
+            npt.assert_array_equal(K.spatial_conv_forward(frame_stacks[t][:d], w, b)[:, 0],
+                                   full[:, t])
+    # the decoder reads the stack's last row, a T×F view with no unit stride
+    w, b = _f32(rng, 32, f), _f32(rng, 32)
+    full = K.linear_forward(stack[-1], w, b)
+    for t in range(t_len):
+        npt.assert_array_equal(K.linear_forward(frame_stacks[t][-1], w, b)[0], full[t])
+    # block layer norm: the T·O rows of a conv output stored F×T×O
+    for o in (9, 2):
+        conv = _d_innermost(_f32(rng, o, t_len, f))
+        rows = _stream_rows(conv)
+        assert rows.strides[0] == rows.itemsize and np.shares_memory(rows, conv)
+        full = K.layer_norm_forward(rows, gain, bias, eps)
+        for t in range(t_len):
+            one = K.layer_norm_forward(_stream_rows(_d_innermost(conv[:, t:t + 1])),
+                                       gain, bias, eps)
+            for got, want in zip(one, full):
+                npt.assert_array_equal(got, want[t * o:(t + 1) * o])
     # the LSTM one step per call with carried state, as a streaming session runs it
     x, wx, wh, b = _f32(rng, t_len, f), _f32(rng, 4 * f, f), _f32(rng, 4 * f, f), _f32(rng, 4 * f)
     h0, c0 = _f32(rng, f), _f32(rng, f)
@@ -83,6 +121,35 @@ def test_spatial_conv_backward_fd():
     assert rel_err(db, fd_grad(lambda v: K.spatial_conv_forward(x, w, v).sum(), b)) < 1e-7
 
 
+def test_spatial_conv_backward_at_stack_strides():
+    # x as block 3 of a 4-block model reads it: the leading D rows of a wider
+    # D-innermost stack; dout in the conv output's own F×T×O order
+    rng = np.random.default_rng(16)
+    d, t_len, f, o, width = 5, 3, 4, 3, 8
+    w = _rand(rng, f, o, d)
+
+    def stacked(v):
+        buf = np.zeros((width, t_len, f))
+        buf[:d] = v
+        return _d_innermost(buf)[:d]
+
+    x_c, dout_c = _rand(rng, d, t_len, f), _rand(rng, o, t_len, f)
+    x, dout = stacked(x_c), _d_innermost(dout_c)
+    assert x.strides[0] == dout.strides[0] == x.itemsize
+    got, want = K.spatial_conv_backward(dout, x, w), K.spatial_conv_backward(dout_c, x_c, w)
+    assert got[0].strides[0] == got[0].itemsize  # dx comes out D-innermost, like x
+    for g, r in zip(got, want):
+        assert rel_err(g, r) < 1e-6
+    b = np.zeros((o, f))
+    dx, dw, db = got
+    assert rel_err(dx, fd_grad(lambda v: (K.spatial_conv_forward(stacked(v), w, b)
+                                          * dout).sum(), x_c)) < 1e-7
+    assert rel_err(dw, fd_grad(lambda v: (K.spatial_conv_forward(x, v, b) * dout).sum(),
+                               w)) < 1e-7
+    assert rel_err(db, fd_grad(lambda v: (K.spatial_conv_forward(x, w, v) * dout).sum(),
+                               b)) < 1e-7
+
+
 def test_layer_norm_backward_fd():
     rng = np.random.default_rng(7)
     x, gain, bias = _rand(rng, 4, 5), _rand(rng, 5), _rand(rng, 5)
@@ -111,6 +178,21 @@ def test_prelu_backward_fd():
     assert da.shape == ()
     assert rel_err(dx, fd_grad(lambda v: loss(v, a), x)) < 1e-8
     assert rel_err(da, fd_grad(lambda v: loss(x, v), a)) < 1e-8
+
+
+def test_prelu_matches_select():
+    # the branch-free forms give np.where's values, zeros and both slopes included
+    rng = np.random.default_rng(17)
+    x = _f32(rng, 50, 64)
+    x[::7, ::5] = 0.0
+    dout = _f32(rng, 50, 64)
+    for a in (np.float32(0.25), np.float32(-0.5), np.float32(0.0)):
+        neg = x < 0
+        npt.assert_array_equal(K.prelu_forward(x, a), np.where(neg, a * x, x))
+        dx, da = K.prelu_backward(dout, x, a)
+        npt.assert_array_equal(dx, np.where(neg, a, np.float32(1.0)) * dout)
+        npt.assert_array_equal(da, (dout * np.where(neg, x, 0.0)).sum())
+        assert dx.dtype == da.dtype == np.float32
 
 
 def test_lstm_backward_fd():

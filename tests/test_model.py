@@ -178,6 +178,43 @@ def test_st_block_shapes_at_defaults():
         StreamingEnhancer(cfg, store).push(np.zeros((5, cfg.frame.hop), np.float32))
 
 
+def test_block_tensors_keep_the_stream_axis_innermost(monkeypatch):
+    # The dense stack, each block's tensors and their gradients are stored
+    # with the stream axis at unit stride, on the training path and in a push;
+    # a strided fallback would still compute the same numbers, only slower.
+    cfg = ModelConfig()
+    store = build_params(cfg, seed=0)
+    item = np.dtype(np.float32).itemsize
+    frames = np.random.default_rng(0).standard_normal((8, 3, 256)).astype(np.float32)
+    _, caches = _run_forward(cfg, store, frames)
+    assert caches[-1].strides[0] == item
+    for b in range(1, 9):
+        y, xhat, _, mixed, _, _ = caches[b]
+        # layer norm and PReLU ran on T·O rows of F whose row axis is the stream axis
+        assert mixed.strides[0] == y.strides[0] == xhat.strides[0] == item
+    strides = {"spatial_conv_forward": [], "spatial_conv_backward": []}
+
+    def recording(name, kernel):
+        def wrapper(*args):
+            out = kernel(*args)
+            # forward: x; backward: dout, x and the returned dx
+            arrays = args[:1] if name == "spatial_conv_forward" else (*args[:2], out[0])
+            strides[name] += [a.strides[0] for a in arrays]
+            return out
+        return wrapper
+
+    for name in strides:
+        monkeypatch.setattr(K, name, recording(name, getattr(K, name)))
+    y = np.random.default_rng(1).standard_normal((8, 400)).astype(np.float32)
+    with Tape() as tape:
+        tape.backward(pcm_loss(model_forward(y, cfg, store), y[0], y[0]))
+    assert strides["spatial_conv_backward"] == [item] * 3 * cfg.blocks
+    assert strides["spatial_conv_forward"] == [item] * cfg.blocks
+    enhance_waveform(y[:, :64], cfg, store, scale=1.0)  # T=1 forwards, one per push
+    assert len(strides["spatial_conv_forward"]) > cfg.blocks
+    assert set(strides["spatial_conv_forward"]) == {item}
+
+
 def _force_gate(store, b, weight_value, bias_value):
     """Zero block b's LSTM and pin its post-LSTM linear to a constant."""
     for name in ("lstm.wx", "lstm.wh", "lstm.bias"):
