@@ -195,7 +195,7 @@ def cmd_count(args) -> int:
     for name in args.configs:
         config = _parse_count_name(name, args.channels)
         params = count_params(config)
-        gflops = count_flops(config, 1.0) / 1e9
+        gflops = count_flops(config) / 1e9
         print(f"{config.name:<20} {params:>12} {params / 1e6:>10.3f} {gflops:>10.3f}")
     print(f"# convention: 2 FLOPs per multiply-accumulate, matrix contractions only, "
           f"{SAMPLE_RATE // config.frame.hop} frames/s of {args.channels}-channel audio")

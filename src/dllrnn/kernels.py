@@ -13,12 +13,15 @@ differently for one frame than for a thousand. Layer norm reduces each row
 on its own and the LSTM steps one frame at a time. That is what makes the
 streaming enhancer (one frame per call) bit-identical to the whole-utterance
 path (all frames in one call). The backward kernels only run in training,
-over whole utterances, and use plain BLAS products. The LSTM backward is one
-reverse recursion that carries only ``dh`` and ``dc`` from step to step and
-stacks each step's gate gradient ``dz``; the input, input-weight,
-recurrent-weight and bias gradients are then single GEMMs (or a sum) over the
-stacked ``dz`` (Appleyard, Kočiský & Blunsom, "Optimizing Performance of
-Recurrent Neural Networks on GPUs", arXiv 1604.01946).
+over whole utterances, and use plain BLAS products. The LSTM forward writes
+its hidden and cell states as T+1 rows, row 0 being the state before the
+run, so the backward reads each step's previous state as a view of the
+forward's own arrays. The LSTM backward is one reverse recursion that
+carries only ``dh`` and ``dc`` from step to step and stacks each step's gate
+gradient ``dz``; the input, input-weight, recurrent-weight and bias
+gradients are then single GEMMs (or a sum) over the stacked ``dz``
+(Appleyard, Kočiský & Blunsom, "Optimizing Performance of Recurrent Neural
+Networks on GPUs", arXiv 1604.01946).
 """
 
 import numpy as np
@@ -110,8 +113,10 @@ def prelu_backward(dout, x, a):
 
 # ---------------------------------------------------------------------------
 # LSTM over time: x (T, F), gate order input/forget/cell/output.
-# Forward returns the hidden sequence plus the activation caches that the
-# backward pass replays.
+# Forward returns the hidden and cell states h, c as (T+1, F), row 0 holding
+# the state before the run (h0, c0) and row t+1 the state after frame t,
+# plus the T-row gate and tanh(c) caches that the backward pass replays.
+# The backward reads the previous states as the views h[:-1] and c[:-1].
 # ---------------------------------------------------------------------------
 
 def _sigmoid(z):
@@ -120,37 +125,31 @@ def _sigmoid(z):
 
 def lstm_forward(x, wx, wh, b, h0, c0):
     t_len, f = x.shape
-    h = np.empty((t_len, f), x.dtype)
-    c = np.empty((t_len, f), x.dtype)
+    h = np.empty((t_len + 1, f), x.dtype)
+    c = np.empty((t_len + 1, f), x.dtype)
+    h[0], c[0] = h0, c0
     gates = np.empty((t_len, 4 * f), x.dtype)
     tanh_c = np.empty((t_len, f), x.dtype)
-    hp = h0
-    cp = c0
+    cp = c[0]
     for t in range(t_len):
-        z = wx @ x[t] + wh @ hp + b
+        z = wx @ x[t] + wh @ h[t] + b
         gates[t] = _sigmoid(z)
         gates[t, 2 * f:3 * f] = np.tanh(z[2 * f:3 * f])
         gi, gf, gg, go = gates[t, :f], gates[t, f:2 * f], gates[t, 2 * f:3 * f], gates[t, 3 * f:]
         cv = gf * cp + gi * gg
         tc = np.tanh(cv)
-        c[t] = cv
+        c[t + 1] = cv
         tanh_c[t] = tc
-        h[t] = go * tc
-        hp = h[t]
+        h[t + 1] = go * tc
         cp = cv
     return h, gates, c, tanh_c
 
 
-def lstm_backward(dh_out, x, wx, wh, gates, c, tanh_c, h, h0, c0):
+def lstm_backward(dh_out, x, wx, wh, gates, c, tanh_c, h):
     t_len, f = x.shape
     g4 = gates.reshape(t_len, 4, f)
     gi, gf, gg, go = g4[:, 0], g4[:, 1], g4[:, 2], g4[:, 3]
-    h_prev = np.empty_like(h)
-    h_prev[:1] = h0
-    h_prev[1:] = h[:-1]
-    c_prev = np.empty_like(c)
-    c_prev[:1] = c0
-    c_prev[1:] = c[:-1]
+    h_prev, c_prev = h[:-1], c[:-1]
     # every factor that does not depend on the recursion, for all steps at once:
     # dcv = dhk·dcv_per_dh + dc; dz starts as the gate multipliers, and the
     # loop scales its i/f/g rows by dcv and its o row by dhk

@@ -6,14 +6,16 @@ speech estimate and once to the implied interference estimate (mixture minus
 speech). Keeping real and imaginary parts separate inside the magnitude makes
 the loss sensitive to phase while remaining cheap and differentiable.
 
-The loss is one tape op with a hand-written backward. Its forward takes the
-Hann-windowed STFT of the estimate, target and mixture once each, through
-the frame gather and cached ``[cos | -sin]`` basis product :func:`stft` also
-uses, and forms the interference spectra by subtraction, since the STFT is
-linear. Its backward sends sign(diff)·sign(spectrum) back through the
-transposed basis, then through :func:`~dllrnn.framing.overlap_sum`, the
-adjoint of the frame gather. Evaluation uses scale-invariant SDR, computed
-in double precision outside the tape.
+The loss is one tape op with a hand-written backward, and only the
+estimate is differentiated: the target and the mixture are plain arrays.
+Its forward takes the Hann-windowed STFT of the estimate, target and mixture
+once each, through the frame gather and cached ``[cos | -sin]`` basis
+product :func:`stft` also uses, and forms the interference spectra by
+subtraction, since the STFT is linear. Its backward sends the estimate
+spectrum's sign(diff)·sign(spectrum) terms back through the transposed
+basis, then through :func:`~dllrnn.framing.overlap_sum`, the adjoint of the
+frame gather. Evaluation uses scale-invariant SDR, computed in double
+precision outside the tape.
 """
 
 from __future__ import annotations
@@ -83,13 +85,15 @@ def stft(x, window: int = STFT_WINDOW, hop: int = STFT_HOP):
 def pcm_loss(x_hat, x, y) -> Tensor:
     """Phase-constrained magnitude loss of an estimate against target + mixture.
 
-    ``x_hat`` is the speech estimate (typically on the tape), ``x`` the
-    direct-path target and ``y`` the reference-microphone mixture. The loss is
-    the spectral L1 term on (x, x̂) plus the same term on the interference
-    estimates (y − x, y − x̂). Each input is a length-N or 1×N waveform.
+    ``x_hat`` is the speech estimate (typically a Tensor on the tape), ``x``
+    the direct-path target and ``y`` the reference-microphone mixture. The
+    loss is the spectral L1 term on (x, x̂) plus the same term on the
+    interference estimates (y − x, y − x̂). Each input is a length-N or 1×N
+    waveform. Only ``x_hat`` is recorded as an input of the op: ``x`` and
+    ``y`` are arrays and get no gradient.
     """
-    inputs = [v if isinstance(v, Tensor) else Tensor(v) for v in (x_hat, x, y)]
-    signals = [_flat(t.data) for t in inputs]
+    est = x_hat if isinstance(x_hat, Tensor) else Tensor(x_hat)
+    signals = [_flat(v) for v in (est.data, x, y)]
     if not (signals[0].shape == signals[1].shape == signals[2].shape):
         raise DimensionError(
             f"pcm_loss lengths differ: estimate {signals[0].shape}, target "
@@ -102,24 +106,22 @@ def pcm_loss(x_hat, x, y) -> Tensor:
     s_hat, s, s_mix = (_spectrum(v.astype(dtype, copy=False), STFT_WINDOW, STFT_HOP)
                        for v in signals)
     value = 0.0
-    terms = []  # per term, d(term)/d(reference spectrum) and d(term)/d(estimate spectrum)
-    for ref, est in ((s, s_hat), (s_mix - s, s_mix - s_hat)):
+    d_est = []  # per term, d(term)/d(its estimate spectrum)
+    for ref, est_spec in ((s, s_hat), (s_mix - s, s_mix - s_hat)):
         # Both magnitudes are summed before the difference, so an exact
         # estimate scores exactly 0.
         diff = ((np.abs(ref[:, :bins]) + np.abs(ref[:, bins:]))
-                - (np.abs(est[:, :bins]) + np.abs(est[:, bins:])))
+                - (np.abs(est_spec[:, :bins]) + np.abs(est_spec[:, bins:])))
         value = value + np.abs(diff).mean()
-        d_mag = np.tile(np.sign(diff) / diff.size, 2)
-        terms.append((d_mag * np.sign(ref), -d_mag * np.sign(est)))
-    (d_s, d_s_hat), (d_noise, d_noise_hat) = terms
-    # y − x and y − x̂ are linear in the three signals' spectra.
-    spectral = (d_s_hat - d_noise_hat, d_s - d_noise, d_noise + d_noise_hat)
+        d_est.append(-np.tile(np.sign(diff) / diff.size, 2) * np.sign(est_spec))
+    d_s_hat, d_noise_hat = d_est
+    # x̂ enters the interference term as y − x̂
+    d_spec = d_s_hat - d_noise_hat
 
     def backward(g):
-        return tuple(overlap_sum((ds * g) @ basis.T, STFT_HOP)[:n].reshape(t.shape)
-                     if t.requires_grad else None for t, ds in zip(inputs, spectral))
+        return (overlap_sum((d_spec * g) @ basis.T, STFT_HOP)[:n].reshape(est.shape),)
 
-    return from_op(np.asarray(value, dtype=dtype), inputs, backward)
+    return from_op(np.asarray(value, dtype=dtype), (est,), backward)
 
 
 def si_sdr(s_hat, s) -> float:

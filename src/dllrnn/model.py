@@ -101,9 +101,6 @@ class ParamStore:
     def __getitem__(self, name):
         return self._params[name]
 
-    def __contains__(self, name):
-        return name in self._params
-
     def __len__(self):
         return len(self._params)
 
@@ -203,9 +200,10 @@ def _forward(config: ModelConfig, params, frames, states, caches=None):
 
     ``params`` are the parameter arrays in :func:`param_table` order.
     ``states`` holds each block's LSTM ``(h, c)``: it is read as the state
-    before frame 0 and overwritten with the state after frame T-1. When
-    ``caches`` is a list, the activations :func:`_backward` replays are
-    appended to it.
+    before frame 0 and overwritten with the state after frame T-1. The LSTM
+    kernel returns its states as T+1 rows with that state as row 0, so the
+    post-LSTM linear reads rows 1..T. When ``caches`` is a list, the
+    activations :func:`_backward` replays are appended to it.
 
     Every block tensor is stored with its stream axis innermost, like the
     dense stack: the spatial conv returns O×T×F stored F×T×O, layer norm and
@@ -236,16 +234,14 @@ def _forward(config: ModelConfig, params, frames, states, caches=None):
         mixed = _streams(K.prelu_forward(y, a), n_out + 1)
         # Stream 0 is the temporal stream: LSTM plus linear, then it gates the rest.
         temporal = np.ascontiguousarray(mixed[0])
-        h0, c0 = states[b - 1]
-        h, gates, cell, tanh_c = K.lstm_forward(temporal, wx, wh, lstm_b, h0, c0)
+        h, gates, cell, tanh_c = K.lstm_forward(temporal, wx, wh, lstm_b, *states[b - 1])
         states[b - 1] = (h[-1], cell[-1])
-        gate = K.linear_forward(h, lin_w, lin_b)
+        gate = K.linear_forward(h[1:], lin_w, lin_b)
         # order="F" walks the S×T×F product S-fastest, in storage order; by
         # default numpy would follow the C-ordered gate and stride across F.
         np.multiply(mixed[1:], gate, out=dense[lo:lo + n_out], order="F")
         if keep:
-            caches.append((y, xhat, inv_std, mixed, (temporal, h, gates, cell, tanh_c, h0, c0),
-                           gate))
+            caches.append((y, xhat, inv_std, mixed, (temporal, h, gates, cell, tanh_c), gate))
     if keep:
         caches.append(dense)
     return K.linear_forward(dense[-1], params[-2], params[-1])
@@ -256,7 +252,9 @@ def _backward(config: ModelConfig, params, caches, g):
     of the T×l_out frames that :func:`_forward` returned while filling
     ``caches``: the forward's layers in reverse, each through its backward
     kernel. Each gradient is stored in the order of the activation it belongs
-    to, so the stack's gradient is D-innermost too.
+    to, so the stack's gradient is D-innermost too. The LSTM backward gets the
+    forward's (T+1)-row state arrays as cached and reads the previous states
+    as views of them; the post-LSTM linear's backward reads rows 1..T.
     """
     f = config.hidden
     grads = [None] * len(params)
@@ -268,17 +266,16 @@ def _backward(config: ModelConfig, params, caches, g):
     for b in range(config.blocks, 0, -1):
         i = 10 * b - 5
         conv_w, _, ln_g, _, a, wx, wh, _, lin_w, _ = params[i:i + 10]
-        y, xhat, inv_std, mixed, (temporal, h, gates, cell, tanh_c, h0, c0), gate = caches[b]
+        y, xhat, inv_std, mixed, (temporal, h, gates, cell, tanh_c), gate = caches[b]
         lo, n_out = config.block_in_width(b), config.block_out_width(b)
         d_out = d_dense[lo:lo + n_out]
-        # The gate was broadcast over the S_out gated streams; with one stream
-        # there is nothing to sum, and summing would turn a -0 into +0.
-        d_gate = np.einsum("stf,stf->tf", d_out, mixed[1:]) if n_out > 1 else d_out[0] * mixed[1]
-        d_h, d_lin_w, d_lin_b = K.linear_backward(d_gate, h, lin_w)
+        # the gate was broadcast over the S_out gated streams
+        d_gate = np.einsum("stf,stf->tf", d_out, mixed[1:])
+        d_h, d_lin_w, d_lin_b = K.linear_backward(d_gate, h[1:], lin_w)
         d_mixed = np.empty_like(mixed)
         np.multiply(d_out, gate, out=d_mixed[1:], order="F")  # storage order, as in _forward
         d_mixed[0], d_wx, d_wh, d_lstm_b = K.lstm_backward(d_h, temporal, wx, wh, gates, cell,
-                                                           tanh_c, h, h0, c0)
+                                                           tanh_c, h)
         d_y, d_a = K.prelu_backward(_rows(d_mixed), y, a)
         d_conv, d_ln_g, d_ln_b = K.layer_norm_backward(d_y, xhat, inv_std, ln_g)
         d_in, d_conv_w, d_conv_b = K.spatial_conv_backward(_streams(d_conv, n_out + 1),
@@ -353,12 +350,10 @@ def count_macs_per_frame(config: ModelConfig) -> int:
     return macs
 
 
-def count_flops(config: ModelConfig, seconds: float = 1.0) -> float:
-    """FLOPs to process ``seconds`` of audio: 2·MACs/frame · frames/second."""
-    if seconds <= 0:
-        raise ConfigError(f"seconds must be positive, got {seconds}")
+def count_flops(config: ModelConfig) -> float:
+    """FLOPs per second of audio: 2·MACs/frame · frames/second."""
     frames_per_second = SAMPLE_RATE / config.frame.hop
-    return 2.0 * count_macs_per_frame(config) * frames_per_second * seconds
+    return 2.0 * count_macs_per_frame(config) * frames_per_second
 
 
 class StreamingEnhancer:

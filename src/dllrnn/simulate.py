@@ -111,14 +111,15 @@ def simulate_rir(room: RoomSpec, src, mic, order: int = DEFAULT_ORDER):
     return K.place_taps(delays, amps, length)
 
 
-def mic_circle(center, radius: float = MIC_RADIUS, n: int = N_MICS):
-    """n microphones equally spaced on a horizontal circle about ``center``.
+def mic_circle(center, n: int = N_MICS):
+    """n microphones equally spaced on a horizontal circle of radius
+    ``MIC_RADIUS`` about ``center``.
 
     Mic 0 sits at angle zero (+x) and indices advance counterclockwise.
     """
     center = np.asarray(center, dtype=np.float64)
     angles = 2.0 * np.pi * np.arange(n) / n
-    offsets = np.stack([radius * np.cos(angles), radius * np.sin(angles),
+    offsets = np.stack([MIC_RADIUS * np.cos(angles), MIC_RADIUS * np.sin(angles),
                         np.zeros(n)], axis=1)
     return center[None, :] + offsets
 
@@ -185,7 +186,7 @@ def _convolve_to_mics(source, room, src_pos, mics, order):
     return out
 
 
-def spatialize_mixture(scene: Scene, speech, noises, snr_db=None,
+def spatialize_mixture(scene: Scene, speech, noises,
                        order: int = DEFAULT_ORDER) -> MixtureExample:
     """Render one multichannel example from mono source material.
 
@@ -193,10 +194,10 @@ def spatialize_mixture(scene: Scene, speech, noises, snr_db=None,
     separately, with the order-0 (direct-path) response; their difference is
     the reverberation. Each noise waveform, as long as the speech, is
     convolved from its own drawn position; all noises share one scale factor
-    chosen so the channel-summed direct-to-noise energy ratio equals
-    ``snr_db`` (defaults to the scene's drawn value). A source whose direct
-    path reaches no microphone within the example's samples is a
-    ``DegenerateInputError``: the example would hold only sinc tails.
+    chosen so the channel-summed direct-to-noise energy ratio equals the
+    scene's ``snr_db``. A source whose direct path reaches no microphone
+    within the example's samples is a ``DegenerateInputError``: the example
+    would hold only sinc tails.
     """
     speech = np.asarray(speech, dtype=np.float64).ravel()
     if speech.size == 0 or not np.any(speech):
@@ -220,8 +221,6 @@ def spatialize_mixture(scene: Scene, speech, noises, snr_db=None,
             raise DegenerateInputError(
                 f"{what} source's direct path first reaches a microphone at sample "
                 f"{arrival}, past the example's {speech.size} samples")
-    if snr_db is None:
-        snr_db = scene.snr_db
     s_full = _convolve_to_mics(speech, scene.room, scene.speech_pos, scene.mics, order)
     s_direct = _convolve_to_mics(speech, scene.room, scene.speech_pos, scene.mics, 0)
     s_reverb = s_full - s_direct
@@ -232,10 +231,10 @@ def spatialize_mixture(scene: Scene, speech, noises, snr_db=None,
     e_noise = float(np.sum(noise ** 2))
     if e_noise == 0.0:
         raise DegenerateInputError("rendered noise is silent")
-    noise *= np.sqrt(e_direct / (e_noise * 10.0 ** (snr_db / 10.0)))
+    noise *= np.sqrt(e_direct / (e_noise * 10.0 ** (scene.snr_db / 10.0)))
     mixture = s_direct + s_reverb + noise
     return MixtureExample(s_direct=s_direct, s_reverb=s_reverb, noise=noise,
-                          mixture=mixture, snr_db=float(snr_db),
+                          mixture=mixture, snr_db=float(scene.snr_db),
                           n_noise=len(noises), scene=scene)
 
 
@@ -254,9 +253,9 @@ def achieved_snr(ex: MixtureExample) -> float:
 # modulation for "speech", plus white and pink interferers.
 # ---------------------------------------------------------------------------
 
-def speech_like(rng, n: int, fs: int = SAMPLE_RATE):
+def speech_like(rng, n: int):
     carrier = lfilter([1.0], [1.0, -0.95], rng.standard_normal(n))
-    t = np.arange(n) / fs
+    t = np.arange(n) / SAMPLE_RATE
     rate = rng.uniform(2.0, 5.0)
     phase = rng.uniform(0.0, 2.0 * np.pi)
     envelope = 0.1 + 0.9 * (0.5 + 0.5 * np.sin(2.0 * np.pi * rate * t + phase)) ** 2

@@ -53,8 +53,8 @@ class Tensor:
 
     __slots__ = ("data", "requires_grad", "grad", "is_leaf")
 
-    def __init__(self, data, requires_grad=False, dtype=None):
-        arr = np.asarray(data, dtype=dtype)
+    def __init__(self, data, requires_grad=False):
+        arr = np.asarray(data)
         if arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(np.float64)
         self.data = arr

@@ -70,9 +70,10 @@ def make_anechoic_example(seed=42, n_mics=2, snr_db=0.0, n=4000):
     """
     rng = np.random.default_rng(seed)
     scene = draw_scene(rng, n_mics=n_mics, n_noise_range=(1, 1))
+    scene.snr_db = snr_db
     speech = speech_like(rng, n)
     noises = [white_noise(rng, n) for _ in range(scene.n_noise)]
-    return spatialize_mixture(scene, speech, noises, snr_db=snr_db, order=0)
+    return spatialize_mixture(scene, speech, noises, order=0)
 
 
 @pytest.fixture(scope="session")

@@ -38,7 +38,7 @@ def test_criterion_2_flop_counts():
     t0 = time.perf_counter()
     worst = 0.0
     for (f, s, b), (_, gflops) in TABLE.items():
-        got = count_flops(ModelConfig(channels=8, hidden=f, spatial=s, blocks=b), 1.0) / 1e9
+        got = count_flops(ModelConfig(channels=8, hidden=f, spatial=s, blocks=b)) / 1e9
         worst = max(worst, abs(got - gflops) / gflops)
     elapsed = time.perf_counter() - t0
     ok = worst <= 0.15 and elapsed < 1.0

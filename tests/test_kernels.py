@@ -86,15 +86,17 @@ def test_forward_rows_are_independent_of_row_count():
                                        gain, bias, eps)
             for got, want in zip(one, full):
                 npt.assert_array_equal(got, want[t * o:(t + 1) * o])
-    # the LSTM one step per call with carried state, as a streaming session runs it
+    # the LSTM one step per call with carried state, as a streaming session
+    # runs it: a step's h and c are rows t..t+1 of the full run's (row 0 is
+    # the carried state), its gates and tanh(c) row t
     x, wx, wh, b = _f32(rng, t_len, f), _f32(rng, 4 * f, f), _f32(rng, 4 * f, f), _f32(rng, 4 * f)
     h0, c0 = _f32(rng, f), _f32(rng, f)
     full = K.lstm_forward(x, wx, wh, b, h0, c0)
     for t in range(t_len):
         step = K.lstm_forward(x[t:t + 1].copy(), wx, wh, b, h0, c0)
         for got, want in zip(step, full):
-            npt.assert_array_equal(got[0], want[t])
-        h0, c0 = step[0][0], step[2][0]
+            npt.assert_array_equal(got, want[t:t + len(got)])
+        h0, c0 = step[0][-1], step[2][-1]
 
 
 # ---------------------------------------------------------------------------
@@ -196,8 +198,8 @@ def test_prelu_matches_select():
 
 
 def test_lstm_backward_fd():
-    # nonzero initial state and a random upstream gradient, so that a shifted
-    # h_{t-1}/c_{t-1} stack or a dropped h0/c0 term shows up
+    # nonzero initial state and a random upstream gradient, so that reading
+    # the wrong h/c row as the previous state shows up
     rng = np.random.default_rng(8)
     t, f = 6, 3
     x = _rand(rng, t, f)
@@ -206,19 +208,20 @@ def test_lstm_backward_fd():
     dh = _rand(rng, t, f)
 
     def loss(xv, wxv, whv, bv):
-        return float((K.lstm_forward(xv, wxv, whv, bv, h0, c0)[0] * dh).sum())
+        return float((K.lstm_forward(xv, wxv, whv, bv, h0, c0)[0][1:] * dh).sum())
 
     h, gates, c, tanh_c = K.lstm_forward(x, wx, wh, b, h0, c0)
-    dx, dwx, dwh, db = K.lstm_backward(dh, x, wx, wh, gates, c, tanh_c, h, h0, c0)
+    dx, dwx, dwh, db = K.lstm_backward(dh, x, wx, wh, gates, c, tanh_c, h)
     assert rel_err(dx, fd_grad(lambda v: loss(v, wx, wh, b), x)) < 1e-4
     assert rel_err(dwx, fd_grad(lambda v: loss(x, v, wh, b), wx)) < 1e-4
     assert rel_err(dwh, fd_grad(lambda v: loss(x, wx, v, b), wh)) < 1e-4
     assert rel_err(db, fd_grad(lambda v: loss(x, wx, wh, v), b)) < 1e-4
 
 
-def _lstm_backward_oracle(dh_out, x, wx, wh, gates, c, tanh_c, h, h0, c0):
+def _lstm_backward_oracle(dh_out, x, wx, wh, gates, c, tanh_c, h):
     """The LSTM backward one frame at a time: each step forms its gate
-    gradient dz and adds its outer products to the weight gradients."""
+    gradient dz and adds its outer products to the weight gradients. Row t
+    of ``h`` and ``c`` is the state before frame t."""
     t_len, f = x.shape
     dx = np.empty((t_len, f), x.dtype)
     dwx = np.zeros_like(wx)
@@ -232,8 +235,8 @@ def _lstm_backward_oracle(dh_out, x, wx, wh, gates, c, tanh_c, h, h0, c0):
         gg = gates[t, 2 * f:3 * f]
         go = gates[t, 3 * f:]
         tc = tanh_c[t]
-        cp = c[t - 1] if t > 0 else c0
-        hp = h[t - 1] if t > 0 else h0
+        cp = c[t]
+        hp = h[t]
         dhk = dh_out[t] + dh
         dcv = dhk * go * (1.0 - tc * tc) + dc
         dz = np.concatenate([
@@ -261,7 +264,7 @@ def test_lstm_backward_matches_per_step_recursion(dtype, rtol):
     h0, c0 = (0.5 * _rand(rng, f)).astype(dtype), (0.5 * _rand(rng, f)).astype(dtype)
     dh = _rand(rng, t_len, f).astype(dtype)
     h, gates, c, tanh_c = K.lstm_forward(x, wx, wh, b, h0, c0)
-    args = (dh, x, wx, wh, gates, c, tanh_c, h, h0, c0)
+    args = (dh, x, wx, wh, gates, c, tanh_c, h)
     got = K.lstm_backward(*args)
     # summation order differs, so entries near zero are held to rtol of the
     # output's scale rather than of themselves

@@ -122,7 +122,7 @@ def _lstm(x, wx, wh, b, state=None):
     f = wx.shape[1]
     h0, c0 = state if state is not None else (np.zeros(f), np.zeros(f))
     h, _, c, _ = K.lstm_forward(x, wx, wh, b, h0, c0)
-    return h, (h[-1], c[-1])
+    return h[1:], (h[-1], c[-1])
 
 
 def test_lstm_zero_params_zero_output():

