@@ -49,9 +49,16 @@ def linear_backward(dout, x, w):
 # Batched matmuls over F; the forward one is also stacked over T. The model
 # stores x with D innermost (F×T×D memory, read through a D×T×F view), so
 # each (t, f) product reads its D inputs contiguously and the output comes
-# back O-innermost. The backward's dx is the (F,T,O)@(F,O,D) product, which
-# leaves it D-innermost like x, and dw contracts over T.
+# back O-innermost. The backward adds its input gradient, the
+# (F,T,O)@(F,O,D) product, into the caller's accumulator dx, laid out like x.
+# It does so a few hidden units at a time, so no full D×T×F temporary is
+# formed: each unit's product is the same BLAS call however many units share
+# the batch, so the sum is the one a full product would give. dw contracts
+# over T.
 # ---------------------------------------------------------------------------
+
+DX_CHUNK_BYTES = 1 << 20
+
 
 def spatial_conv_forward(x, w, b):
     out = np.matmul(x.transpose(2, 1, 0)[:, :, None, :],
@@ -60,11 +67,14 @@ def spatial_conv_forward(x, w, b):
     return out
 
 
-def spatial_conv_backward(dout, x, w):
-    dx = np.matmul(dout.transpose(2, 1, 0), w).transpose(2, 1, 0)
+def spatial_conv_backward(dout, x, w, dx):
+    dout_f, dx_f = dout.transpose(2, 1, 0), dx.transpose(2, 1, 0)
+    step = max(1, DX_CHUNK_BYTES // dx_f[0].nbytes)
+    for lo in range(0, len(dx_f), step):
+        dx_f[lo:lo + step] += np.matmul(dout_f[lo:lo + step], w[lo:lo + step])
     dw = np.matmul(dout.transpose(2, 0, 1), x.transpose(2, 1, 0))
     db = dout.sum(axis=1)
-    return dx, dw, db
+    return dw, db
 
 
 # ---------------------------------------------------------------------------
@@ -77,7 +87,12 @@ def layer_norm_forward(x, gain, bias, eps):
     var = np.add.reduce(xc * xc, axis=1, keepdims=True) / f
     inv_std = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv_std
-    return xhat * gain + bias, xhat, inv_std[:, 0]
+    return layer_norm_affine(xhat, gain, bias), xhat, inv_std[:, 0]
+
+
+def layer_norm_affine(xhat, gain, bias):
+    """The layer norm's output from its normalized rows; the backward rebuilds it with this."""
+    return xhat * gain + bias
 
 
 def layer_norm_backward(dout, xhat, inv_std, gain):

@@ -21,8 +21,8 @@ estimate is scaled back afterwards, so the output lives at input level.
 Storage order: the dense stack is indexed D×T×F but stored F×T×D, with the
 stream axis D innermost (Goto & van de Geijn, ACM TOMS 2008). Block ``b``'s
 spatial conv therefore reads each (t, f) position's ``D_b`` streams as one
-contiguous run, and its input gradient comes out of one batched product in
-the same order, ready to add into the stack's gradient. The block tensors
+contiguous run, and its input gradient comes out of batched products in
+the same order, added straight into the stack's gradient. The block tensors
 after the conv (its output, the layer-norm and PReLU rows, ``mixed`` and
 their gradients) are O×T×F stored F×T×O, so no layer hands the next a
 transposed copy; only the LSTM reads a contiguous T×F copy of stream 0.
@@ -41,6 +41,16 @@ Its backward gathers the gradient back into frames and runs
 is bit-identical to the whole-utterance path, because every forward kernel
 computes a frame the same way however many frames share the call. The
 latency contract is checked bit-exactly on the whole-utterance path.
+
+A training example keeps one tensor per layer from its forward to its
+backward: the layer norms' ``xhat`` and ``inv_std``, each block's LSTM
+states and gates and its gate, and the dense stack, about 50 MiB per second
+of 64-8-8 float32 audio, plus the scaled waveform. The backward rebuilds the
+layer norm's output, the PReLU's streams and the encoder's input frames
+from these with the forward's own expressions, so they are bit-identical,
+and frees each block's cache once its backward is done (rematerialization:
+Chen et al., "Training Deep Nets with Sublinear Memory Cost", arXiv
+1604.06174). A push keeps nothing.
 """
 
 from __future__ import annotations
@@ -202,8 +212,13 @@ def _forward(config: ModelConfig, params, frames, states, caches=None):
     ``states`` holds each block's LSTM ``(h, c)``: it is read as the state
     before frame 0 and overwritten with the state after frame T-1. The LSTM
     kernel returns its states as T+1 rows with that state as row 0, so the
-    post-LSTM linear reads rows 1..T. When ``caches`` is a list, the
-    activations :func:`_backward` replays are appended to it.
+    post-LSTM linear reads rows 1..T.
+
+    When ``caches`` is a list, the activations :func:`_backward` cannot
+    cheaply rebuild are appended to it: the encoder's layer-norm ``(xhat,
+    inv_std)``; per block ``(xhat, inv_std, (h, gates, cell, tanh_c), gate)``;
+    and last the dense stack. The layer norm's output, the PReLU's output
+    ``mixed`` and the LSTM's input copy are not kept, nor are the input frames.
 
     Every block tensor is stored with its stream axis innermost, like the
     dense stack: the spatial conv returns O×T×F stored F×T×O, layer norm and
@@ -224,7 +239,7 @@ def _forward(config: ModelConfig, params, frames, states, caches=None):
                      frames.dtype).transpose(2, 1, 0)
     dense[:c] = K.prelu_forward(y, params[4]).reshape(c, t_len, f)
     if keep:
-        caches.append((x, y, xhat, inv_std))
+        caches.append((xhat, inv_std))
     for b in range(1, config.blocks + 1):
         i = 10 * b - 5
         conv_w, conv_b, ln_g, ln_b, a, wx, wh, lstm_b, lin_w, lin_b = params[i:i + 10]
@@ -241,13 +256,42 @@ def _forward(config: ModelConfig, params, frames, states, caches=None):
         # default numpy would follow the C-ordered gate and stride across F.
         np.multiply(mixed[1:], gate, out=dense[lo:lo + n_out], order="F")
         if keep:
-            caches.append((y, xhat, inv_std, mixed, (temporal, h, gates, cell, tanh_c), gate))
+            caches.append((xhat, inv_std, (h, gates, cell, tanh_c), gate))
     if keep:
         caches.append(dense)
     return K.linear_forward(dense[-1], params[-2], params[-1])
 
 
-def _backward(config: ModelConfig, params, caches, g):
+def _block_backward(config: ModelConfig, b, block_params, cache, dense, d_dense):
+    """Block ``b``'s ten parameter gradients, in ``block_params`` order, from
+    its output gradient in ``d_dense``; its input gradient is added into
+    ``d_dense``'s leading rows.
+
+    The layer norm's output ``y``, ``mixed`` and the LSTM's input stream are
+    rebuilt from ``cache`` with the forward's own expressions, so they are
+    the forward's values bit for bit. Everything made here is freed on return.
+    """
+    conv_w, _, ln_g, ln_b, a, wx, wh, _, lin_w, _ = block_params
+    xhat, inv_std, (h, gates, cell, tanh_c), gate = cache
+    lo, n_out = config.block_in_width(b), config.block_out_width(b)
+    y = K.layer_norm_affine(xhat, ln_g, ln_b)
+    mixed = _streams(K.prelu_forward(y, a), n_out + 1)
+    d_out = d_dense[lo:lo + n_out]
+    # the gate was broadcast over the S_out gated streams
+    d_gate = np.einsum("stf,stf->tf", d_out, mixed[1:])
+    d_h, d_lin_w, d_lin_b = K.linear_backward(d_gate, h[1:], lin_w)
+    d_mixed = np.empty_like(mixed)
+    np.multiply(d_out, gate, out=d_mixed[1:], order="F")  # storage order, as in _forward
+    d_mixed[0], d_wx, d_wh, d_lstm_b = K.lstm_backward(d_h, np.ascontiguousarray(mixed[0]), wx, wh,
+                                                       gates, cell, tanh_c, h)
+    d_y, d_a = K.prelu_backward(_rows(d_mixed), y, a)
+    d_conv, d_ln_g, d_ln_b = K.layer_norm_backward(d_y, xhat, inv_std, ln_g)
+    d_conv_w, d_conv_b = K.spatial_conv_backward(_streams(d_conv, n_out + 1), dense[:lo], conv_w,
+                                                 d_dense[:lo])
+    return d_conv_w, d_conv_b, d_ln_g, d_ln_b, d_a, d_wx, d_wh, d_lstm_b, d_lin_w, d_lin_b
+
+
+def _backward(config: ModelConfig, params, caches, g, signal):
     """Every parameter's gradient, in ``params`` order, from the gradient ``g``
     of the T×l_out frames that :func:`_forward` returned while filling
     ``caches``: the forward's layers in reverse, each through its backward
@@ -255,37 +299,29 @@ def _backward(config: ModelConfig, params, caches, g):
     to, so the stack's gradient is D-innermost too. The LSTM backward gets the
     forward's (T+1)-row state arrays as cached and reads the previous states
     as views of them; the post-LSTM linear's backward reads rows 1..T.
+
+    The sweep pops each entry off ``caches`` as it reaches it, so a block's
+    cache is freed once its backward is done and the list is empty at the
+    end. The encoder's input frames are re-gathered from ``signal``, the C×N
+    waveform the forward's frames were cut from, only when the sweep gets
+    there.
     """
-    f = config.hidden
+    f, l_in = config.hidden, config.frame.l_in
     grads = [None] * len(params)
-    dense = caches[-1]
+    dense = caches.pop()
     d_dense = np.zeros_like(dense)
     d_dense[-1], grads[-2], grads[-1] = K.linear_backward(g, dense[-1], params[-2])
     # Block b's output gradient is complete once every later block has added
     # its input gradient to the stack's rows.
     for b in range(config.blocks, 0, -1):
         i = 10 * b - 5
-        conv_w, _, ln_g, _, a, wx, wh, _, lin_w, _ = params[i:i + 10]
-        y, xhat, inv_std, mixed, (temporal, h, gates, cell, tanh_c), gate = caches[b]
-        lo, n_out = config.block_in_width(b), config.block_out_width(b)
-        d_out = d_dense[lo:lo + n_out]
-        # the gate was broadcast over the S_out gated streams
-        d_gate = np.einsum("stf,stf->tf", d_out, mixed[1:])
-        d_h, d_lin_w, d_lin_b = K.linear_backward(d_gate, h[1:], lin_w)
-        d_mixed = np.empty_like(mixed)
-        np.multiply(d_out, gate, out=d_mixed[1:], order="F")  # storage order, as in _forward
-        d_mixed[0], d_wx, d_wh, d_lstm_b = K.lstm_backward(d_h, temporal, wx, wh, gates, cell,
-                                                           tanh_c, h)
-        d_y, d_a = K.prelu_backward(_rows(d_mixed), y, a)
-        d_conv, d_ln_g, d_ln_b = K.layer_norm_backward(d_y, xhat, inv_std, ln_g)
-        d_in, d_conv_w, d_conv_b = K.spatial_conv_backward(_streams(d_conv, n_out + 1),
-                                                           dense[:lo], conv_w)
-        d_dense[:lo] += d_in
-        grads[i:i + 10] = (d_conv_w, d_conv_b, d_ln_g, d_ln_b, d_a,
-                           d_wx, d_wh, d_lstm_b, d_lin_w, d_lin_b)
-    x, y, xhat, inv_std = caches[0]
+        grads[i:i + 10] = _block_backward(config, b, params[i:i + 10], caches.pop(), dense, d_dense)
+    del dense
+    xhat, inv_std = caches.pop()
+    y = K.layer_norm_affine(xhat, params[2], params[3])
     d_y, grads[4] = K.prelu_backward(d_dense[:config.channels].reshape(-1, f), y, params[4])
     d_enc, grads[2], grads[3] = K.layer_norm_backward(d_y, xhat, inv_std, params[2])
+    x = np.ascontiguousarray(frame_signal(signal, config.frame).reshape(-1, l_in))
     grads[0], grads[1] = K.linear_backward(d_enc, x, params[0])[1:]
     return grads
 
@@ -297,7 +333,8 @@ def model_forward(y, config: ModelConfig, store: ParamStore, *, scale=None) -> T
     the estimate re-scaled to input level. Passing an explicit ``scale``
     freezes the normalization, keeping the processor strictly causal — the
     streaming session and the latency check rely on that. Under an active
-    tape this is one recorded op.
+    tape this is one recorded op, whose backward can run once: its sweep
+    frees the activations it reads.
     """
     y = np.asarray(y)
     if y.ndim == 1:
@@ -310,19 +347,23 @@ def model_forward(y, config: ModelConfig, store: ParamStore, *, scale=None) -> T
     else:
         scaled = y * np.asarray(scale, dtype=y.dtype)
     spec, n = config.frame, y.shape[1]
-    frames = frame_signal(scaled.astype(dtype, copy=False), spec)
+    signal = scaled.astype(dtype, copy=False)
     tensors = store.tensors()
     params = [t.data for t in tensors]
     zeros = np.zeros(config.hidden, dtype=dtype)
     # Activations are kept only when a tape will replay them.
     caches = [] if active_tape() is not None else None
-    out = _forward(config, params, frames, [(zeros, zeros)] * config.blocks, caches)
-    inv_scale = np.asarray(1.0 / scale, dtype=dtype)
+    out = _forward(config, params, frame_signal(signal, spec), [(zeros, zeros)] * config.blocks,
+                   caches)
+    t_len, inv_scale = out.shape[0], np.asarray(1.0 / scale, dtype=dtype)
 
     def backward(g):
-        counts = overlap_counts(spec, out.shape[0])[:n].astype(dtype)
-        d_out = gather_frames(g[0] * inv_scale / counts, spec.l_out, spec.hop, out.shape[0])
-        return _backward(config, params, caches, d_out)
+        if not caches:
+            raise ContractError("model_forward's backward ran already; its sweep frees the "
+                                "activations, so record the forward on a new tape")
+        counts = overlap_counts(spec, t_len)[:n].astype(dtype)
+        d_out = gather_frames(g[0] * inv_scale / counts, spec.l_out, spec.hop, t_len)
+        return _backward(config, params, caches, d_out, signal)
 
     return from_op(overlap_add(out, spec, n) * inv_scale, tensors, backward)
 

@@ -117,15 +117,17 @@ def test_spatial_conv_backward_fd():
     rng = np.random.default_rng(6)
     x, w, b = _rand(rng, 3, 2, 4), _rand(rng, 4, 2, 3), _rand(rng, 2, 4)
     dout = np.ones((2, 2, 4))
-    dx, dw, db = K.spatial_conv_backward(dout, x, w)
+    dx = np.zeros_like(x)
+    dw, db = K.spatial_conv_backward(dout, x, w, dx)
     assert rel_err(dx, fd_grad(lambda v: K.spatial_conv_forward(v, w, b).sum(), x)) < 1e-7
     assert rel_err(dw, fd_grad(lambda v: K.spatial_conv_forward(x, v, b).sum(), w)) < 1e-7
     assert rel_err(db, fd_grad(lambda v: K.spatial_conv_forward(x, w, v).sum(), b)) < 1e-7
 
 
-def test_spatial_conv_backward_at_stack_strides():
+def test_spatial_conv_backward_at_stack_strides(monkeypatch):
     # x as block 3 of a 4-block model reads it: the leading D rows of a wider
-    # D-innermost stack; dout in the conv output's own F×T×O order
+    # D-innermost stack; dout in the conv output's own F×T×O order; dx the
+    # same rows of the stack's gradient, already holding later blocks' terms
     rng = np.random.default_rng(16)
     d, t_len, f, o, width = 5, 3, 4, 3, 8
     w = _rand(rng, f, o, d)
@@ -137,13 +139,26 @@ def test_spatial_conv_backward_at_stack_strides():
 
     x_c, dout_c = _rand(rng, d, t_len, f), _rand(rng, o, t_len, f)
     x, dout = stacked(x_c), _d_innermost(dout_c)
-    assert x.strides[0] == dout.strides[0] == x.itemsize
-    got, want = K.spatial_conv_backward(dout, x, w), K.spatial_conv_backward(dout_c, x_c, w)
-    assert got[0].strides[0] == got[0].itemsize  # dx comes out D-innermost, like x
+    base = _rand(rng, d, t_len, f)
+    acc, dx_c = stacked(base), np.zeros((d, t_len, f))
+    assert x.strides[0] == dout.strides[0] == acc.strides[0] == x.itemsize
+    got = K.spatial_conv_backward(dout, x, w, acc)
+    want = K.spatial_conv_backward(dout_c, x_c, w, dx_c)
     for g, r in zip(got, want):
         assert rel_err(g, r) < 1e-6
+    # the input gradient is added onto the accumulator, not written over it,
+    # and is the full (F,T,O)@(F,O,D) product bit for bit
+    full = np.matmul(dout.transpose(2, 1, 0), w).transpose(2, 1, 0)
+    npt.assert_array_equal(acc, base + full)
+    assert rel_err(dx_c, full) < 1e-6
+    # one hidden unit per chunk gives the same sum as one chunk for all
+    monkeypatch.setattr(K, "DX_CHUNK_BYTES", 1)
+    one_by_one = stacked(base)
+    K.spatial_conv_backward(dout, x, w, one_by_one)
+    npt.assert_array_equal(one_by_one, acc)
     b = np.zeros((o, f))
-    dx, dw, db = got
+    dw, db = got
+    dx = acc - base
     assert rel_err(dx, fd_grad(lambda v: (K.spatial_conv_forward(stacked(v), w, b)
                                           * dout).sum(), x_c)) < 1e-7
     assert rel_err(dw, fd_grad(lambda v: (K.spatial_conv_forward(x, v, b) * dout).sum(),

@@ -2,6 +2,7 @@
 table, full-model gradients, and streaming/batch equivalence."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -11,7 +12,8 @@ import dllrnn.kernels as K
 from dllrnn.errors import ConfigError, ContractError, DimensionError
 from dllrnn.framing import FrameSpec
 from dllrnn.losses import pcm_loss
-from dllrnn.model import (ModelConfig, ParamStore, StreamingEnhancer, _forward, build_params, count_flops, count_macs_per_frame, count_params,
+from dllrnn.model import (ModelConfig, ParamStore, StreamingEnhancer, _forward, _streams,
+                          build_params, count_flops, count_macs_per_frame, count_params,
                           enhance_waveform, model_forward, param_table)
 from dllrnn.tensor import Tape, Tensor
 
@@ -151,6 +153,14 @@ def _run_forward(cfg, store, frames):
     return out, caches
 
 
+def _rebuilt_mixed(cfg, store, caches, b):
+    """Block b's S_out + 1 streams after conv, norm and PReLU, rebuilt from
+    its cached ``xhat`` with the forward's expressions, as the backward does."""
+    y = K.layer_norm_affine(caches[b][0], store[f"block{b}.norm.weight"].data,
+                            store[f"block{b}.norm.bias"].data)
+    return _streams(K.prelu_forward(y, store[f"block{b}.prelu"].data), cfg.block_out_width(b) + 1)
+
+
 def test_st_block_shapes_at_defaults():
     cfg = ModelConfig()
     store = build_params(cfg, seed=0)
@@ -159,14 +169,26 @@ def test_st_block_shapes_at_defaults():
     assert out.shape == (3, 32)
     dense = caches[-1]
     assert dense.shape == (cfg.block_in_width(8) + 1, 3, 64)
+    zeros = np.zeros(cfg.hidden, np.float32)
     for b in range(1, 9):
-        mixed = caches[b][3]  # S_out + 1 streams after conv, norm and PReLU
-        assert mixed.shape == (cfg.block_out_width(b) + 1, 3, 64)
+        xhat, inv_std, (h, gates, cell, tanh_c), gate = caches[b]
+        n_streams = cfg.block_out_width(b) + 1
+        assert xhat.shape == (3 * n_streams, 64) and inv_std.shape == (3 * n_streams,)
+        assert h.shape == cell.shape == (4, 64) and tanh_c.shape == gate.shape == (3, 64)
+        assert gates.shape == (3, 4 * 64)
+        mixed = _rebuilt_mixed(cfg, store, caches, b)
+        assert mixed.shape == (n_streams, 3, 64)
+        # the rebuilt temporal stream is the LSTM input the forward used
+        params = [store[f"block{b}.lstm.{name}"].data for name in ("wx", "wh", "bias")]
+        for got, want in zip(K.lstm_forward(np.ascontiguousarray(mixed[0]), *params, zeros, zeros),
+                             (h, gates, cell, tanh_c)):
+            npt.assert_array_equal(got, want)
     # block 1 writes its 8 gated streams after the 8 encoder rows; block 8
-    # writes its single stream, the decoder's input, to the last row
+    # writes its single stream, the decoder's input, to the last row; the
+    # rebuilt streams give the forward's stack rows bit for bit
     for b, rows in ((1, slice(8, 16)), (8, slice(cfg.block_in_width(8), None))):
-        mixed, gate = caches[b][3], caches[b][5]
-        npt.assert_array_equal(dense[rows], mixed[1:] * gate)
+        gate = caches[b][3]
+        npt.assert_array_equal(dense[rows], _rebuilt_mixed(cfg, store, caches, b)[1:] * gate)
     with pytest.raises(DimensionError):
         StreamingEnhancer(cfg, store).push(np.zeros((5, cfg.frame.hop), np.float32))
 
@@ -182,18 +204,20 @@ def test_block_tensors_keep_the_stream_axis_innermost(monkeypatch):
     _, caches = _run_forward(cfg, store, frames)
     assert caches[-1].strides[0] == item
     for b in range(1, 9):
-        y, xhat, _, mixed, _, _ = caches[b]
-        # layer norm and PReLU ran on T·O rows of F whose row axis is the stream axis
-        assert mixed.strides[0] == y.strides[0] == xhat.strides[0] == item
-    strides = {"spatial_conv_forward": [], "spatial_conv_backward": []}
+        # layer norm and PReLU ran on T·O rows of F whose row axis is the
+        # stream axis; what the backward rebuilds keeps that order
+        assert caches[b][0].strides[0] == _rebuilt_mixed(cfg, store, caches, b).strides[0] == item
+    strides = {"spatial_conv_forward": [], "spatial_conv_backward": [], "prelu_backward": []}
 
     def recording(name, kernel):
         def wrapper(*args):
-            out = kernel(*args)
-            # forward: x; backward: dout, x and the returned dx
-            arrays = args[:1] if name == "spatial_conv_forward" else (*args[:2], out[0])
+            # forward: x; backward: dout, x and the dx accumulator; PReLU
+            # backward: dout and the rebuilt layer-norm output
+            arrays = {"spatial_conv_forward": args[:1],
+                      "spatial_conv_backward": args[:2] + args[3:],
+                      "prelu_backward": args[:2]}[name]
             strides[name] += [a.strides[0] for a in arrays]
-            return out
+            return kernel(*args)
         return wrapper
 
     for name in strides:
@@ -203,9 +227,52 @@ def test_block_tensors_keep_the_stream_axis_innermost(monkeypatch):
         tape.backward(pcm_loss(model_forward(y, cfg, store), y[0], y[0]))
     assert strides["spatial_conv_backward"] == [item] * 3 * cfg.blocks
     assert strides["spatial_conv_forward"] == [item] * cfg.blocks
+    # the blocks' PReLU backwards run first; the encoder's rows are not stream rows
+    assert strides["prelu_backward"][:2 * cfg.blocks] == [item] * 2 * cfg.blocks
     enhance_waveform(y[:, :64], cfg, store, scale=1.0)  # T=1 forwards, one per push
     assert len(strides["spatial_conv_forward"]) > cfg.blocks
     assert set(strides["spatial_conv_forward"]) == {item}
+
+
+def _cached_shapes(caches):
+    out = []
+    for entry in caches:
+        out += _cached_shapes(entry) if isinstance(entry, tuple) else [entry.shape]
+    return out
+
+
+def test_training_example_memory():
+    # A training example keeps one tensor per layer, not the layer norm's
+    # output, the PReLU's streams or the 16x-redundant encoder input frames;
+    # its forward, loss and backward together stay under 30 MiB at 0.25 s
+    # (37 MiB when every block also kept `y` and `mixed`).
+    cfg = ModelConfig()
+    store = build_params(cfg, seed=0)
+    rng = np.random.default_rng(0)
+    n, t_len, f = 4000, cfg.frame.n_frames(4000), cfg.hidden
+    y = rng.standard_normal((8, n)).astype(np.float32)
+    x = rng.standard_normal(n).astype(np.float32)
+    _, caches = _run_forward(cfg, store, np.zeros((8, t_len, cfg.frame.l_in), np.float32))
+    want = [(8 * t_len, f), (8 * t_len,)]
+    for b in range(1, cfg.blocks + 1):
+        rows = (cfg.block_out_width(b) + 1) * t_len
+        want += [(rows, f), (rows,), (t_len + 1, f), (t_len, 4 * f), (t_len + 1, f),
+                 (t_len, f), (t_len, f)]
+    assert _cached_shapes(caches) == want + [(cfg.block_in_width(cfg.blocks) + 1, t_len, f)]
+
+    def example():
+        with Tape() as tape:
+            tape.backward(pcm_loss(model_forward(y, cfg, store), x, y[0]))
+
+    example()  # builds the loss's cached STFT basis outside the measurement
+    store.zero_grad()
+    tracemalloc.start()
+    try:
+        example()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 30 * 2 ** 20, f"{peak / 2 ** 20:.1f} MiB"
 
 
 def _force_gate(store, b, weight_value, bias_value):
@@ -340,6 +407,19 @@ def test_model_forward_is_one_tape_op():
     with Tape() as tape:
         model_forward(y, cfg, store)
     assert len(tape) == 1
+
+
+def test_model_forward_backward_runs_once():
+    # the sweep frees the forward's activations, so a second one is refused
+    cfg = ModelConfig(channels=2, hidden=8, spatial=3, blocks=3,
+                      frame=FrameSpec(l_in=32, l_out=8, hop=4))
+    store = build_params(cfg, seed=0)
+    y = np.random.default_rng(8).standard_normal((2, 100)).astype(np.float32)
+    with Tape() as tape:
+        loss = pcm_loss(model_forward(y, cfg, store), y[0], y[0])
+    tape.backward(loss)
+    with pytest.raises(ContractError, match="new tape"):
+        tape.backward(loss)
 
 
 def test_pcm_loss_is_one_tape_op():
