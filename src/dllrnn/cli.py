@@ -207,8 +207,8 @@ def evaluate_manifest(enhance_fn, manifest_path, limit=None, channels=None):
 
     ``enhance_fn`` maps a C×N mixture to a 1×N estimate. An example that
     :func:`_read_example` rejects (given ``channels``), or whose mixture is all
-    zero, is reported and skipped. Returns the per-example rows, the two
-    means, and the error list."""
+    zero or constant, is reported and skipped. Returns the per-example rows,
+    the two means, and the error list."""
     rows, errors = [], []
     for example_id, mixture_path, direct_path in _read_manifest(manifest_path)[:limit]:
         try:

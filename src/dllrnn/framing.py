@@ -64,6 +64,8 @@ def normalize_variance(y):
     if y.size == 0 or not np.any(y):
         raise DegenerateInputError("cannot normalize an all-zero waveform")
     var = float(np.var(y.astype(np.float64, copy=False)))
+    if var == 0.0:
+        raise DegenerateInputError("cannot normalize a constant waveform: its variance is zero")
     scale = 1.0 / np.sqrt(var)
     return (y * np.asarray(scale, dtype=y.dtype)).astype(y.dtype), scale
 
@@ -79,21 +81,26 @@ def gather_frames(x, width: int, hop: int, n_frames: int, left: int = 0):
     return np.ascontiguousarray(sliding_window_view(padded, width, axis=-1)[..., ::hop, :])
 
 
-def overlap_sum(frames, hop: int):
+def overlap_sum(frames, hop: int, carry=None):
     """Adjoint of :func:`gather_frames`: add ...×T×width windows back at ``hop``.
 
     Needs hop | width: the sum is width/hop slice-adds of hop-sample pieces,
     and each sample sums its covering windows in increasing window order.
+    ``carry``, the ...×(width - hop) tail of an earlier call's output, seeds
+    the first samples, so summing a sequence of windows in consecutive calls
+    gives the bits of one call over all of them.
     """
     *lead, t, width = frames.shape
     if width % hop:
         raise DimensionError(f"overlap_sum needs hop | width, got width {width}, hop {hop}")
     r = width // hop
-    pieces = frames.reshape(*lead, t, r, hop)
-    out = np.zeros((*lead, t + r - 1, hop), dtype=frames.dtype)
+    out = np.zeros((*lead, (t + r - 1) * hop), dtype=frames.dtype)
+    if carry is not None:
+        out[..., :width - hop] = carry
+    pieces = out.reshape(*lead, t + r - 1, hop)
     for k in range(r - 1, -1, -1):
-        out[..., k:k + t, :] += pieces[..., k, :]
-    return out.reshape(*lead, -1)
+        pieces[..., k:k + t, :] += frames[..., k * hop:(k + 1) * hop]
+    return out
 
 
 def frame_signal(x, spec: FrameSpec):

@@ -37,10 +37,12 @@ it, with the overlap-add and the output rescale, on the tape as a single op.
 Its backward gathers the gradient back into frames and runs
 :func:`_backward`, the assembly's reverse sweep written out by hand
 (Griewank & Walther, *Evaluating Derivatives*, SIAM 2008).
-:class:`StreamingEnhancer` runs it at T=1 with carried LSTM state. Its output
-is bit-identical to the whole-utterance path, because every forward kernel
-computes a frame the same way however many frames share the call. The
-latency contract is checked bit-exactly on the whole-utterance path.
+:class:`StreamingEnhancer` runs it on the frames each push completes, with
+carried input, LSTM state and overlap sums; :func:`enhance_waveform` runs a
+file through one session in 1 s pushes. Their output is bit-identical to the
+whole-utterance path, because every forward kernel computes a frame the same
+way however many frames share the call. The latency contract is checked
+bit-exactly on the whole-utterance path.
 
 A training example keeps one tensor per layer from its forward to its
 backward: the layer norms' ``xhat`` and ``inv_std``, each block's LSTM
@@ -50,23 +52,26 @@ layer norm's output, the PReLU's streams and the encoder's input frames
 from these with the forward's own expressions, so they are bit-identical,
 and frees each block's cache once its backward is done (rematerialization:
 Chen et al., "Training Deep Nets with Sublinear Memory Cost", arXiv
-1604.06174). A push keeps nothing.
+1604.06174). A push keeps no activations.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import kernels as K
-from .errors import ConfigError, ContractError, DimensionError
+from .errors import ConfigError, ContractError, DegenerateInputError, DimensionError
 from .framing import (SAMPLE_RATE, FrameSpec, frame_signal, gather_frames, normalize_variance,
-                      overlap_add, overlap_counts)
+                      overlap_add, overlap_counts, overlap_sum)
 from .tensor import Tensor, active_tape, from_op
 
 LN_EPS = 1e-5
+# A Tensor's array; mapped over a parameter list it makes no Python-level call.
+_DATA = operator.attrgetter("data")
 
 
 @dataclass(frozen=True)
@@ -342,12 +347,12 @@ def model_forward(y, config: ModelConfig, store: ParamStore, *, scale=None) -> T
     if y.shape[0] != config.channels:
         raise DimensionError(f"input has {y.shape[0]} channels, config expects {config.channels}")
     dtype = store.dtype
+    y = y.astype(dtype, copy=False)  # before the scale is taken, as enhance_waveform does
     if scale is None:
-        scaled, scale = normalize_variance(y)
+        signal, scale = normalize_variance(y)
     else:
-        scaled = y * np.asarray(scale, dtype=y.dtype)
+        signal = y * np.asarray(scale, dtype=dtype)
     spec, n = config.frame, y.shape[1]
-    signal = scaled.astype(dtype, copy=False)
     tensors = store.tensors()
     params = [t.data for t in tensors]
     zeros = np.zeros(config.hidden, dtype=dtype)
@@ -398,17 +403,17 @@ def count_flops(config: ModelConfig) -> float:
 
 
 class StreamingEnhancer:
-    """Frame-by-frame enhancement session with carried LSTM state.
+    """Streaming enhancement session: carried input tail, LSTM states and overlap.
 
-    Push ``hop``-sample blocks; each push advances the analysis window one
-    hop and, once primed (after ``l_out/hop`` pushes), returns the next
-    ``hop`` enhanced samples. Each push runs :func:`_forward`, the same
-    assembly :func:`model_forward` runs over a whole utterance, on the one
-    new frame (T=1) with this session's LSTM states. The parameter Tensors
-    are looked up once and their arrays read at every push, so a later
-    ``store.load_arrays`` takes effect. The emitted stream is bit-identical
-    to the whole-utterance output with the same frozen scale, since the
-    forward kernels sum a one-frame call in the same order as a T-frame one.
+    A push takes any whole number of hops, C×k·hop samples, and runs the
+    windows they complete through :func:`_forward`, the assembly
+    :func:`model_forward` runs, in one call. It overlap-adds their frames with
+    :func:`~dllrnn.framing.overlap_sum` seeded with the carried sums, and
+    returns the 1×m·hop samples they complete, or None while priming (the
+    first ``l_out/hop - 1`` hops). The parameter arrays are read at every
+    push, so a later ``store.load_arrays`` takes effect. The output is
+    bit-identical to the whole-utterance one with the same frozen scale,
+    however the input is split into pushes.
     """
 
     def __init__(self, config: ModelConfig, store: ParamStore, scale: float = 1.0):
@@ -418,47 +423,59 @@ class StreamingEnhancer:
         spec = config.frame
         self._scale = np.asarray(scale, dtype=self.dtype)
         self._inv_scale = np.asarray(1.0 / scale, dtype=self.dtype)
-        self._window = np.zeros((config.channels, spec.l_in), dtype=self.dtype)
-        self._carry = np.zeros(spec.l_out - spec.hop, dtype=self.dtype)
-        self._frame_index = 0
-        self._ratio = spec.l_out // spec.hop
+        # scaled input no window has consumed yet; at first, frame 0's left padding
+        self._tail = np.zeros((config.channels, spec.pad_left), dtype=self.dtype)
+        # overlap sums and window counts of the samples not yet emitted
+        self._carry = np.zeros((2, spec.l_out - spec.hop), dtype=self.dtype)
         self._params = store.tensors()
         zeros = np.zeros(config.hidden, dtype=self.dtype)
         self._states = [(zeros, zeros)] * config.blocks
 
     def push(self, block):
-        """Feed C×hop input samples; returns 1×hop output or None while priming."""
+        """Feed C×k·hop input samples (k >= 1); returns the 1×m·hop output
+        samples they complete, or None while priming."""
         spec = self.config.frame
-        block = np.asarray(block, dtype=self.dtype)
+        block = np.multiply(block, self._scale, dtype=self.dtype)  # cast, then scale
         if block.ndim == 1:
             block = block[None, :]
-        if block.shape != (self.config.channels, spec.hop):
-            raise DimensionError(
-                f"push expects {(self.config.channels, spec.hop)} samples, got {block.shape}"
-            )
-        self._window[:, :-spec.hop] = self._window[:, spec.hop:]
-        self._window[:, -spec.hop:] = block * self._scale
-        t = self._frame_index - (self._ratio - 1)
-        self._frame_index += 1
-        if t < 0:
+        if (block.ndim != 2 or block.shape[0] != self.config.channels
+                or block.shape[1] == 0 or block.shape[1] % spec.hop):
+            raise DimensionError(f"push expects {self.config.channels} channels of a whole "
+                                 f"number of {spec.hop}-sample hops, got {block.shape}")
+        data = np.concatenate((self._tail, block), axis=1)
+        m = (data.shape[1] - spec.l_in) // spec.hop + 1  # windows completed
+        if m < 1:
+            self._tail = data
             return None
-        acc = np.zeros(spec.l_out, dtype=self.dtype)
-        acc[:spec.l_out - spec.hop] = self._carry
-        acc += _forward(self.config, [p.data for p in self._params], self._window[:, None, :],
-                        self._states)[0]
-        count = np.asarray(float(min(t + 1, self._ratio)), dtype=self.dtype)
-        self._carry = acc[spec.hop:]
-        emitted = acc[None, :spec.hop] / count
+        self._tail = data[:, m * spec.hop:]
+        # window j is data[:, j·hop : j·hop + l_in], a strided view with no copy
+        item = data.itemsize
+        windows = np.ndarray((data.shape[0], m, spec.l_in), data.dtype, data, 0,
+                             (data.strides[0], spec.hop * item, item))
+        out = _forward(self.config, list(map(_DATA, self._params)), windows, self._states)
+        # the frames and their window counts, overlap-added as one stack
+        stack = np.empty((2, m, spec.l_out), dtype=self.dtype)
+        stack[0] = out
+        stack[1] = 1
+        sums = overlap_sum(stack, spec.hop, self._carry)
+        self._carry = sums[:, m * spec.hop:]
+        emitted = sums[:1, :m * spec.hop] / sums[1, :m * spec.hop]
         emitted *= self._inv_scale
         return emitted
 
 
-def enhance_waveform(y, config: ModelConfig, store: ParamStore, *, scale=None):
-    """Run a full utterance through a streaming session; returns 1×N array.
+# Inputs go through a session in pushes of this many hops (1 s at the
+# default 16-sample hop), so memory stays bounded however long the input.
+_BLOCK_HOPS = 1000
 
-    Equivalent to ``model_forward(y, ...).data`` frame for frame, but built
-    from ``StreamingEnhancer.push`` calls, which is also how the CLI enhances
-    files — there is a single inference path.
+
+def enhance_waveform(y, config: ModelConfig, store: ParamStore, *, scale=None):
+    """Run a full utterance through one streaming session; returns 1×N array.
+
+    Bit-identical to ``model_forward(y, ...).data``. The input is cast to the
+    parameter dtype, zero-padded until its last frame has been emitted, and
+    pushed in blocks of ``_BLOCK_HOPS`` hops; this is also how the CLI
+    enhances files, so there is a single inference path.
     """
     y = np.asarray(y)
     if y.ndim == 1:
@@ -467,8 +484,11 @@ def enhance_waveform(y, config: ModelConfig, store: ParamStore, *, scale=None):
     if scale is None:
         _, scale = normalize_variance(y)
     spec, n = config.frame, y.shape[1]
-    # hop-sample blocks, zero-padded until the last frame has been emitted
-    blocks = gather_frames(y, spec.hop, spec.hop, spec.n_frames(n) + spec.l_out // spec.hop - 1)
+    if n == 0:
+        raise DegenerateInputError("cannot enhance an empty signal")
+    total = (spec.n_frames(n) + spec.l_out // spec.hop - 1) * spec.hop  # last frame emitted
+    padded = np.pad(y, ((0, 0), (0, total - n)))
     session = StreamingEnhancer(config, store, scale)
-    pieces = [session.push(blocks[:, k]) for k in range(blocks.shape[1])]
+    step = _BLOCK_HOPS * spec.hop
+    pieces = [session.push(padded[:, k:k + step]) for k in range(0, total, step)]
     return np.concatenate([p for p in pieces if p is not None], axis=1)[:, :n]

@@ -4,7 +4,8 @@ Reads 16-bit integer and 32-bit float files of any channel count; writes
 32-bit float by default (bit-exact roundtrip) or 16-bit integer on request.
 Integer samples are normalized by 1/32768 on read, so 32767 maps just below
 one. Parse failures name the byte offset of the offending field, and a
-non-finite sample is rejected with its channel and sample index.
+non-finite sample is rejected with its channel and sample index, on write
+as on read.
 
 Only the plain stdlib is involved; the format is simple enough that a direct
 parser is clearer than adapting a general audio dependency, and it keeps the
@@ -78,12 +79,18 @@ def _decode(path, chunk_pos, fmt, payload):
     samples = np.frombuffer(payload, dtype=dtype).astype(np.float32)
     if dtype == "<i2":
         samples /= 32768.0
+    _check_finite(path, samples, channels)
+    return np.ascontiguousarray(samples.reshape(-1, channels).T), rate
+
+
+def _check_finite(path, interleaved, channels):
+    """Reject a non-finite sample, naming its channel and sample index."""
+    samples = interleaved.reshape(-1)   # sample-major, then channel
     finite = np.isfinite(samples)
     if not finite.all():
-        first = int(np.argmin(finite))   # interleaved: sample-major, then channel
+        first = int(np.argmin(finite))
         raise WavFormatError(f"{path}: non-finite value {samples[first]} in channel "
                              f"{first % channels} at sample {first // channels}")
-    return np.ascontiguousarray(samples.reshape(-1, channels).T), rate
 
 
 def write_wav(path, data, rate: int = SAMPLE_RATE, sample_format: str = "float32"):
@@ -94,13 +101,17 @@ def write_wav(path, data, rate: int = SAMPLE_RATE, sample_format: str = "float32
     channels, n = data.shape
     interleaved = np.ascontiguousarray(data.T)
     if sample_format == "float32":
-        payload = interleaved.astype("<f4").tobytes()
+        with np.errstate(over="ignore"):  # a value beyond float32's range turns inf
+            samples = interleaved.astype("<f4")
+        _check_finite(path, samples, channels)
+        payload = samples.tobytes()
         bits = 32
         # non-PCM needs the extension-size field and a fact chunk
         fmt_body = struct.pack("<HHIIHHH", _IEEE_FLOAT, channels, rate,
                                rate * channels * 4, channels * 4, bits, 0)
         fact = b"fact" + struct.pack("<II", 4, n)
     elif sample_format == "int16":
+        _check_finite(path, interleaved, channels)
         clipped = np.clip(np.rint(interleaved * 32768.0), -32768, 32767)
         payload = clipped.astype("<i2").tobytes()
         bits = 16

@@ -204,13 +204,16 @@ def test_evaluate_limit_below_one_exits_1(workspace, capsys, limit):
 
 
 def test_enhance_all_zero_wav_exits_2(workspace, tmp_path, capsys):
-    silent = tmp_path / "silent.wav"
-    write_wav(silent, np.zeros((2, 400), np.float32))
-    out = tmp_path / "o.wav"
-    assert main(["enhance", str(workspace["ckpt"]), str(silent), "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert "error: cannot normalize an all-zero waveform" in err and "Traceback" not in err
-    assert not out.exists()
+    # a constant input has variance zero too: it would scale to inf and NaN
+    for name, value, message in (("silent", 0.0, "an all-zero waveform"),
+                                 ("constant", 0.25, "a constant waveform")):
+        path = tmp_path / f"{name}.wav"
+        write_wav(path, np.full((2, 400), value, np.float32))
+        out = tmp_path / "o.wav"
+        assert main(["enhance", str(workspace["ckpt"]), str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: cannot normalize {message}" in err and "Traceback" not in err
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("fault", ["renamed", "reshaped"])
@@ -259,12 +262,21 @@ def test_bad_optimizer_record_exits_2(workspace, tmp_path, capsys, fault):
     assert "Traceback" not in err
 
 
+def _write_with_sample(path, data, ch, i, value):
+    """A float32 WAV of ``data`` whose sample (ch, i) is ``value``. write_wav
+    refuses a non-finite sample, so the value is patched into the bytes."""
+    write_wav(path, data)
+    blob = bytearray(path.read_bytes())
+    at = blob.index(b"data") + 8 + 4 * (i * data.shape[0] + ch)
+    blob[at:at + 4] = np.float32(value).tobytes()
+    path.write_bytes(bytes(blob))
+
+
 @pytest.mark.parametrize("value", [np.nan, np.inf])
 def test_enhance_non_finite_wav_exits_2(workspace, tmp_path, capsys, value):
     mixture, _ = read_wav(workspace["data"] / manifest_read(workspace["manifest"])[0]["mixture"])
-    mixture[1, 7] = value
     path = tmp_path / "bad.wav"
-    write_wav(path, mixture)
+    _write_with_sample(path, mixture, 1, 7, value)
     out = tmp_path / "o.wav"
     assert main(["enhance", str(workspace["ckpt"]), str(path), "--out", str(out)]) == 2
     err = capsys.readouterr().err
@@ -281,15 +293,16 @@ def _example_paths(workspace):
     return records
 
 
-@pytest.mark.parametrize("fault", ["nan", "inf", "zero"])
+@pytest.mark.parametrize("fault", ["nan", "inf", "zero", "constant"])
 def test_evaluate_skips_unusable_example(workspace, tmp_path, capsys, fault):
     records = _example_paths(workspace)
     mixture, _ = read_wav(records[0]["mixture"])
-    if fault == "zero":
-        mixture[:] = 0.0
+    if fault in ("zero", "constant"):
+        mixture[:] = 0.0 if fault == "zero" else -0.5
+        write_wav(tmp_path / "bad.mix.wav", mixture)
     else:
-        mixture[0, 3] = np.nan if fault == "nan" else np.inf
-    write_wav(tmp_path / "bad.mix.wav", mixture)
+        _write_with_sample(tmp_path / "bad.mix.wav", mixture, 0, 3,
+                           np.nan if fault == "nan" else np.inf)
     records[0]["mixture"] = tmp_path / "bad.mix.wav"
     manifest_write(tmp_path / "m.txt", records)
     assert main(["evaluate", str(workspace["ckpt"]), str(tmp_path / "m.txt")]) == 0

@@ -83,6 +83,21 @@ def test_overlap_sum_matches_frame_by_frame_loop():
         npt.assert_array_equal(overlap_sum(frames, hop), want)
 
 
+def test_overlap_sum_carry_joins_consecutive_calls():
+    # summing frames in consecutive runs, each seeded with the previous run's
+    # unfinished tail, gives the bits of one call over all of them
+    rng = np.random.default_rng(6)
+    for width, hop in ((32, 16), (64, 16), (16, 16)):
+        frames = rng.standard_normal((2, 37, width)).astype(np.float32)
+        carry, pieces = np.zeros((2, width - hop), np.float32), []
+        for a, b in ((0, 1), (1, 4), (4, 11), (11, 37)):
+            sums = overlap_sum(frames[:, a:b], hop, carry)
+            pieces.append(sums[:, :(b - a) * hop])
+            carry = sums[:, (b - a) * hop:]
+        joined = np.concatenate(pieces + [carry], axis=1)
+        assert joined.tobytes() == overlap_sum(frames, hop).tobytes()
+
+
 def test_interior_samples_covered_by_two_frames():
     spec = FrameSpec()
     counts = overlap_counts(spec, spec.n_frames(1000))
@@ -131,6 +146,10 @@ def test_normalize_variance():
     assert abs(s1 - 1.0) < 1e-6
     with pytest.raises(DegenerateInputError):
         normalize_variance(np.zeros((2, 100)))
+    # a constant, or a single sample, has variance zero: its scale would be inf
+    for constant in (np.full((2, 100), 0.25, np.float32), np.array([[-3.0]])):
+        with pytest.raises(DegenerateInputError, match="constant"):
+            normalize_variance(constant)
 
 
 def test_normalize_variance_power_of_two_bit_identity():

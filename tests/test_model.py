@@ -1,7 +1,9 @@
 """Model assembly: block wiring, resource accounting against the published
 table, full-model gradients, and streaming/batch equivalence."""
 
+import cProfile
 import hashlib
+import pstats
 import tracemalloc
 
 import numpy as np
@@ -9,11 +11,11 @@ import numpy.testing as npt
 import pytest
 
 import dllrnn.kernels as K
-from dllrnn.errors import ConfigError, ContractError, DimensionError
+from dllrnn.errors import ConfigError, ContractError, DegenerateInputError, DimensionError
 from dllrnn.framing import FrameSpec
 from dllrnn.losses import pcm_loss
-from dllrnn.model import (ModelConfig, ParamStore, StreamingEnhancer, _forward, _streams,
-                          build_params, count_flops, count_macs_per_frame, count_params,
+from dllrnn.model import (_BLOCK_HOPS, ModelConfig, ParamStore, StreamingEnhancer, _forward,
+                          _streams, build_params, count_flops, count_macs_per_frame, count_params,
                           enhance_waveform, model_forward, param_table)
 from dllrnn.tensor import Tape, Tensor
 
@@ -229,7 +231,9 @@ def test_block_tensors_keep_the_stream_axis_innermost(monkeypatch):
     assert strides["spatial_conv_forward"] == [item] * cfg.blocks
     # the blocks' PReLU backwards run first; the encoder's rows are not stream rows
     assert strides["prelu_backward"][:2 * cfg.blocks] == [item] * 2 * cfg.blocks
-    enhance_waveform(y[:, :64], cfg, store, scale=1.0)  # T=1 forwards, one per push
+    session = StreamingEnhancer(cfg, store)
+    for k in range(0, 64, cfg.frame.hop):
+        session.push(y[:, k:k + cfg.frame.hop])  # T=1 forwards, one per primed push
     assert len(strides["spatial_conv_forward"]) > cfg.blocks
     assert set(strides["spatial_conv_forward"]) == {item}
 
@@ -431,11 +435,38 @@ def test_pcm_loss_is_one_tape_op():
     assert len(tape) == 1
 
 
+def _stream(session, y, hops):
+    """Push y through ``session``, zero-padded as enhance_waveform pads it,
+    taking ``hops[0]``, ``hops[1]``, ... hops per push in turn; returns the
+    emitted samples, cut to y's length."""
+    spec, n = session.config.frame, y.shape[1]
+    total = (spec.n_frames(n) + spec.l_out // spec.hop - 1) * spec.hop
+    padded = np.pad(y, ((0, 0), (0, total - n)))
+    pieces, start = [], 0
+    while start < total:
+        width = hops[len(pieces) % len(hops)] * spec.hop
+        pieces.append(session.push(padded[:, start:start + width]))
+        start += width
+    return np.concatenate([p for p in pieces if p is not None], axis=1)[:, :n]
+
+
+def _assert_same_bytes(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
 def _check_streaming_matches_batch(cfg):
+    # One hop per push, uneven whole-hop pushes and enhance_waveform's
+    # blocks all give model_forward's bytes; the longest input spans two of
+    # enhance_waveform's blocks.
     store = build_params(cfg, seed=0)
-    y = np.random.default_rng(4).standard_normal((cfg.channels, 400)).astype(np.float32)
-    batch = model_forward(y, cfg, store, scale=1.0).data
-    npt.assert_array_equal(enhance_waveform(y, cfg, store, scale=1.0), batch)
+    rng = np.random.default_rng(4)
+    for n in (1, 57, 400, _BLOCK_HOPS * cfg.frame.hop + 37):
+        y = rng.standard_normal((cfg.channels, n)).astype(np.float32)
+        batch = model_forward(y, cfg, store, scale=1.0).data
+        for hops in ((1,), (1, 3, 7, 250)):
+            _assert_same_bytes(_stream(StreamingEnhancer(cfg, store), y, hops), batch)
+        _assert_same_bytes(enhance_waveform(y, cfg, store, scale=1.0), batch)
 
 
 def test_streaming_matches_batch():
@@ -453,14 +484,15 @@ def test_streaming_matches_batch():
     # block outputs wider than the encoder's rows
     ModelConfig(channels=2, hidden=8, spatial=3, blocks=3,
                 frame=FrameSpec(l_in=32, l_out=8, hop=4)),
+    # four windows cover each output sample; l_in is not a multiple of hop
+    pytest.param(ModelConfig(channels=2, hidden=8, spatial=2, blocks=2,
+                             frame=FrameSpec(l_in=30, l_out=16, hop=4)), id="overlap4"),
+    # one window per output sample: no overlap to carry
+    pytest.param(ModelConfig(channels=2, hidden=8, spatial=2, blocks=2,
+                             frame=FrameSpec(l_in=32, l_out=8, hop=8)), id="overlap1"),
 ], ids=lambda cfg: f"C{cfg.channels}-S{cfg.spatial}-B{cfg.blocks}")
 def test_streaming_matches_batch_at_dense_stack_edges(cfg):
     _check_streaming_matches_batch(cfg)
-
-
-def _stream(session, y, hop):
-    pieces = [session.push(y[:, k:k + hop]) for k in range(0, y.shape[1], hop)]
-    return np.concatenate([p for p in pieces if p is not None], axis=1)
 
 
 def test_streaming_session_sees_later_load_arrays():
@@ -471,8 +503,8 @@ def test_streaming_session_sees_later_load_arrays():
     store = build_params(cfg, seed=0)
     session = StreamingEnhancer(cfg, store)
     store.load_arrays({name: t.data for name, t in trained.items()})
-    npt.assert_array_equal(_stream(session, y, cfg.frame.hop),
-                           _stream(StreamingEnhancer(cfg, trained), y, cfg.frame.hop))
+    npt.assert_array_equal(_stream(session, y, (1,)),
+                           _stream(StreamingEnhancer(cfg, trained), y, (1,)))
 
 
 def test_streaming_push_runs_through_the_kernel_module(monkeypatch):
@@ -511,9 +543,49 @@ def test_streaming_push_runs_through_the_kernel_module(monkeypatch):
 def test_streaming_matches_batch_with_normalization():
     cfg = TINY
     store = build_params(cfg, seed=1)
-    y = np.random.default_rng(5).standard_normal((2, 250)).astype(np.float32)
-    batch = model_forward(y, cfg, store).data  # scale drawn internally
-    npt.assert_array_equal(enhance_waveform(y, cfg, store), batch)
+    y = np.random.default_rng(5).standard_normal((2, 250))
+    for y in (y.astype(np.float32), y):
+        # a float64 input is cast to the parameters' float32 before its
+        # scale is taken, on both paths
+        batch = model_forward(y, cfg, store).data  # scale drawn internally
+        _assert_same_bytes(enhance_waveform(y, cfg, store), batch)
+
+
+def test_streaming_push_call_budget():
+    # A primed 64-8-8 push is bound by its Python-level calls, not by its
+    # 0.1 ms of arithmetic; a one-hop push may make no more than it did
+    # when each push ran one frame on its own (221, counting the profiler's
+    # own disable call).
+    cfg = ModelConfig()
+    session = StreamingEnhancer(cfg, build_params(cfg, seed=0))
+    block = np.random.default_rng(7).standard_normal((8, cfg.frame.hop)).astype(np.float32)
+    for _ in range(4):
+        session.push(block)
+    profile = cProfile.Profile()
+    profile.enable()
+    session.push(block)
+    profile.disable()
+    assert pstats.Stats(profile).total_calls <= 221
+
+
+def test_enhance_waveform_memory_is_bounded():
+    # enhance_waveform pushes 1 s blocks, so beyond 2 s of input only its
+    # copies of the input and the output grow: C + 2 float32 per sample
+    # (the padded input, the emitted pieces, the joined output). Allow twice
+    # that; 20 bytes per sample are measured. A whole-utterance forward grows
+    # by ~200 bytes per sample here.
+    cfg = ModelConfig(channels=2, hidden=8, spatial=2, blocks=2)
+    store = build_params(cfg, seed=0)
+    peaks = []
+    for seconds in (2, 8):
+        y = np.random.default_rng(0).standard_normal((2, 16000 * seconds)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            enhance_waveform(y, cfg, store)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] <= 2 * (cfg.channels + 2) * 4 * 16000 * 6
 
 
 def test_streaming_session_priming_and_validation():
@@ -526,10 +598,14 @@ def test_streaming_session_priming_and_validation():
         assert session.push(block) is None  # priming pushes emit nothing
     out = session.push(block)
     assert out.shape == (1, cfg.frame.hop)
-    with pytest.raises(DimensionError):
-        session.push(np.zeros((2, 3), np.float32))
-    with pytest.raises(DimensionError):
-        session.push(np.zeros((3, cfg.frame.hop), np.float32))
+    # a push of k hops completes k frames
+    assert session.push(np.zeros((2, 3 * cfg.frame.hop), np.float32)).shape == (1, 6)
+    # not a whole number of hops, no samples, the wrong channel count
+    for bad in ((2, 3), (2, 7), (2, 0), (3, cfg.frame.hop), (1, 2, cfg.frame.hop)):
+        with pytest.raises(DimensionError):
+            session.push(np.zeros(bad, np.float32))
+    with pytest.raises(DegenerateInputError, match="empty"):
+        enhance_waveform(np.zeros((2, 0), np.float32), cfg, session.store, scale=1.0)
 
 
 def test_dense_widths_consistent():

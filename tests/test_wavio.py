@@ -50,6 +50,23 @@ def test_write_rejects_unknown_format(tmp_path):
         write_wav(tmp_path / "x.wav", np.zeros(4, np.float32), sample_format="int24")
 
 
+@pytest.mark.parametrize("sample_format", ["float32", "int16"])
+def test_write_rejects_non_finite_sample(tmp_path, sample_format):
+    # read_wav would reject the file, so write_wav refuses to make it
+    data = np.zeros((3, 10), np.float32)
+    data[2, 6] = np.inf
+    data[1, 8] = np.nan
+    path = tmp_path / "bad.wav"
+    with pytest.raises(WavFormatError, match="non-finite value inf in channel 2 at sample 6"):
+        write_wav(path, data, sample_format=sample_format)
+    assert not path.exists()
+    if sample_format == "float32":
+        # finite in float64, but inf once stored as float32
+        with pytest.raises(WavFormatError, match="non-finite value inf in channel 1 at sample 0"):
+            write_wav(path, np.array([[0.0], [1e39]]))
+        assert not path.exists()
+
+
 def _valid_blob():
     fmt_body = struct.pack("<HHIIHH", 1, 1, 16000, 32000, 2, 16)
     payload = struct.pack("<4h", 0, 1000, -1000, 32767)
