@@ -18,6 +18,7 @@ gradient, and the loss's STFT and its gradient all use that pair.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,18 +57,31 @@ def normalize_variance(y):
     """Scale a C×N waveform to pooled variance one; returns (scaled, scale).
 
     The scale is 1/std over all C·N samples, returned so callers can undo the
-    normalization on the enhanced output. Scaling the input by a power of two
+    normalization on the enhanced output. A waveform that is all zeros,
+    constant, or has a non-finite variance (a NaN or infinite sample) is a
+    :class:`DegenerateInputError`. Scaling the input by a power of two
     changes the output bit-for-bit not at all; for other factors the result
     agrees to rounding error.
     """
     y = np.asarray(y)
     if y.size == 0 or not np.any(y):
         raise DegenerateInputError("cannot normalize an all-zero waveform")
-    var = float(np.var(y.astype(np.float64, copy=False)))
+    with np.errstate(invalid="ignore", over="ignore"):
+        var = float(np.var(y.astype(np.float64, copy=False)))
+    if not math.isfinite(var):
+        raise DegenerateInputError("cannot normalize a waveform whose variance is not finite "
+                                   "(non-finite or overflowing samples)")
     if var == 0.0:
         raise DegenerateInputError("cannot normalize a constant waveform: its variance is zero")
     scale = 1.0 / np.sqrt(var)
     return (y * np.asarray(scale, dtype=y.dtype)).astype(y.dtype), scale
+
+
+def _windows(x, width: int, hop: int, n_frames: int, left: int):
+    """The windows of :func:`gather_frames` as a read-only strided view of one padded copy."""
+    padded = np.zeros(x.shape[:-1] + ((n_frames - 1) * hop + width,), dtype=x.dtype)
+    padded[..., left:left + x.shape[-1]] = x
+    return sliding_window_view(padded, width, axis=-1)[..., ::hop, :]
 
 
 def gather_frames(x, width: int, hop: int, n_frames: int, left: int = 0):
@@ -76,9 +90,7 @@ def gather_frames(x, width: int, hop: int, n_frames: int, left: int = 0):
     x follows ``left`` zeros and is zero-padded at the tail; window t covers
     padded samples [t*hop, t*hop + width). Returns a contiguous array.
     """
-    padded = np.zeros(x.shape[:-1] + ((n_frames - 1) * hop + width,), dtype=x.dtype)
-    padded[..., left:left + x.shape[-1]] = x
-    return np.ascontiguousarray(sliding_window_view(padded, width, axis=-1)[..., ::hop, :])
+    return np.ascontiguousarray(_windows(x, width, hop, n_frames, left))
 
 
 def overlap_sum(frames, hop: int, carry=None):
@@ -109,14 +121,16 @@ def frame_signal(x, spec: FrameSpec):
     The signal is left-padded with ``l_in - l_out`` zeros and right-padded
     with zeros to complete the last frame; T = ceil(N / hop). Frame t covers
     padded samples [t*hop, t*hop + l_in), so its rightmost l_out samples
-    align with original samples [t*hop, t*hop + l_out).
+    align with original samples [t*hop, t*hop + l_out). The frames are a
+    read-only strided view of one padded copy of x, l_in/hop times smaller
+    than the frames themselves; ``np.ascontiguousarray`` materializes them.
     """
     x = np.asarray(x)
     if x.ndim == 1:
         x = x[None, :]
     if x.shape[1] == 0:
         raise DegenerateInputError("cannot frame an empty signal")
-    return gather_frames(x, spec.l_in, spec.hop, spec.n_frames(x.shape[1]), spec.pad_left)
+    return _windows(x, spec.l_in, spec.hop, spec.n_frames(x.shape[1]), spec.pad_left)
 
 
 def overlap_counts(spec: FrameSpec, n_frames: int):

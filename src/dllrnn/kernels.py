@@ -3,6 +3,12 @@ arithmetic, and RIR tap placement.
 
 Callers reach every kernel through this module's attributes
 (``K.lstm_forward`` etc.), so a tracer or a test can wrap them in one place.
+No kernel calls another of these attributes, which a tracer would count
+twice. Positional arguments come first in a fixed order (input, weight,
+...), which the tracer reads for its cost counts. Layer norm, PReLU and
+their backwards take an optional ``out=`` buffer, which may be their own
+input. They write the allocating form's bits into it and write nothing
+else the caller passed.
 
 The forward kernels are row-stable: each output frame is computed by a
 product whose summation order does not depend on how many frames share the
@@ -13,18 +19,24 @@ differently for one frame than for a thousand. Layer norm reduces each row
 on its own and the LSTM steps one frame at a time. That is what makes the
 streaming enhancer (one frame per call) bit-identical to the whole-utterance
 path (all frames in one call). The backward kernels only run in training,
-over whole utterances, and use plain BLAS products. The LSTM forward writes
-its hidden and cell states as T+1 rows, row 0 being the state before the
-run, so the backward reads each step's previous state as a view of the
-forward's own arrays. The LSTM backward is one reverse recursion that
-carries only ``dh`` and ``dc`` from step to step and stacks each step's gate
-gradient ``dz``; the input, input-weight, recurrent-weight and bias
-gradients are then single GEMMs (or a sum) over the stacked ``dz``
-(Appleyard, Kočiský & Blunsom, "Optimizing Performance of Recurrent Neural
-Networks on GPUs", arXiv 1604.01946).
+over whole utterances, and use plain BLAS products.
+
+The LSTM follows Appleyard, Kočiský & Blunsom, "Optimizing Performance of
+Recurrent Neural Networks on GPUs" (arXiv 1604.01946). The forward takes
+the input product and bias for every step at once, as the linear forward's
+stacked product (§3); each step adds its recurrent product into its gate
+row, applies the gate nonlinearities in place and writes c, tanh(c) and h
+straight into their rows. It returns the hidden and cell states as T+1
+rows, row 0 being the state before the run, so the backward reads each
+step's previous state as a view of the forward's own arrays. The backward
+is one reverse recursion that carries only ``dh`` and ``dc`` from step to
+step and stacks each step's gate gradient ``dz``; the input,
+input-weight, recurrent-weight and bias gradients are then single GEMMs (or
+a sum) over the stacked ``dz``.
 """
 
 import numpy as np
+from scipy.special import expit
 
 
 # ---------------------------------------------------------------------------
@@ -81,13 +93,23 @@ def spatial_conv_backward(dout, x, w, dx):
 # Layer normalization over the trailing axis: rows (M, F)
 # ---------------------------------------------------------------------------
 
-def layer_norm_forward(x, gain, bias, eps):
+def layer_norm_forward(x, gain, bias, eps, out=None):
+    """Rows normalized to zero mean and unit variance, then scaled and shifted.
+
+    Returns ``(y, xhat, inv_std)``. ``xhat`` is written to ``out`` when it is
+    given, which may be ``x`` itself; the squared deviations are formed in
+    the buffer that then becomes ``y``, so the call allocates only ``y`` (and
+    ``xhat`` when ``out`` is None).
+    """
     f = x.shape[1]
-    xc = x - np.add.reduce(x, axis=1, keepdims=True) / f
-    var = np.add.reduce(xc * xc, axis=1, keepdims=True) / f
+    xhat = np.subtract(x, np.add.reduce(x, axis=1, keepdims=True) / f, out=out)
+    y = np.multiply(xhat, xhat)
+    var = np.add.reduce(y, axis=1, keepdims=True) / f
     inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv_std
-    return layer_norm_affine(xhat, gain, bias), xhat, inv_std[:, 0]
+    xhat *= inv_std
+    np.multiply(xhat, gain, out=y)
+    y += bias
+    return y, xhat, inv_std[:, 0]
 
 
 def layer_norm_affine(xhat, gain, bias):
@@ -95,15 +117,23 @@ def layer_norm_affine(xhat, gain, bias):
     return xhat * gain + bias
 
 
-def layer_norm_backward(dout, xhat, inv_std, gain):
+def layer_norm_backward(dout, xhat, inv_std, gain, out=None):
+    """``(dx, dgain, dbias)``; ``dx`` is written to ``out`` when it is given,
+    which may be ``dout`` itself (its sums are taken first)."""
     f = xhat.shape[1]
-    g = dout * gain
-    s1 = g.sum(axis=1, keepdims=True)
-    s2 = (g * xhat).sum(axis=1, keepdims=True)
-    dx = (g - s1 / f - xhat * s2 / f) * inv_std[:, None]
-    dgain = (dout * xhat).sum(axis=0)
     dbias = dout.sum(axis=0)
-    return dx, dgain, dbias
+    scratch = dout * xhat
+    dgain = scratch.sum(axis=0)
+    g = np.multiply(dout, gain, out=out)
+    s1 = g.sum(axis=1, keepdims=True)
+    s2 = np.multiply(g, xhat, out=scratch).sum(axis=1, keepdims=True)
+    # dx = (g - s1/f - xhat·s2/f)·inv_std, with the full-size terms in g and scratch
+    g -= s1 / f
+    np.multiply(xhat, s2, out=scratch)
+    scratch /= f
+    g -= scratch
+    g *= inv_std[:, None]
+    return g, dgain, dbias
 
 
 # ---------------------------------------------------------------------------
@@ -114,16 +144,25 @@ def layer_norm_backward(dout, xhat, inv_std, gain):
 # that a zero may come out +0 where the select gives -0.
 # ---------------------------------------------------------------------------
 
-def prelu_forward(x, a):
-    return np.maximum(x, 0) + a * np.minimum(x, 0)
+def prelu_forward(x, a, out=None):
+    """PReLU of x, written to ``out`` when it is given, which may be ``x`` itself."""
+    neg = np.minimum(x, 0)
+    neg *= a
+    out = np.maximum(x, 0, out=out)
+    out += neg
+    return out
 
 
-def prelu_backward(dout, x, a):
+def prelu_backward(dout, x, a, out=None):
+    """``(dx, da)``; ``dx`` is written to ``out`` when it is given, which may
+    be ``dout`` itself (``da`` is taken first)."""
+    scratch = np.minimum(x, 0)
+    scratch *= dout
+    da = np.asarray(scratch.sum(), dtype=x.dtype).reshape(np.shape(a))
     neg = x < 0
-    slope = neg * a + ~neg                   # exactly a where x < 0, else 1
-    dx = slope * dout
-    da = np.asarray((dout * np.minimum(x, 0)).sum(), dtype=x.dtype).reshape(np.shape(a))
-    return dx, da
+    np.multiply(neg, a, out=scratch)
+    scratch += ~neg                          # the slope: exactly a where x < 0, else 1
+    return np.multiply(scratch, dout, out=out), da
 
 
 # ---------------------------------------------------------------------------
@@ -131,32 +170,37 @@ def prelu_backward(dout, x, a):
 # Forward returns the hidden and cell states h, c as (T+1, F), row 0 holding
 # the state before the run (h0, c0) and row t+1 the state after frame t,
 # plus the T-row gate and tanh(c) caches that the backward pass replays.
+# The gate rows start as the input product plus bias and become the gate
+# activations in place; tanh(c)'s row is the step's scratch until tanh(c)
+# is known.
 # The backward reads the previous states as the views h[:-1] and c[:-1].
 # ---------------------------------------------------------------------------
 
-def _sigmoid(z):
-    return 1.0 / (1.0 + np.exp(-z))
-
-
 def lstm_forward(x, wx, wh, b, h0, c0):
     t_len, f = x.shape
+    # every step's input term and bias at once, as linear_forward's
+    # row-stable product; each step then adds its recurrent term in place
+    gates = np.matmul(x[:, None, :], wx.T)[:, 0]
+    gates += b
     h = np.empty((t_len + 1, f), x.dtype)
     c = np.empty((t_len + 1, f), x.dtype)
     h[0], c[0] = h0, c0
-    gates = np.empty((t_len, 4 * f), x.dtype)
     tanh_c = np.empty((t_len, f), x.dtype)
-    cp = c[0]
-    for t in range(t_len):
-        z = wx @ x[t] + wh @ h[t] + b
-        gates[t] = _sigmoid(z)
-        gates[t, 2 * f:3 * f] = np.tanh(z[2 * f:3 * f])
-        gi, gf, gg, go = gates[t, :f], gates[t, f:2 * f], gates[t, 2 * f:3 * f], gates[t, 3 * f:]
-        cv = gf * cp + gi * gg
-        tc = np.tanh(cv)
-        c[t + 1] = cv
-        tanh_c[t] = tc
-        h[t + 1] = go * tc
-        cp = cv
+    h_prev, c_prev = h0, c0
+    steps = zip(gates, gates[:, :f], gates[:, f:2 * f], gates[:, 2 * f:3 * f], gates[:, 3 * f:],
+                h[1:], c[1:], tanh_c)
+    for z, gi, gf, gg, go, h_next, c_next, tc in steps:
+        z += wh @ h_prev
+        # one sigmoid call over the whole row, the cell gate's tanh parked in tc
+        np.tanh(gg, out=tc)
+        expit(z, out=z)
+        gg[...] = tc
+        np.multiply(gi, gg, out=c_next)
+        np.multiply(gf, c_prev, out=tc)   # tc as scratch for f·c_prev
+        c_next += tc
+        np.tanh(c_next, out=tc)
+        np.multiply(go, tc, out=h_next)
+        h_prev, c_prev = h_next, c_next
     return h, gates, c, tanh_c
 
 

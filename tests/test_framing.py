@@ -152,6 +152,19 @@ def test_normalize_variance():
             normalize_variance(constant)
 
 
+def test_normalize_variance_rejects_a_non_finite_variance():
+    # one NaN, one inf, or finite samples whose variance overflows: a named
+    # error, not a NaN scale and not a RuntimeWarning
+    rng = np.random.default_rng(3)
+    for bad in (np.nan, np.inf, -np.inf):
+        y = rng.standard_normal((2, 800)).astype(np.float32)
+        y[1, 400] = bad
+        with pytest.raises(DegenerateInputError, match="not finite"):
+            normalize_variance(y)
+    with pytest.raises(DegenerateInputError, match="not finite"):
+        normalize_variance(np.array([[1e300, -1e300, 3.0]]))
+
+
 def test_normalize_variance_power_of_two_bit_identity():
     # scaling the input by 2^k changes the normalized output not at all
     rng = np.random.default_rng(2)

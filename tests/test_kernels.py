@@ -100,6 +100,57 @@ def test_forward_rows_are_independent_of_row_count():
 
 
 # ---------------------------------------------------------------------------
+# the kernels that take an out= buffer: the allocating form's bits, written
+# into the buffer, with every other argument left as it was
+# ---------------------------------------------------------------------------
+
+def _like(rng, array):
+    """Random float32 values in an array laid out like ``array``."""
+    out = np.empty_like(array)
+    out[...] = _f32(rng, *array.shape)
+    return out
+
+
+@pytest.mark.parametrize("layout", ["C", "stream rows"])
+def test_out_buffers_give_the_allocating_forms_bits(layout):
+    # both layouts the model passes: the encoder's C-ordered rows and a
+    # block's T·O stream rows of an F×T×O buffer, whose reductions numpy
+    # runs in another order
+    rng = np.random.default_rng(21)
+    f = 64
+    x = _f32(rng, 40, f) if layout == "C" else _stream_rows(_d_innermost(_f32(rng, 9, 40, f)))
+    gain, bias, eps, a = _f32(rng, f), _f32(rng, f), np.float32(1e-5), np.float32(0.25)
+    dout = _like(rng, x)
+    kept = {"x": x.copy(order="K"), "dout": dout.copy(order="K")}
+
+    def bytes_of(*arrays):
+        return [np.asarray(v).tobytes() for v in arrays]
+
+    want = K.layer_norm_forward(x, gain, bias, eps)
+    buf = x.copy(order="K")
+    got = K.layer_norm_forward(buf, gain, bias, eps, out=buf)
+    assert got[1] is buf and bytes_of(*got) == bytes_of(*want)
+    y, xhat, inv_std = want
+
+    want = K.prelu_forward(y, a)
+    buf = y.copy(order="K")
+    assert K.prelu_forward(buf, a, out=buf) is buf and bytes_of(buf) == bytes_of(want)
+
+    want = K.prelu_backward(dout, y, a)
+    buf = dout.copy(order="K")
+    got = K.prelu_backward(buf, y, a, out=buf)
+    assert got[0] is buf and bytes_of(*got) == bytes_of(*want)
+
+    want = K.layer_norm_backward(dout, xhat, inv_std, gain)
+    buf = dout.copy(order="K")
+    got = K.layer_norm_backward(buf, xhat, inv_std, gain, out=buf)
+    assert got[0] is buf and bytes_of(*got) == bytes_of(*want)
+    # nothing but the buffers handed over was written
+    assert bytes_of(x, dout) == bytes_of(kept["x"], kept["dout"])
+    assert bytes_of(*K.layer_norm_forward(kept["x"], gain, bias, eps)) == bytes_of(y, xhat, inv_std)
+
+
+# ---------------------------------------------------------------------------
 # backward == central finite differences (double precision on the raw kernels)
 # ---------------------------------------------------------------------------
 
