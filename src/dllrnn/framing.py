@@ -10,10 +10,12 @@ defaults), independent of compute speed.
 ``latency_check`` asserts that property bit-exactly: it perturbs single input
 samples and verifies that no output sample earlier than the bound changes.
 
-Samples and frames are mapped in one place: :func:`gather_frames` takes
-windows every hop, and :func:`overlap_sum`, its adjoint, adds them back
-(Griffin & Lim, IEEE TASSP 1984). Framing, overlap-add synthesis and its
-gradient, and the loss's STFT and its gradient all use that pair.
+Samples and frames are mapped in one place: :func:`windows` cuts windows
+every hop, for :func:`gather_frames`, :func:`frame_signal` and the streaming
+push, and :func:`overlap_sum`, their adjoint, adds them back (Griffin & Lim,
+IEEE TASSP 1984). :func:`overlap_add`, the one synthesis, sums frames and
+their window counts as one stack. The loss's STFT and both gradients use
+the same pair.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DegenerateInputError, DimensionError
 
@@ -77,11 +78,21 @@ def normalize_variance(y):
     return (y * np.asarray(scale, dtype=y.dtype)).astype(y.dtype), scale
 
 
-def _windows(x, width: int, hop: int, n_frames: int, left: int):
-    """The windows of :func:`gather_frames` as a read-only strided view of one padded copy."""
+def windows(data, width: int, hop: int):
+    """Every whole window ``data[..., t*hop : t*hop + width]`` along the last axis
+    of C-contiguous ``data`` (at least ``width`` long), as a read-only strided view."""
+    item = data.itemsize
+    view = np.ndarray(data.shape[:-1] + ((data.shape[-1] - width) // hop + 1, width),
+                      data.dtype, data, 0, data.strides[:-1] + (hop * item, item))
+    view.flags.writeable = False
+    return view
+
+
+def _padded_windows(x, width: int, hop: int, n_frames: int, left: int):
+    """``n_frames`` :func:`windows` of one copy of x, after ``left`` zeros and zero-padded."""
     padded = np.zeros(x.shape[:-1] + ((n_frames - 1) * hop + width,), dtype=x.dtype)
     padded[..., left:left + x.shape[-1]] = x
-    return sliding_window_view(padded, width, axis=-1)[..., ::hop, :]
+    return windows(padded, width, hop)
 
 
 def gather_frames(x, width: int, hop: int, n_frames: int, left: int = 0):
@@ -90,7 +101,7 @@ def gather_frames(x, width: int, hop: int, n_frames: int, left: int = 0):
     x follows ``left`` zeros and is zero-padded at the tail; window t covers
     padded samples [t*hop, t*hop + width). Returns a contiguous array.
     """
-    return np.ascontiguousarray(_windows(x, width, hop, n_frames, left))
+    return np.ascontiguousarray(_padded_windows(x, width, hop, n_frames, left))
 
 
 def overlap_sum(frames, hop: int, carry=None):
@@ -130,35 +141,18 @@ def frame_signal(x, spec: FrameSpec):
         x = x[None, :]
     if x.shape[1] == 0:
         raise DegenerateInputError("cannot frame an empty signal")
-    return _windows(x, spec.l_in, spec.hop, spec.n_frames(x.shape[1]), spec.pad_left)
+    return _padded_windows(x, spec.l_in, spec.hop, spec.n_frames(x.shape[1]), spec.pad_left)
 
 
-def overlap_counts(spec: FrameSpec, n_frames: int):
-    """How many emitted windows cover each synthesized sample (1×... buffer)."""
-    return overlap_sum(np.ones((n_frames, spec.l_out)), spec.hop)
-
-
-def overlap_add(frames, spec: FrameSpec, n_samples: int):
-    """Reassemble T×l_out output frames into a 1×N waveform.
-
-    Sample n receives the sum of all frames covering it divided by the
-    number of covering frames (2 in steady state at the defaults), then the
-    result is truncated to ``n_samples``.
+def overlap_add(frames, hop: int, carry=None):
+    """The 2×... :func:`overlap_sum` of ...×T×width frames (row 0) and of as
+    many windows of ones (row 1, each sample's window count); the synthesis
+    is row 0 over row 1. ``carry`` is as in :func:`overlap_sum`, two rows high.
     """
-    frames = np.asarray(frames)
-    if frames.ndim == 3:
-        if frames.shape[0] != 1:
-            raise DimensionError(f"expected a single output channel, got {frames.shape[0]}")
-        frames = frames[0]
-    t, width = frames.shape
-    if width != spec.l_out or t != spec.n_frames(n_samples):
-        raise DimensionError(
-            f"frames {frames.shape} inconsistent with l_out={spec.l_out}, "
-            f"N={n_samples} (expect T={spec.n_frames(n_samples)})"
-        )
-    out = overlap_sum(frames, spec.hop)
-    out /= overlap_counts(spec, t).astype(frames.dtype)
-    return out[None, :n_samples]
+    stack = np.empty((2,) + frames.shape, frames.dtype)
+    stack[0] = frames
+    stack[1] = 1
+    return overlap_sum(stack, hop, carry)
 
 
 @dataclass

@@ -39,10 +39,12 @@ Its backward gathers the gradient back into frames and runs
 (Griewank & Walther, *Evaluating Derivatives*, SIAM 2008).
 :class:`StreamingEnhancer` runs it on the frames each push completes, with
 carried input, LSTM state and overlap sums; :func:`enhance_waveform` runs a
-file through one session in 1 s pushes. Their output is bit-identical to the
-whole-utterance path, because every forward kernel computes a frame the same
-way however many frames share the call. The latency contract is checked
-bit-exactly on the whole-utterance path.
+file through one session in 1 s pushes. Both paths cut frames with
+:func:`~dllrnn.framing.windows` and synthesize with one
+:func:`~dllrnn.framing.overlap_add`, and their output is bit-identical, as
+every forward kernel computes a frame the same way however many frames
+share the call. The latency contract is checked bit-exactly on the
+whole-utterance path.
 
 A training example keeps one tensor per layer from its forward to its
 backward: the layer norms' ``xhat`` and ``inv_std``, each block's LSTM
@@ -72,13 +74,14 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from . import kernels as K
 from .errors import ConfigError, ContractError, DegenerateInputError, DimensionError
 from .framing import (SAMPLE_RATE, FrameSpec, frame_signal, gather_frames, normalize_variance,
-                      overlap_add, overlap_counts, overlap_sum)
+                      overlap_add, windows)
 from .tensor import Tensor, active_tape, from_op
 
 LN_EPS = 1e-5
@@ -111,6 +114,12 @@ class ModelConfig:
 
     def block_out_width(self, b: int) -> int:
         return 1 if b == self.blocks else self.spatial
+
+    @cached_property
+    def block_widths(self):
+        """Each block's (in, out) widths, computed once; a later read makes no call."""
+        return tuple((self.block_in_width(b), self.block_out_width(b))
+                     for b in range(1, self.blocks + 1))
 
 
 class ParamStore:
@@ -253,8 +262,7 @@ def _forward(config: ModelConfig, params, frames, states, caches=None):
     # The dense stack: block b reads rows [:D_b] and writes its output to the
     # rows after them; the final block's single row is the decoder's input.
     # It is indexed D×T×F and stored F×T×D, stream axis innermost.
-    dense = np.empty((f, t_len, config.block_in_width(config.blocks) + 1),
-                     frames.dtype).transpose(2, 1, 0)
+    dense = np.empty((f, t_len, config.block_widths[-1][0] + 1), frames.dtype).transpose(2, 1, 0)
     dense[:c] = y.reshape(c, t_len, f)
     del y
     for b in range(1, config.blocks + 1):
@@ -278,7 +286,7 @@ def _block_forward(config: ModelConfig, b, block_params, dense, state, eps, cach
     views of it, and the only copy is the LSTM's contiguous T×F input stream.
     """
     conv_w, conv_b, ln_g, ln_b, a, wx, wh, lstm_b, lin_w, lin_b = block_params
-    lo, n_out = config.block_in_width(b), config.block_out_width(b)
+    lo, n_out = config.block_widths[b - 1]
     conv = _rows(K.spatial_conv_forward(dense[:lo], conv_w, conv_b))
     y, xhat, inv_std = K.layer_norm_forward(conv, ln_g, ln_b, eps, out=conv)
     if caches is None:
@@ -309,7 +317,7 @@ def _block_backward(config: ModelConfig, b, block_params, cache, dense, d_dense)
     """
     conv_w, _, ln_g, ln_b, a, wx, wh, _, lin_w, _ = block_params
     xhat, inv_std, (h, gates, cell, tanh_c), gate = cache
-    lo, n_out = config.block_in_width(b), config.block_out_width(b)
+    lo, n_out = config.block_widths[b - 1]
     y = K.layer_norm_affine(xhat, ln_g, ln_b)
     mixed = _streams(K.prelu_forward(y, a), n_out + 1)
     d_out = d_dense[lo:lo + n_out]
@@ -368,6 +376,16 @@ def _backward(config: ModelConfig, params, caches, g, signal):
     return grads
 
 
+def _input(y, config: ModelConfig, dtype):
+    """A C×N (or N-sample) input as a C×N array of ``dtype``, its channels checked."""
+    y = np.asarray(y)
+    if y.ndim == 1:
+        y = y[None, :]
+    if y.shape[0] != config.channels:
+        raise DimensionError(f"input has {y.shape[0]} channels, config expects {config.channels}")
+    return y.astype(dtype, copy=False)
+
+
 def model_forward(y, config: ModelConfig, store: ParamStore, *, scale=None) -> Tensor:
     """Enhance a C×N waveform to a 1×N direct-path estimate (as a Tensor).
 
@@ -379,13 +397,8 @@ def model_forward(y, config: ModelConfig, store: ParamStore, *, scale=None) -> T
     frees the activations it reads. An input with a NaN or infinite sample is
     a :class:`~dllrnn.errors.DegenerateInputError`.
     """
-    y = np.asarray(y)
-    if y.ndim == 1:
-        y = y[None, :]
-    if y.shape[0] != config.channels:
-        raise DimensionError(f"input has {y.shape[0]} channels, config expects {config.channels}")
     dtype = store.dtype
-    y = y.astype(dtype, copy=False)  # before the scale is taken, as enhance_waveform does
+    y = _input(y, config, dtype)  # cast before the scale is taken, as enhance_waveform does
     if scale is None:
         signal, scale = normalize_variance(y)  # rejects non-finite samples
     else:
@@ -400,16 +413,17 @@ def model_forward(y, config: ModelConfig, store: ParamStore, *, scale=None) -> T
     out = _forward(config, params, frame_signal(signal, spec),
                    np.zeros((config.blocks, 2, config.hidden), dtype), caches)
     t_len, inv_scale = out.shape[0], np.asarray(1.0 / scale, dtype=dtype)
+    sums = overlap_add(out, spec.hop)
+    counts = sums[1, :n]
 
     def backward(g):
         if not caches:
             raise ContractError("model_forward's backward ran already; its sweep frees the "
                                 "activations, so record the forward on a new tape")
-        counts = overlap_counts(spec, t_len)[:n].astype(dtype)
         d_out = gather_frames(g[0] * inv_scale / counts, spec.l_out, spec.hop, t_len)
         return _backward(config, params, caches, d_out, signal)
 
-    return from_op(overlap_add(out, spec, n) * inv_scale, tensors, backward)
+    return from_op(sums[:1, :n] / counts * inv_scale, tensors, backward)
 
 
 # ---------------------------------------------------------------------------
@@ -447,11 +461,11 @@ class StreamingEnhancer:
     A push takes any whole number of hops, C×k·hop samples, and runs the
     windows they complete through :func:`_forward`, the assembly
     :func:`model_forward` runs, in one call. It overlap-adds their frames with
-    :func:`~dllrnn.framing.overlap_sum` seeded with the carried sums, and
-    returns the 1×m·hop samples they complete, or None while priming (the
-    first ``l_out/hop - 1`` hops). The parameter arrays are read at every
-    push, so a later ``store.load_arrays`` takes effect. The output is
-    bit-identical to the whole-utterance one with the same frozen scale,
+    :func:`~dllrnn.framing.overlap_add` seeded with the carried sums and
+    counts, and returns the 1×m·hop samples they complete, or None while
+    priming (the first ``l_out/hop - 1`` hops). The parameter arrays are read
+    at every push, so a later ``store.load_arrays`` takes effect. The output
+    is bit-identical to the whole-utterance one with the same frozen scale,
     however the input is split into pushes.
     """
 
@@ -493,16 +507,9 @@ class StreamingEnhancer:
             self._tail = data
             return None
         self._tail = data[:, m * spec.hop:]
-        # window j is data[:, j·hop : j·hop + l_in], a strided view with no copy
-        item = data.itemsize
-        windows = np.ndarray((data.shape[0], m, spec.l_in), data.dtype, data, 0,
-                             (data.strides[0], spec.hop * item, item))
-        out = _forward(self.config, list(map(_DATA, self._params)), windows, self._states)
-        # the frames and their window counts, overlap-added as one stack
-        stack = np.empty((2, m, spec.l_out), dtype=self.dtype)
-        stack[0] = out
-        stack[1] = 1
-        sums = overlap_sum(stack, spec.hop, self._carry)
+        out = _forward(self.config, list(map(_DATA, self._params)),
+                       windows(data, spec.l_in, spec.hop), self._states)
+        sums = overlap_add(out, spec.hop, self._carry)
         self._carry = sums[:, m * spec.hop:]
         emitted = sums[:1, :m * spec.hop] / sums[1, :m * spec.hop]
         emitted *= self._inv_scale
@@ -517,15 +524,13 @@ _BLOCK_HOPS = 1000
 def enhance_waveform(y, config: ModelConfig, store: ParamStore, *, scale=None):
     """Run a full utterance through one streaming session; returns 1×N array.
 
-    Bit-identical to ``model_forward(y, ...).data``. The input is cast to the
-    parameter dtype, zero-padded until its last frame has been emitted, and
-    pushed in blocks of ``_BLOCK_HOPS`` hops; this is also how the CLI
-    enhances files, so there is a single inference path.
+    Bit-identical to ``model_forward(y, ...).data``. The input's channels are
+    checked as there, then it is cast to the parameter dtype, zero-padded
+    until its last frame has been emitted, and pushed in blocks of
+    ``_BLOCK_HOPS`` hops; this is also how the CLI enhances files, so there
+    is a single inference path.
     """
-    y = np.asarray(y)
-    if y.ndim == 1:
-        y = y[None, :]
-    y = y.astype(store.dtype, copy=False)
+    y = _input(y, config, store.dtype)
     if scale is None:
         _, scale = normalize_variance(y)
     spec, n = config.frame, y.shape[1]

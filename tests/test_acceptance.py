@@ -82,7 +82,8 @@ def test_criterion_5_framing_roundtrip():
         n = int(rng.integers(64, 4097))
         x = rng.standard_normal(n)
         frames = frame_signal(x, spec)
-        recon = overlap_add(frames[:, :, -spec.l_out:], spec, n)[0]
+        sums = overlap_add(frames[0, :, -spec.l_out:], spec.hop)
+        recon = sums[0, :n] / sums[1, :n]
         worst = max(worst, float(np.max(np.abs(recon[spec.l_out:] - x[spec.l_out:]))))
     ok = worst <= 1e-12
     _verdict(5, ok, f"100 random lengths, worst interior roundtrip error {worst:.2e} "

@@ -6,7 +6,7 @@ import pytest
 
 from dllrnn.errors import DegenerateInputError, DimensionError
 from dllrnn.framing import (FrameSpec, frame_signal, gather_frames, latency_check,
-                            normalize_variance, overlap_add, overlap_counts, overlap_sum)
+                            normalize_variance, overlap_add, overlap_sum, windows)
 
 
 def test_frame_spec_defaults_and_validation():
@@ -46,6 +46,25 @@ def test_frame_signal_degenerate_spec_is_plain_segmentation():
     x = np.arange(16.0)
     frames = frame_signal(x, spec)
     npt.assert_array_equal(frames[0], x.reshape(2, 8))
+
+
+def test_windows_are_read_only_views_equal_to_gather_frames():
+    # windows and frame_signal cut without a copy, and a window cannot be
+    # written through; their rows are gather_frames' rows
+    spec = FrameSpec()
+    x = np.random.default_rng(3).standard_normal((3, 203)).astype(np.float32)
+    t = spec.n_frames(203)
+    framed = frame_signal(x, spec)
+    gathered = gather_frames(x, spec.l_in, spec.hop, t, spec.pad_left)
+    data = np.ascontiguousarray(x[:, 3:])
+    cut = windows(data, 40, 8)
+    assert cut.shape == (3, (200 - 40) // 8 + 1, 40)
+    for view, want in ((framed, gathered), (cut, gather_frames(data, 40, 8, cut.shape[1]))):
+        assert not view.flags.writeable and not view.flags.owndata
+        assert view.tobytes() == want.tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            view[0, 0, 0] = 1.0
+    assert np.shares_memory(cut, data)
 
 
 def test_frame_signal_errors_and_channels():
@@ -100,26 +119,28 @@ def test_overlap_sum_carry_joins_consecutive_calls():
 
 def test_interior_samples_covered_by_two_frames():
     spec = FrameSpec()
-    counts = overlap_counts(spec, spec.n_frames(1000))
+    counts = overlap_add(np.zeros((spec.n_frames(1000), spec.l_out)), spec.hop)[1]
     # steady state: every sample past the first window is covered l_out/hop = 2 times
     assert np.all(counts[spec.l_out - spec.hop:1000] == 2.0)
     assert np.all(counts[:spec.l_out - spec.hop] == 1.0)
+
+
+def _synthesize(frames, hop, n):
+    """The overlap-added frames over their window counts, cut to n samples."""
+    sums = overlap_add(frames, hop)
+    return sums[0, ..., :n] / sums[1, ..., :n]
 
 
 def test_overlap_add_constants_and_errors():
     spec = FrameSpec()
     t = spec.n_frames(500)
     zeros = np.zeros((1, t, spec.l_out))
-    npt.assert_array_equal(overlap_add(zeros, spec, 500), np.zeros((1, 500)))
+    npt.assert_array_equal(_synthesize(zeros, spec.hop, 500), np.zeros((1, 500)))
     const = np.full((t, spec.l_out), 3.0)
-    out = overlap_add(const, spec, 500)
-    npt.assert_allclose(out[0, spec.l_out:], 3.0)
-    with pytest.raises(DimensionError):
-        overlap_add(np.zeros((t + 1, spec.l_out)), spec, 500)
-    with pytest.raises(DimensionError):
-        overlap_add(np.zeros((t, spec.l_out - 1)), spec, 500)
-    with pytest.raises(DimensionError):
-        overlap_add(np.zeros((2, t, spec.l_out)), spec, 500)
+    out = _synthesize(const, spec.hop, 500)
+    npt.assert_allclose(out[spec.l_out:], 3.0)
+    with pytest.raises(DimensionError, match="hop"):
+        overlap_add(np.zeros((t, spec.l_out - 1)), spec.hop)
 
 
 def test_roundtrip_exact_on_interior_100_random_signals():
@@ -129,8 +150,8 @@ def test_roundtrip_exact_on_interior_100_random_signals():
         n = int(rng.integers(64, 4097))
         x = rng.standard_normal(n)
         frames = frame_signal(x, spec)
-        back = overlap_add(frames[:, :, -spec.l_out:], spec, n)
-        assert np.abs(back[0, spec.l_out:] - x[spec.l_out:]).max() <= 1e-12
+        back = _synthesize(frames[0, :, -spec.l_out:], spec.hop, n)
+        assert np.abs(back[spec.l_out:] - x[spec.l_out:]).max() <= 1e-12
 
 
 def test_normalize_variance():
@@ -178,7 +199,7 @@ def test_normalize_variance_power_of_two_bit_identity():
 def _identity_model(spec):
     def model(x):
         frames = frame_signal(x, spec)
-        return overlap_add(frames[:1, :, -spec.l_out:], spec, x.shape[-1])
+        return _synthesize(frames[:1, :, -spec.l_out:], spec.hop, x.shape[-1])
     return model
 
 

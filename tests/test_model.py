@@ -599,9 +599,10 @@ def test_streaming_matches_batch_with_normalization():
 
 def test_streaming_push_call_budget():
     # A primed 64-8-8 push is bound by its Python-level calls, not by its
-    # 0.1 ms of arithmetic. 205 are measured, counting the profiler's own
-    # disable call and the input's finiteness check (221 when the LSTM
-    # called a Python sigmoid per step and allocated h and c apart).
+    # 0.1 ms of arithmetic. 190 are measured, counting the profiler's own
+    # disable call and the input's finiteness check (205 when every block
+    # asked the config for its widths, 221 when the LSTM called a Python
+    # sigmoid per step and allocated h and c apart).
     cfg = ModelConfig()
     session = StreamingEnhancer(cfg, build_params(cfg, seed=0))
     block = np.random.default_rng(7).standard_normal((8, cfg.frame.hop)).astype(np.float32)
@@ -611,7 +612,31 @@ def test_streaming_push_call_budget():
     profile.enable()
     session.push(block)
     profile.disable()
-    assert pstats.Stats(profile).total_calls <= 205
+    assert pstats.Stats(profile).total_calls <= 190
+
+
+def _framing_calls(fn, *args, **kwargs):
+    """How many times each dllrnn.framing function is entered while fn runs."""
+    profile = cProfile.Profile()
+    profile.runcall(fn, *args, **kwargs)
+    return {name: stat[1] for (path, _, name), stat in pstats.Stats(profile).stats.items()
+            if path.endswith("framing.py")}
+
+
+def test_push_and_model_forward_share_one_synthesis():
+    # A primed push and a whole-utterance forward each cut their windows once
+    # and overlap-add once, through framing.overlap_add, so the synthesis
+    # and its window counts are computed in one place on both paths.
+    cfg = ModelConfig(channels=2, hidden=8, spatial=2, blocks=2,
+                      frame=FrameSpec(l_in=32, l_out=8, hop=4))
+    store = build_params(cfg, seed=0)
+    y = np.random.default_rng(2).standard_normal((2, 40)).astype(np.float32)
+    session = StreamingEnhancer(cfg, store)
+    session.push(y[:, :8])
+    calls = _framing_calls(session.push, y[:, 8:20])
+    assert calls == {"windows": 1, "overlap_add": 1, "overlap_sum": 1}
+    calls = _framing_calls(model_forward, y, cfg, store, scale=1.0)
+    assert calls["windows"] == calls["overlap_add"] == calls["overlap_sum"] == 1
 
 
 def test_enhance_waveform_memory_is_bounded():
@@ -641,15 +666,20 @@ def _with_one_nan(shape, seed):
 
 
 def test_non_finite_input_is_a_named_error_on_every_entry_point():
+    # and so is the wrong channel count, with the same message on both
+    # paths, before enhance_waveform normalizes or pads the input
     cfg = ModelConfig(channels=2, hidden=8, spatial=2, blocks=2,
                       frame=FrameSpec(l_in=32, l_out=8, hop=4))
     store = build_params(cfg, seed=0)
-    y = _with_one_nan((2, 800), 0)
-    for scale in (None, 1.0):
-        with pytest.raises(DegenerateInputError, match="finite"):
-            model_forward(y, cfg, store, scale=scale)
-        with pytest.raises(DegenerateInputError, match="finite"):
-            enhance_waveform(y, cfg, store, scale=scale)
+    three_channels = np.random.default_rng(0).standard_normal((3, 800)).astype(np.float32)
+    for y, error, match in ((_with_one_nan((2, 800), 0), DegenerateInputError, "finite"),
+                            (three_channels, DimensionError,
+                             "input has 3 channels, config expects 2")):
+        for scale in (None, 1.0):
+            with pytest.raises(error, match=match):
+                model_forward(y, cfg, store, scale=scale)
+            with pytest.raises(error, match=match):
+                enhance_waveform(y, cfg, store, scale=scale)
     with pytest.raises(DegenerateInputError, match="finite"):
         with Tape():
             model_forward(np.full((2, 800), np.inf, np.float32), cfg, store, scale=1.0)
