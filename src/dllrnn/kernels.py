@@ -26,7 +26,9 @@ Recurrent Neural Networks on GPUs" (arXiv 1604.01946). The forward takes
 the input product and bias for every step at once, as the linear forward's
 stacked product (§3); each step adds its recurrent product into its gate
 row, applies the gate nonlinearities in place and writes c, tanh(c) and h
-straight into their rows. It returns the hidden and cell states as T+1
+straight into their rows. The sigmoids are written as
+0.5 + 0.5·tanh(v/2), so one ``np.tanh`` covers all four gates and the
+module needs numpy alone. It returns the hidden and cell states as T+1
 rows, row 0 being the state before the run, so the backward reads each
 step's previous state as a view of the forward's own arrays. The backward
 is one reverse recursion that carries only ``dh`` and ``dc`` from step to
@@ -36,7 +38,6 @@ a sum) over the stacked ``dz``.
 """
 
 import numpy as np
-from scipy.special import expit
 
 
 # ---------------------------------------------------------------------------
@@ -171,13 +172,29 @@ def prelu_backward(dout, x, a, out=None):
 # the state before the run (h0, c0) and row t+1 the state after frame t,
 # plus the T-row gate and tanh(c) caches that the backward pass replays.
 # The gate rows start as the input product plus bias and become the gate
-# activations in place; tanh(c)'s row is the step's scratch until tanh(c)
-# is known.
+# activations in place, all four through one tanh over the row:
+# sigmoid(v) = 0.5 + 0.5·tanh(v/2) on the i/f/o rows, and on the g row the
+# scale 1 and shift 0 leave tanh(v) itself.
 # The backward reads the previous states as the views h[:-1] and c[:-1].
 # ---------------------------------------------------------------------------
 
+_GATE_AFFINE = {}  # (F, dtype) -> (scale, shift) over a 4F gate row, read-only
+
+
+def _gate_affine(f, dtype):
+    scale = np.repeat(np.array([0.5, 0.5, 1.0, 0.5], dtype), f)
+    shift = np.repeat(np.array([0.5, 0.5, 0.0, 0.5], dtype), f)
+    scale.flags.writeable = shift.flags.writeable = False
+    return scale, shift
+
+
 def lstm_forward(x, wx, wh, b, h0, c0):
     t_len, f = x.shape
+    # looked up by subscript, not a call, so a one-frame call makes no extra Python-level call
+    try:
+        scale, shift = _GATE_AFFINE[f, x.dtype]
+    except KeyError:
+        scale, shift = _GATE_AFFINE[f, x.dtype] = _gate_affine(f, x.dtype)
     # every step's input term and bias at once, as linear_forward's
     # row-stable product; each step then adds its recurrent term in place
     gates = np.matmul(x[:, None, :], wx.T)[:, 0]
@@ -191,10 +208,10 @@ def lstm_forward(x, wx, wh, b, h0, c0):
                 h[1:], c[1:], tanh_c)
     for z, gi, gf, gg, go, h_next, c_next, tc in steps:
         z += wh @ h_prev
-        # one sigmoid call over the whole row, the cell gate's tanh parked in tc
-        np.tanh(gg, out=tc)
-        expit(z, out=z)
-        gg[...] = tc
+        z *= scale
+        np.tanh(z, out=z)
+        z *= scale
+        z += shift
         np.multiply(gi, gg, out=c_next)
         np.multiply(gf, c_prev, out=tc)   # tc as scratch for f·c_prev
         c_next += tc

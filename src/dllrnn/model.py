@@ -377,10 +377,12 @@ def _backward(config: ModelConfig, params, caches, g, signal):
 
 
 def _input(y, config: ModelConfig, dtype):
-    """A C×N (or N-sample) input as a C×N array of ``dtype``, its channels checked."""
+    """A C×N (or N-sample) input as a C×N array of ``dtype``, its rank and channels checked."""
     y = np.asarray(y)
     if y.ndim == 1:
         y = y[None, :]
+    if y.ndim != 2:
+        raise DimensionError(f"input must be C×N or N samples, got shape {y.shape}")
     if y.shape[0] != config.channels:
         raise DimensionError(f"input has {y.shape[0]} channels, config expects {config.channels}")
     return y.astype(dtype, copy=False)

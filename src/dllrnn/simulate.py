@@ -12,14 +12,19 @@ Impulse responses come from the mirror-image construction: every image of the
 source across the walls up to a reflection order contributes a tap of
 amplitude beta^reflections / (4*pi*distance) at its fractional arrival delay,
 rendered with an 81-tap Hann-tapered sinc kernel.
+
+The module needs numpy alone. Convolution and the source generators' IIR
+filters are real FFTs at a 5-smooth length (``fftconvolve``, ``iir_filter``);
+each source's spectrum is taken once and multiplied by all of its
+microphones' responses.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import fftconvolve, lfilter
 
 from . import kernels as K
 from .errors import DataError, DegenerateInputError, DimensionError, GeometryError
@@ -30,6 +35,57 @@ MIC_RADIUS = 0.10
 N_MICS = 8
 WALL_MARGIN = 0.1
 DEFAULT_ORDER = 6
+
+
+# ---------------------------------------------------------------------------
+# Filtering by real FFTs. Sizes are 5-smooth (2^i·3^j·5^k), the lengths
+# pocketfft transforms fastest, as scipy.signal.fftconvolve pads to.
+# ---------------------------------------------------------------------------
+
+def _smooth_len(n: int) -> int:
+    """The smallest 5-smooth integer >= n."""
+    best = 1 << max(n - 1, 0).bit_length()
+    p35 = 1
+    while p35 < best:
+        p3 = p35
+        while p3 < best:
+            best = min(best, p3 << (-(-n // p3) - 1).bit_length())
+            p3 *= 3
+        p35 *= 5
+    return best
+
+
+def fftconvolve(in1, in2):
+    """Full linear convolution along the last axis; leading axes broadcast,
+    so one signal convolves with a stack of responses and its spectrum is
+    taken once."""
+    in1, in2 = np.asarray(in1), np.asarray(in2)
+    n = in1.shape[-1] + in2.shape[-1] - 1
+    size = _smooth_len(n)
+    spectrum = np.fft.rfft(in1, size) * np.fft.rfft(in2, size)
+    return np.fft.irfft(spectrum, size)[..., :n]
+
+
+def iir_filter(b, a, x):
+    """The causal filter b(z)/a(z) applied to 1-D ``x`` from rest, as
+    ``scipy.signal.lfilter(b, a, x)`` computes it.
+
+    It is one spectral division at a length L that leaves ``guard`` samples
+    past the input, where the response to the input's end has decayed by
+    r^guard <= 1e-18 (r the largest pole radius); the circular wrap then adds
+    only that much of the tail to the first samples. A fixed L = 2n would
+    not: at n = 16 a 0.995 pole decays by only 0.92 over 16 samples.
+    """
+    b = np.asarray(b, np.float64)
+    a = np.asarray(a, np.float64)
+    radius = max(np.abs(np.roots(a)), default=0.0)
+    if radius >= 1.0:
+        raise ValueError(f"filter has a pole of radius {radius} >= 1")
+    guard = len(b) + (math.ceil(math.log(1e-18) / math.log(radius)) if radius > 0.0 else 0)
+    n = len(x)
+    size = _smooth_len(n + guard)
+    spectrum = np.fft.rfft(x, size) * np.fft.rfft(b, size) / np.fft.rfft(a, size)
+    return np.fft.irfft(spectrum, size)[:n]
 
 
 @dataclass(frozen=True)
@@ -178,12 +234,13 @@ class MixtureExample:
 
 
 def _convolve_to_mics(source, room, src_pos, mics, order):
-    n = source.shape[0]
-    out = np.empty((mics.shape[0], n))
-    for c in range(mics.shape[0]):
-        rir = simulate_rir(room, src_pos, mics[c], order)
-        out[c] = fftconvolve(source, rir)[:n]
-    return out
+    """``source`` through each microphone's response, cut to its length: one
+    convolution of the source with the responses zero-padded to one length."""
+    rirs = [simulate_rir(room, src_pos, mic, order) for mic in mics]
+    stack = np.zeros((len(rirs), max(len(rir) for rir in rirs)))
+    for row, rir in zip(stack, rirs):
+        row[:len(rir)] = rir
+    return np.ascontiguousarray(fftconvolve(source, stack)[:, :source.shape[0]])
 
 
 def spatialize_mixture(scene: Scene, speech, noises,
@@ -254,7 +311,7 @@ def achieved_snr(ex: MixtureExample) -> float:
 # ---------------------------------------------------------------------------
 
 def speech_like(rng, n: int):
-    carrier = lfilter([1.0], [1.0, -0.95], rng.standard_normal(n))
+    carrier = iir_filter([1.0], [1.0, -0.95], rng.standard_normal(n))
     t = np.arange(n) / SAMPLE_RATE
     rate = rng.uniform(2.0, 5.0)
     phase = rng.uniform(0.0, 2.0 * np.pi)
@@ -271,7 +328,7 @@ def pink_noise(rng, n: int):
     # -3 dB/octave via a standard 3-pole/3-zero approximation of 1/f.
     b = [0.049922035, -0.095993537, 0.050612699, -0.004408786]
     a = [1.0, -2.494956002, 2.017265875, -0.522189400]
-    x = lfilter(b, a, rng.standard_normal(n))
+    x = iir_filter(b, a, rng.standard_normal(n))
     return x / np.sqrt(np.mean(x ** 2))
 
 

@@ -339,6 +339,33 @@ def test_lstm_backward_matches_per_step_recursion(dtype, rtol):
         npt.assert_allclose(g, want, rtol=rtol, atol=rtol * np.abs(want).max(), err_msg=name)
 
 
+@pytest.mark.parametrize("dtype, ulps", [(np.float32, 2), (np.float64, 2)])
+def test_lstm_gate_rows_match_float64_reference(dtype, ulps):
+    # The forward's gates come from one tanh over the row: 0.5 + 0.5·tanh(v/2)
+    # on the i/f/o rows, tanh(v) itself on the g row. Against sigmoid and
+    # tanh in float64 of the same pre-activations, every gate is within a
+    # few ulp of 1.0 in the working dtype, and the g row is that dtype's tanh.
+    rng = np.random.default_rng(12)
+    t_len, f = 200, 64
+    x = (3.0 * _rand(rng, t_len, f)).astype(dtype)
+    wx, wh = (0.5 * _rand(rng, 4 * f, f)).astype(dtype), (0.5 * _rand(rng, 4 * f, f)).astype(dtype)
+    b = _rand(rng, 4 * f).astype(dtype)
+    h0, c0 = _rand(rng, f).astype(dtype), _rand(rng, f).astype(dtype)
+    h, gates, c, tanh_c = K.lstm_forward(x, wx, wh, b, h0, c0)
+    # the pre-activations, formed as the kernel forms them
+    z = np.matmul(x[:, None, :], wx.T)[:, 0]
+    z += b
+    for t in range(t_len):
+        z[t] += wh @ h[t]
+    z64 = z.astype(np.float64)
+    want = 1.0 / (1.0 + np.exp(-z64))
+    want[:, 2 * f:3 * f] = np.tanh(z64[:, 2 * f:3 * f])
+    assert np.abs(z64).max() > 20.0  # saturated gates are covered
+    assert gates.dtype == dtype
+    npt.assert_allclose(gates, want, rtol=0, atol=ulps * np.finfo(dtype).eps)
+    npt.assert_array_equal(gates[:, 2 * f:3 * f], np.tanh(z[:, 2 * f:3 * f]))
+
+
 # ---------------------------------------------------------------------------
 # tap placement semantics
 # ---------------------------------------------------------------------------

@@ -666,15 +666,19 @@ def _with_one_nan(shape, seed):
 
 
 def test_non_finite_input_is_a_named_error_on_every_entry_point():
-    # and so is the wrong channel count, with the same message on both
-    # paths, before enhance_waveform normalizes or pads the input
+    # and so are the wrong channel count and an input that is neither C×N
+    # nor N samples, with the same message on both paths, before
+    # enhance_waveform normalizes or pads the input
     cfg = ModelConfig(channels=2, hidden=8, spatial=2, blocks=2,
                       frame=FrameSpec(l_in=32, l_out=8, hop=4))
     store = build_params(cfg, seed=0)
     three_channels = np.random.default_rng(0).standard_normal((3, 800)).astype(np.float32)
+    three_dims = np.random.default_rng(0).standard_normal((2, 1, 800)).astype(np.float32)
     for y, error, match in ((_with_one_nan((2, 800), 0), DegenerateInputError, "finite"),
                             (three_channels, DimensionError,
-                             "input has 3 channels, config expects 2")):
+                             "input has 3 channels, config expects 2"),
+                            (three_dims, DimensionError,
+                             r"input must be C×N or N samples, got shape \(2, 1, 800\)")):
         for scale in (None, 1.0):
             with pytest.raises(error, match=match):
                 model_forward(y, cfg, store, scale=scale)

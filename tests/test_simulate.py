@@ -8,9 +8,10 @@ import numpy.testing as npt
 import pytest
 
 from dllrnn.errors import DataError, DegenerateInputError, DimensionError, GeometryError
-from dllrnn.simulate import (MixtureExample, RoomSpec, Scene, _axis_images, achieved_snr, draw_scene,
-                             image_sources, manifest_read, manifest_write, mic_circle, pink_noise,
-                             simulate_rir, spatialize_mixture, speech_like, white_noise)
+from dllrnn.simulate import (MixtureExample, RoomSpec, Scene, _axis_images, _smooth_len,
+                             achieved_snr, draw_scene, fftconvolve, iir_filter, image_sources,
+                             manifest_read, manifest_write, mic_circle, pink_noise, simulate_rir,
+                             spatialize_mixture, speech_like, white_noise)
 
 ROOM = RoomSpec(length=6.0, width=6.0, height=6.0, absorption=0.3)
 
@@ -268,6 +269,43 @@ def test_source_material_unit_rms():
         assert np.sqrt(np.mean(x ** 2)) == pytest.approx(1.0, abs=1e-9)
     w = white_noise(rng, 4000)
     assert w.shape == (4000,) and np.isfinite(w).all()
+
+
+# the source generators' filters: speech_like's one-pole carrier and pink_noise's 1/f fit
+ONE_POLE = ([1.0], [1.0, -0.95])
+PINK = ([0.049922035, -0.095993537, 0.050612699, -0.004408786],
+        [1.0, -2.494956002, 2.017265875, -0.522189400])
+
+
+def test_fftconvolve_matches_scipy():
+    signal = pytest.importorskip("scipy.signal")
+    fft = pytest.importorskip("scipy.fft")
+    assert all(_smooth_len(n) == fft.next_fast_len(n, True) for n in range(1, 5000))
+    rng = np.random.default_rng(13)
+    source, rirs = rng.standard_normal(32000), rng.standard_normal((8, 3000))
+    npt.assert_array_equal(fftconvolve(source, rirs[0]), signal.fftconvolve(source, rirs[0]))
+    # one call against a stack of responses gives each row's own convolution
+    stacked = fftconvolve(source, rirs)
+    for rir, row in zip(rirs, stacked):
+        npt.assert_array_equal(row, fftconvolve(source, rir))
+
+
+@pytest.mark.parametrize("n", [16, 1000, 32000])
+@pytest.mark.parametrize("b, a", [ONE_POLE, PINK], ids=["one-pole", "pink"])
+def test_iir_filter_matches_lfilter(b, a, n):
+    # at n = 16 the pink filter's 0.995 pole still holds 92% of its start, so
+    # a transform only twice the input's length would wrap it onto the start
+    signal = pytest.importorskip("scipy.signal")
+    x = np.random.default_rng(n).standard_normal(n)
+    want = signal.lfilter(b, a, x)
+    got = iir_filter(b, a, x)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_iir_filter_rejects_an_unstable_pole():
+    with pytest.raises(ValueError, match="pole"):
+        iir_filter([1.0], [1.0, -1.0], np.ones(8))
 
 
 def test_manifest_roundtrip(tmp_path):
