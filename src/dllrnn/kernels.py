@@ -25,16 +25,16 @@ The LSTM follows Appleyard, Kočiský & Blunsom, "Optimizing Performance of
 Recurrent Neural Networks on GPUs" (arXiv 1604.01946). The forward takes
 the input product and bias for every step at once, as the linear forward's
 stacked product (§3); each step adds its recurrent product into its gate
-row, applies the gate nonlinearities in place and writes c, tanh(c) and h
-straight into their rows. The sigmoids are written as
-0.5 + 0.5·tanh(v/2), so one ``np.tanh`` covers all four gates and the
+row, applies the gate nonlinearities in place and writes c and h straight
+into their rows, with tanh(c) in one rolling row. The sigmoids are written
+as 0.5 + 0.5·tanh(v/2), so one ``np.tanh`` covers all four gates and the
 module needs numpy alone. It returns the hidden and cell states as T+1
 rows, row 0 being the state before the run, so the backward reads each
-step's previous state as a view of the forward's own arrays. The backward
-is one reverse recursion that carries only ``dh`` and ``dc`` from step to
-step and stacks each step's gate gradient ``dz``; the input,
-input-weight, recurrent-weight and bias gradients are then single GEMMs (or
-a sum) over the stacked ``dz``.
+step's previous state as a view of the forward's own arrays and takes
+tanh(c) again from the cell rows. The backward is one reverse recursion
+that carries only ``dh`` and ``dc`` from step to step and stacks each
+step's gate gradient ``dz``; the input, input-weight, recurrent-weight and
+bias gradients are then single GEMMs (or a sum) over the stacked ``dz``.
 """
 
 import numpy as np
@@ -62,16 +62,13 @@ def linear_backward(dout, x, w):
 # Batched matmuls over F; the forward one is also stacked over T. The model
 # stores x with D innermost (F×T×D memory, read through a D×T×F view), so
 # each (t, f) product reads its D inputs contiguously and the output comes
-# back O-innermost. The backward adds its input gradient, the
-# (F,T,O)@(F,O,D) product, into the caller's accumulator dx, laid out like x.
-# It does so a few hidden units at a time, so no full D×T×F temporary is
-# formed: each unit's product is the same BLAS call however many units share
-# the batch, so the sum is the one a full product would give. dw contracts
-# over T.
+# back O-innermost. The backward takes the weight and bias gradients: dw
+# contracts over T, and db is one numpy reduction over T of dout's F×T×O
+# storage, walked in that order. The input gradient has its own kernel,
+# which forms only the stack rows its caller reads: rows lo..lo+n summed
+# over the later blocks' (F,T,O)@(F,O,n) products, in the order given, so
+# no whole-stack gradient is ever held.
 # ---------------------------------------------------------------------------
-
-DX_CHUNK_BYTES = 1 << 20
-
 
 def spatial_conv_forward(x, w, b):
     out = np.matmul(x.transpose(2, 1, 0)[:, :, None, :],
@@ -80,14 +77,27 @@ def spatial_conv_forward(x, w, b):
     return out
 
 
-def spatial_conv_backward(dout, x, w, dx):
-    dout_f, dx_f = dout.transpose(2, 1, 0), dx.transpose(2, 1, 0)
-    step = max(1, DX_CHUNK_BYTES // dx_f[0].nbytes)
-    for lo in range(0, len(dx_f), step):
-        dx_f[lo:lo + step] += np.matmul(dout_f[lo:lo + step], w[lo:lo + step])
-    dw = np.matmul(dout.transpose(2, 0, 1), x.transpose(2, 1, 0))
-    db = dout.sum(axis=1)
+def spatial_conv_backward(dout, x, w):
+    """``(dw, db)``; ``dw`` has ``w``'s layout and dtype."""
+    dw = np.matmul(dout.transpose(2, 0, 1), x.transpose(2, 1, 0), out=np.empty_like(w))
+    db = np.einsum("fto->of", dout.transpose(2, 1, 0))
     return dw, db
+
+
+def spatial_conv_input_grad(pairs, lo, n):
+    """The gradient of input rows ``lo..lo+n`` of the convs in ``pairs``.
+
+    ``pairs`` holds ``(dout, w)`` per conv that read those rows: its output
+    gradient (O×T×F) and its weight (F, O, D). Returns the sum of
+    ``dout @ w[:, :, lo:lo + n]`` over the pairs, added in their order, as
+    n×T×F stored F×T×n.
+    """
+    dout, w = pairs[0]
+    acc = np.matmul(dout.transpose(2, 1, 0), w[:, :, lo:lo + n])
+    scratch = np.empty_like(acc)
+    for dout, w in pairs[1:]:
+        acc += np.matmul(dout.transpose(2, 1, 0), w[:, :, lo:lo + n], out=scratch)
+    return acc.transpose(2, 1, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +180,10 @@ def prelu_backward(dout, x, a, out=None):
 # LSTM over time: x (T, F), gate order input/forget/cell/output.
 # Forward returns the hidden and cell states h, c as (T+1, F), row 0 holding
 # the state before the run (h0, c0) and row t+1 the state after frame t,
-# plus the T-row gate and tanh(c) caches that the backward pass replays.
+# plus the T-row gate cache that the backward pass replays. tanh(c) lives in
+# one rolling row; the backward takes np.tanh of c's rows 1..T again, which
+# gives the forward's bits, as a tanh of a row does not depend on how many
+# rows share the call.
 # The gate rows start as the input product plus bias and become the gate
 # activations in place, all four through one tanh over the row:
 # sigmoid(v) = 0.5 + 0.5·tanh(v/2) on the i/f/o rows, and on the g row the
@@ -202,11 +215,11 @@ def lstm_forward(x, wx, wh, b, h0, c0):
     h = np.empty((t_len + 1, f), x.dtype)
     c = np.empty((t_len + 1, f), x.dtype)
     h[0], c[0] = h0, c0
-    tanh_c = np.empty((t_len, f), x.dtype)
+    tc = np.empty(f, x.dtype)  # tanh(c) of the current step
     h_prev, c_prev = h0, c0
     steps = zip(gates, gates[:, :f], gates[:, f:2 * f], gates[:, 2 * f:3 * f], gates[:, 3 * f:],
-                h[1:], c[1:], tanh_c)
-    for z, gi, gf, gg, go, h_next, c_next, tc in steps:
+                h[1:], c[1:])
+    for z, gi, gf, gg, go, h_next, c_next in steps:
         z += wh @ h_prev
         z *= scale
         np.tanh(z, out=z)
@@ -218,10 +231,10 @@ def lstm_forward(x, wx, wh, b, h0, c0):
         np.tanh(c_next, out=tc)
         np.multiply(go, tc, out=h_next)
         h_prev, c_prev = h_next, c_next
-    return h, gates, c, tanh_c
+    return h, gates, c
 
 
-def lstm_backward(dh_out, x, wx, wh, gates, c, tanh_c, h):
+def lstm_backward(dh_out, x, wx, wh, gates, c, h):
     t_len, f = x.shape
     g4 = gates.reshape(t_len, 4, f)
     gi, gf, gg, go = g4[:, 0], g4[:, 1], g4[:, 2], g4[:, 3]
@@ -229,12 +242,14 @@ def lstm_backward(dh_out, x, wx, wh, gates, c, tanh_c, h):
     # every factor that does not depend on the recursion, for all steps at once:
     # dcv = dhk·dcv_per_dh + dc; dz starts as the gate multipliers, and the
     # loop scales its i/f/g rows by dcv and its o row by dhk
-    dcv_per_dh = go * (1.0 - tanh_c * tanh_c)
+    tanh_c = np.tanh(c[1:])
     dz = np.empty((t_len, 4, f), x.dtype)
     dz[:, 0] = gg * gi * (1.0 - gi)
     dz[:, 1] = c_prev * gf * (1.0 - gf)
     dz[:, 2] = gi * (1.0 - gg * gg)
     dz[:, 3] = tanh_c * go * (1.0 - go)
+    dcv_per_dh = go * (1.0 - tanh_c * tanh_c)
+    del tanh_c
     dz_rows = dz.reshape(t_len, 4 * f)
     # the reverse recursion: only dh and dc carry from step t+1 to step t
     dhk = np.empty(f, x.dtype)

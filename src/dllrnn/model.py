@@ -21,8 +21,8 @@ estimate is scaled back afterwards, so the output lives at input level.
 Storage order: the dense stack is indexed D×T×F but stored F×T×D, with the
 stream axis D innermost (Goto & van de Geijn, ACM TOMS 2008). Block ``b``'s
 spatial conv therefore reads each (t, f) position's ``D_b`` streams as one
-contiguous run, and its input gradient comes out of batched products in
-the same order, added straight into the stack's gradient. The block tensors
+contiguous run, and the gradient of any rows of the stack comes out of
+batched products in the same order. The block tensors
 after the conv (its output, the layer-norm and PReLU rows, ``mixed`` and
 their gradients) are O×T×F stored F×T×O, so no layer hands the next a
 transposed copy; only the LSTM reads a contiguous T×F copy of stream 0.
@@ -48,13 +48,22 @@ whole-utterance path.
 
 A training example keeps one tensor per layer from its forward to its
 backward: the layer norms' ``xhat`` and ``inv_std``, each block's LSTM
-states and gates and its gate, and the dense stack, about 50 MiB per second
+states and gates and its gate, and the dense stack, about 48 MiB per second
 of 64-8-8 float32 audio, plus the scaled waveform. The backward rebuilds the
-layer norm's output, the PReLU's streams and the encoder's input frames
-from these with the forward's own expressions, so they are bit-identical,
-and frees each block's cache once its backward is done (rematerialization:
-Chen et al., "Training Deep Nets with Sublinear Memory Cost", arXiv
-1604.06174). A push keeps no activations.
+layer norm's output, the PReLU's streams, the LSTM's tanh(c) rows and the
+encoder's input frames from these with the forward's own expressions, so
+they are bit-identical, and frees each block's cache once its backward is
+done (rematerialization: Chen et al., "Training Deep Nets with Sublinear
+Memory Cost", arXiv 1604.06174). A push keeps no activations.
+
+The backward holds no gradient of the whole stack. Each finished block
+leaves its conv-output gradient (S_out+1 streams) with its conv weight, and
+a block's output gradient, or at the end the encoder rows', is summed from
+the later blocks' products only when it is read. These gradients grow as the
+block caches are freed, so they add nothing at the sweep's start, where
+every cache is alive: one 1 s example's forward, loss and backward peak at
+56.4 MiB of tracemalloc (73.6 when the sweep zeroed a stack gradient and
+each LSTM cached its tanh(c) rows).
 
 Beyond what is cached, a forward or backward holds one block's working set
 at a time (in-place operation and buffer sharing, Chen et al., §3). The
@@ -65,8 +74,9 @@ output is rectified in place into ``mixed``. A block's locals die with
 :func:`_block_forward`, and its LSTM state is written into the caller's
 state array. The backward writes the PReLU and layer-norm input gradients
 over the block's ``d_mixed``, so the rebuilt ``y`` and ``mixed`` are its
-only other block-size arrays. A no-tape forward of 2 s of 8-channel 64-8-8
-input peaks at 42.8 MiB, 31.7 MiB of it the dense stack.
+only other block-size arrays, and it drops ``mixed`` once stream 0 is
+copied out for the LSTM backward. A no-tape forward of 2 s of 8-channel
+64-8-8 input peaks at 42.8 MiB, 31.7 MiB of it the dense stack.
 """
 
 from __future__ import annotations
@@ -242,7 +252,7 @@ def _forward(config: ModelConfig, params, frames, states, caches=None):
 
     When ``caches`` is a list, the activations :func:`_backward` cannot
     cheaply rebuild are appended to it: the encoder's layer-norm ``(xhat,
-    inv_std)``; per block ``(xhat, inv_std, (h, gates, cell, tanh_c), gate)``;
+    inv_std)``; per block ``(xhat, inv_std, (h, gates, cell), gate)``;
     and last the dense stack. The layer norm's output, the PReLU's output
     ``mixed`` and the LSTM's input copy are not kept, nor are the input frames.
 
@@ -293,48 +303,51 @@ def _block_forward(config: ModelConfig, b, block_params, dense, state, eps, cach
         del conv, xhat  # with no tape, nothing reads the normalized rows again
     mixed = _streams(K.prelu_forward(y, a, out=y), n_out + 1)
     # Stream 0 is the temporal stream: LSTM plus linear, then it gates the rest.
-    h, gates, cell, tanh_c = K.lstm_forward(np.ascontiguousarray(mixed[0]), wx, wh, lstm_b,
-                                            state[0], state[1])
+    h, gates, cell = K.lstm_forward(np.ascontiguousarray(mixed[0]), wx, wh, lstm_b,
+                                    state[0], state[1])
     gate = K.linear_forward(h[1:], lin_w, lin_b)
     # order="F" walks the S×T×F product S-fastest, in storage order; by
     # default numpy would follow the C-ordered gate and stride across F.
     np.multiply(mixed[1:], gate, out=dense[lo:lo + n_out], order="F")
     if caches is not None:
-        caches.append((xhat, inv_std, (h, gates, cell, tanh_c), gate))
+        caches.append((xhat, inv_std, (h, gates, cell), gate))
     state[0], state[1] = h[-1], cell[-1]
 
 
-def _block_backward(config: ModelConfig, b, block_params, cache, dense, d_dense):
-    """Block ``b``'s ten parameter gradients, in ``block_params`` order, from
-    its output gradient in ``d_dense``; its input gradient is added into
-    ``d_dense``'s leading rows.
+def _block_backward(config: ModelConfig, b, block_params, cache, dense, d_out):
+    """Block ``b``'s ten parameter gradients, in ``block_params`` order, and
+    its conv-output gradient ``d_mixed``, from its output gradient ``d_out``
+    (S_out×T×F). The caller forms the stack's input gradient from
+    ``d_mixed`` and the conv weight when it reads those rows.
 
     The layer norm's output ``y``, ``mixed`` and the LSTM's input stream are
     rebuilt from ``cache`` with the forward's own expressions, so they are
-    the forward's values bit for bit. The PReLU and layer-norm input
-    gradients are written over ``d_mixed``, so ``y`` and ``mixed`` are the
-    only other block-size arrays. Everything made here is freed on return.
+    the forward's values bit for bit. Stream 0 is copied out and ``mixed``
+    dropped before the LSTM backward. The PReLU and layer-norm input
+    gradients are written over ``d_mixed``, so ``y`` is its only other
+    block-size array. Everything else made here is freed on return.
     """
     conv_w, _, ln_g, ln_b, a, wx, wh, _, lin_w, _ = block_params
-    xhat, inv_std, (h, gates, cell, tanh_c), gate = cache
+    xhat, inv_std, (h, gates, cell), gate = cache
     lo, n_out = config.block_widths[b - 1]
     y = K.layer_norm_affine(xhat, ln_g, ln_b)
     mixed = _streams(K.prelu_forward(y, a), n_out + 1)
-    d_out = d_dense[lo:lo + n_out]
     # the gate was broadcast over the S_out gated streams
     d_gate = np.einsum("stf,stf->tf", d_out, mixed[1:])
-    d_h, d_lin_w, d_lin_b = K.linear_backward(d_gate, h[1:], lin_w)
+    x_lstm = np.ascontiguousarray(mixed[0])
     d_mixed = np.empty_like(mixed)
-    np.multiply(d_out, gate, out=d_mixed[1:], order="F")  # storage order, as in _forward
-    d_mixed[0], d_wx, d_wh, d_lstm_b = K.lstm_backward(d_h, np.ascontiguousarray(mixed[0]), wx, wh,
-                                                       gates, cell, tanh_c, h)
     del mixed
+    d_h, d_lin_w, d_lin_b = K.linear_backward(d_gate, h[1:], lin_w)
+    np.multiply(d_out, gate, out=d_mixed[1:], order="F")  # storage order, as in _forward
+    del d_out
+    d_mixed[0], d_wx, d_wh, d_lstm_b = K.lstm_backward(d_h, x_lstm, wx, wh, gates, cell, h)
     d_rows = _rows(d_mixed)
     d_a = K.prelu_backward(d_rows, y, a, out=d_rows)[1]
     del y
     d_ln_g, d_ln_b = K.layer_norm_backward(d_rows, xhat, inv_std, ln_g, out=d_rows)[1:]
-    d_conv_w, d_conv_b = K.spatial_conv_backward(d_mixed, dense[:lo], conv_w, d_dense[:lo])
-    return d_conv_w, d_conv_b, d_ln_g, d_ln_b, d_a, d_wx, d_wh, d_lstm_b, d_lin_w, d_lin_b
+    d_conv_w, d_conv_b = K.spatial_conv_backward(d_mixed, dense[:lo], conv_w)
+    return (d_conv_w, d_conv_b, d_ln_g, d_ln_b, d_a, d_wx, d_wh, d_lstm_b, d_lin_w,
+            d_lin_b), d_mixed
 
 
 def _backward(config: ModelConfig, params, caches, g, signal):
@@ -342,9 +355,15 @@ def _backward(config: ModelConfig, params, caches, g, signal):
     of the T×l_out frames that :func:`_forward` returned while filling
     ``caches``: the forward's layers in reverse, each through its backward
     kernel. Each gradient is stored in the order of the activation it belongs
-    to, so the stack's gradient is D-innermost too. The LSTM backward gets the
-    forward's (T+1)-row state arrays as cached and reads the previous states
-    as views of them; the post-LSTM linear's backward reads rows 1..T.
+    to, D-innermost like the stack. The LSTM backward gets the forward's
+    (T+1)-row state arrays as cached and reads the previous states as views
+    of them; the post-LSTM linear's backward reads rows 1..T.
+
+    No gradient of the whole stack is held. Each finished block leaves its
+    conv-output gradient and conv weight, and a block's output gradient (at
+    the end, the encoder rows') is gathered from those of the later blocks
+    when it is read, by :func:`~dllrnn.kernels.spatial_conv_input_grad`, last
+    block first.
 
     The sweep pops each entry off ``caches`` as it reaches it, so a block's
     cache is freed once its backward is done and the list is empty at the
@@ -355,18 +374,24 @@ def _backward(config: ModelConfig, params, caches, g, signal):
     c, f, l_in = config.channels, config.hidden, config.frame.l_in
     grads = [None] * len(params)
     dense = caches.pop()
-    d_dense = np.zeros_like(dense)
-    d_dense[-1], grads[-2], grads[-1] = K.linear_backward(g, dense[-1], params[-2])
-    # Block b's output gradient is complete once every later block has added
-    # its input gradient to the stack's rows.
+    d_dec, grads[-2], grads[-1] = K.linear_backward(g, dense[-1], params[-2])
+    done = []  # (d_mixed, conv weight) of each finished block, last block first
     for b in range(config.blocks, 0, -1):
         i = 10 * b - 5
-        grads[i:i + 10] = _block_backward(config, b, params[i:i + 10], caches.pop(), dense, d_dense)
+        lo, n_out = config.block_widths[b - 1]
+        # the output gradient: the decoder's input gradient for the last
+        # block's single stream, else what the later blocks' convs read of
+        # its rows; passed without a name here, so the block can free it
+        grads[i:i + 10], d_mixed = _block_backward(
+            config, b, params[i:i + 10], caches.pop(), dense,
+            K.spatial_conv_input_grad(done, lo, n_out) if done else d_dec[None])
+        done.append((d_mixed, params[i]))
+    del dense, d_dec
     xhat, inv_std = caches.pop()
     y = K.layer_norm_affine(xhat, params[2], params[3])
-    # the encoder's C·T rows of F: a copy, as the stack's rows are D-innermost
-    d_enc = np.ascontiguousarray(d_dense[:c].reshape(-1, f))
-    del dense, d_dense
+    # the encoder's C·T rows of F: a copy, as the gathered rows are D-innermost
+    d_enc = np.ascontiguousarray(K.spatial_conv_input_grad(done, 0, c)).reshape(-1, f)
+    del done
     grads[4] = K.prelu_backward(d_enc, y, params[4], out=d_enc)[1]
     del y
     grads[2], grads[3] = K.layer_norm_backward(d_enc, xhat, inv_std, params[2], out=d_enc)[1:]

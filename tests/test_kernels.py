@@ -88,7 +88,7 @@ def test_forward_rows_are_independent_of_row_count():
                 npt.assert_array_equal(got, want[t * o:(t + 1) * o])
     # the LSTM one step per call with carried state, as a streaming session
     # runs it: a step's h and c are rows t..t+1 of the full run's (row 0 is
-    # the carried state), its gates and tanh(c) row t
+    # the carried state), its gates row t
     x, wx, wh, b = _f32(rng, t_len, f), _f32(rng, 4 * f, f), _f32(rng, 4 * f, f), _f32(rng, 4 * f)
     h0, c0 = _f32(rng, f), _f32(rng, f)
     full = K.lstm_forward(x, wx, wh, b, h0, c0)
@@ -168,17 +168,16 @@ def test_spatial_conv_backward_fd():
     rng = np.random.default_rng(6)
     x, w, b = _rand(rng, 3, 2, 4), _rand(rng, 4, 2, 3), _rand(rng, 2, 4)
     dout = np.ones((2, 2, 4))
-    dx = np.zeros_like(x)
-    dw, db = K.spatial_conv_backward(dout, x, w, dx)
+    dw, db = K.spatial_conv_backward(dout, x, w)
+    dx = K.spatial_conv_input_grad([(dout, w)], 0, 3)
     assert rel_err(dx, fd_grad(lambda v: K.spatial_conv_forward(v, w, b).sum(), x)) < 1e-7
     assert rel_err(dw, fd_grad(lambda v: K.spatial_conv_forward(x, v, b).sum(), w)) < 1e-7
     assert rel_err(db, fd_grad(lambda v: K.spatial_conv_forward(x, w, v).sum(), b)) < 1e-7
 
 
-def test_spatial_conv_backward_at_stack_strides(monkeypatch):
+def test_spatial_conv_backward_at_stack_strides():
     # x as block 3 of a 4-block model reads it: the leading D rows of a wider
-    # D-innermost stack; dout in the conv output's own F×T×O order; dx the
-    # same rows of the stack's gradient, already holding later blocks' terms
+    # D-innermost stack; dout in the conv output's own F×T×O order
     rng = np.random.default_rng(16)
     d, t_len, f, o, width = 5, 3, 4, 3, 8
     w = _rand(rng, f, o, d)
@@ -190,32 +189,58 @@ def test_spatial_conv_backward_at_stack_strides(monkeypatch):
 
     x_c, dout_c = _rand(rng, d, t_len, f), _rand(rng, o, t_len, f)
     x, dout = stacked(x_c), _d_innermost(dout_c)
-    base = _rand(rng, d, t_len, f)
-    acc, dx_c = stacked(base), np.zeros((d, t_len, f))
-    assert x.strides[0] == dout.strides[0] == acc.strides[0] == x.itemsize
-    got = K.spatial_conv_backward(dout, x, w, acc)
-    want = K.spatial_conv_backward(dout_c, x_c, w, dx_c)
+    assert x.strides[0] == dout.strides[0] == x.itemsize
+    got = K.spatial_conv_backward(dout, x, w)
+    want = K.spatial_conv_backward(dout_c, x_c, w)
     for g, r in zip(got, want):
         assert rel_err(g, r) < 1e-6
-    # the input gradient is added onto the accumulator, not written over it,
-    # and is the full (F,T,O)@(F,O,D) product bit for bit
-    full = np.matmul(dout.transpose(2, 1, 0), w).transpose(2, 1, 0)
-    npt.assert_array_equal(acc, base + full)
-    assert rel_err(dx_c, full) < 1e-6
-    # one hidden unit per chunk gives the same sum as one chunk for all
-    monkeypatch.setattr(K, "DX_CHUNK_BYTES", 1)
-    one_by_one = stacked(base)
-    K.spatial_conv_backward(dout, x, w, one_by_one)
-    npt.assert_array_equal(one_by_one, acc)
+    # the input gradient of all D rows, from dout at the conv output's
+    # strides, is the full (F,T,O)@(F,O,D) product bit for bit, D-innermost
+    dx = K.spatial_conv_input_grad([(dout, w)], 0, d)
+    assert dx.strides[0] == dx.itemsize
+    npt.assert_array_equal(dx, np.matmul(dout.transpose(2, 1, 0), w).transpose(2, 1, 0))
+    assert rel_err(dx, K.spatial_conv_input_grad([(dout_c, w)], 0, d)) < 1e-6
     b = np.zeros((o, f))
     dw, db = got
-    dx = acc - base
     assert rel_err(dx, fd_grad(lambda v: (K.spatial_conv_forward(stacked(v), w, b)
                                           * dout).sum(), x_c)) < 1e-7
     assert rel_err(dw, fd_grad(lambda v: (K.spatial_conv_forward(x, v, b) * dout).sum(),
                                w)) < 1e-7
     assert rel_err(db, fd_grad(lambda v: (K.spatial_conv_forward(x, w, v) * dout).sum(),
                                b)) < 1e-7
+
+
+def test_spatial_conv_input_grad_fd():
+    # A 4-block dense stack with C = 3 encoder rows and S = 2, stored
+    # D-innermost: block k reads the leading D_k = 3 + 2(k-1) rows and writes
+    # its streams after them, the last block one stream. The gradient of the
+    # encoder rows and of each block's output rows, gathered from the convs
+    # that read them (last block first), matches finite differences of all
+    # four convs' outputs weighted by their output gradients, and is their
+    # products added in that order, bit for bit.
+    rng = np.random.default_rng(17)
+    c, s, t_len, f = 3, 2, 3, 4
+    widths = [c + s * k for k in range(4)]
+    outs = [s + 1, s + 1, s + 1, 2]
+    ws = [_rand(rng, f, o, d) for o, d in zip(outs, widths)]
+    douts = [_d_innermost(_rand(rng, o, t_len, f)) for o in outs]
+    stack = _rand(rng, widths[-1] + 1, t_len, f)
+
+    def loss(v):
+        v = _d_innermost(v)
+        return sum((K.spatial_conv_forward(v[:d], w, np.zeros((len(dout), f))) * dout).sum()
+                   for d, w, dout in zip(widths, ws, douts))
+
+    want = fd_grad(loss, stack)
+    for lo, n in [(0, c)] + [(d, s) for d in widths[:-1]]:
+        readers = [(dout, w) for d, w, dout in zip(widths, ws, douts) if d > lo][::-1]
+        got = K.spatial_conv_input_grad(readers, lo, n)
+        assert got.shape == (n, t_len, f) and got.strides[0] == got.itemsize
+        assert rel_err(got, want[lo:lo + n]) < 1e-7
+        acc = 0.0
+        for dout, w in readers:
+            acc = acc + np.matmul(dout.transpose(2, 1, 0), w[:, :, lo:lo + n])
+        npt.assert_array_equal(got, acc.transpose(2, 1, 0))
 
 
 def test_layer_norm_backward_fd():
@@ -276,15 +301,15 @@ def test_lstm_backward_fd():
     def loss(xv, wxv, whv, bv):
         return float((K.lstm_forward(xv, wxv, whv, bv, h0, c0)[0][1:] * dh).sum())
 
-    h, gates, c, tanh_c = K.lstm_forward(x, wx, wh, b, h0, c0)
-    dx, dwx, dwh, db = K.lstm_backward(dh, x, wx, wh, gates, c, tanh_c, h)
+    h, gates, c = K.lstm_forward(x, wx, wh, b, h0, c0)
+    dx, dwx, dwh, db = K.lstm_backward(dh, x, wx, wh, gates, c, h)
     assert rel_err(dx, fd_grad(lambda v: loss(v, wx, wh, b), x)) < 1e-4
     assert rel_err(dwx, fd_grad(lambda v: loss(x, v, wh, b), wx)) < 1e-4
     assert rel_err(dwh, fd_grad(lambda v: loss(x, wx, v, b), wh)) < 1e-4
     assert rel_err(db, fd_grad(lambda v: loss(x, wx, wh, v), b)) < 1e-4
 
 
-def _lstm_backward_oracle(dh_out, x, wx, wh, gates, c, tanh_c, h):
+def _lstm_backward_oracle(dh_out, x, wx, wh, gates, c, h):
     """The LSTM backward one frame at a time: each step forms its gate
     gradient dz and adds its outer products to the weight gradients. Row t
     of ``h`` and ``c`` is the state before frame t."""
@@ -300,7 +325,7 @@ def _lstm_backward_oracle(dh_out, x, wx, wh, gates, c, tanh_c, h):
         gf = gates[t, f:2 * f]
         gg = gates[t, 2 * f:3 * f]
         go = gates[t, 3 * f:]
-        tc = tanh_c[t]
+        tc = np.tanh(c[t + 1])
         cp = c[t]
         hp = h[t]
         dhk = dh_out[t] + dh
@@ -329,14 +354,34 @@ def test_lstm_backward_matches_per_step_recursion(dtype, rtol):
     b = (0.1 * _rand(rng, 4 * f)).astype(dtype)
     h0, c0 = (0.5 * _rand(rng, f)).astype(dtype), (0.5 * _rand(rng, f)).astype(dtype)
     dh = _rand(rng, t_len, f).astype(dtype)
-    h, gates, c, tanh_c = K.lstm_forward(x, wx, wh, b, h0, c0)
-    args = (dh, x, wx, wh, gates, c, tanh_c, h)
+    h, gates, c = K.lstm_forward(x, wx, wh, b, h0, c0)
+    args = (dh, x, wx, wh, gates, c, h)
     got = K.lstm_backward(*args)
     # summation order differs, so entries near zero are held to rtol of the
     # output's scale rather than of themselves
     for name, g, want in zip(("dx", "dwx", "dwh", "db"), got, _lstm_backward_oracle(*args)):
         assert g.dtype == dtype and g.shape == want.shape, name
         npt.assert_allclose(g, want, rtol=rtol, atol=rtol * np.abs(want).max(), err_msg=name)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_lstm_backward_recomputes_the_forwards_tanh_rows(dtype):
+    # The forward keeps tanh(c) in one rolling row and the backward takes
+    # np.tanh of the cell rows 1..T in one call. Each row of that call is the
+    # forward's one-row tanh bit for bit, and the output gate times it is the
+    # forward's h, so the backward reads the values the forward used.
+    rng = np.random.default_rng(13)
+    t_len, f = 300, 64
+    x = (3.0 * _rand(rng, t_len, f)).astype(dtype)
+    wx, wh = (0.5 * _rand(rng, 4 * f, f)).astype(dtype), (0.5 * _rand(rng, 4 * f, f)).astype(dtype)
+    b = _rand(rng, 4 * f).astype(dtype)
+    h0, c0 = _rand(rng, f).astype(dtype), _rand(rng, f).astype(dtype)
+    h, gates, c = K.lstm_forward(x, wx, wh, b, h0, c0)
+    assert np.abs(c).max() > 4.0  # cells where tanh(c) is within 1e-3 of ±1 are covered
+    whole = np.tanh(c[1:])
+    for t in range(t_len):
+        npt.assert_array_equal(np.tanh(c[t + 1]), whole[t])
+    npt.assert_array_equal(gates[:, 3 * f:] * whole, h[1:])
 
 
 @pytest.mark.parametrize("dtype, ulps", [(np.float32, 2), (np.float64, 2)])
@@ -351,7 +396,7 @@ def test_lstm_gate_rows_match_float64_reference(dtype, ulps):
     wx, wh = (0.5 * _rand(rng, 4 * f, f)).astype(dtype), (0.5 * _rand(rng, 4 * f, f)).astype(dtype)
     b = _rand(rng, 4 * f).astype(dtype)
     h0, c0 = _rand(rng, f).astype(dtype), _rand(rng, f).astype(dtype)
-    h, gates, c, tanh_c = K.lstm_forward(x, wx, wh, b, h0, c0)
+    h, gates, c = K.lstm_forward(x, wx, wh, b, h0, c0)
     # the pre-activations, formed as the kernel forms them
     z = np.matmul(x[:, None, :], wx.T)[:, 0]
     z += b

@@ -121,7 +121,7 @@ def _lstm(x, wx, wh, b, state=None):
     """Hidden sequence and final (h, c) of one run from ``state`` (zeros by default)."""
     f = wx.shape[1]
     h0, c0 = state if state is not None else (np.zeros(f), np.zeros(f))
-    h, _, c, _ = K.lstm_forward(x, wx, wh, b, h0, c0)
+    h, _, c = K.lstm_forward(x, wx, wh, b, h0, c0)
     return h[1:], (h[-1], c[-1])
 
 

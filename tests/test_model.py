@@ -172,17 +172,17 @@ def test_st_block_shapes_at_defaults():
     assert dense.shape == (cfg.block_in_width(8) + 1, 3, 64)
     zeros = np.zeros(cfg.hidden, np.float32)
     for b in range(1, 9):
-        xhat, inv_std, (h, gates, cell, tanh_c), gate = caches[b]
+        xhat, inv_std, (h, gates, cell), gate = caches[b]
         n_streams = cfg.block_out_width(b) + 1
         assert xhat.shape == (3 * n_streams, 64) and inv_std.shape == (3 * n_streams,)
-        assert h.shape == cell.shape == (4, 64) and tanh_c.shape == gate.shape == (3, 64)
+        assert h.shape == cell.shape == (4, 64) and gate.shape == (3, 64)
         assert gates.shape == (3, 4 * 64)
         mixed = _rebuilt_mixed(cfg, store, caches, b)
         assert mixed.shape == (n_streams, 3, 64)
         # the rebuilt temporal stream is the LSTM input the forward used
         params = [store[f"block{b}.lstm.{name}"].data for name in ("wx", "wh", "bias")]
         for got, want in zip(K.lstm_forward(np.ascontiguousarray(mixed[0]), *params, zeros, zeros),
-                             (h, gates, cell, tanh_c)):
+                             (h, gates, cell)):
             npt.assert_array_equal(got, want)
     # block 1 writes its 8 gated streams after the 8 encoder rows; block 8
     # writes its single stream, the decoder's input, to the last row; the
@@ -208,17 +208,21 @@ def test_block_tensors_keep_the_stream_axis_innermost(monkeypatch):
         # layer norm and PReLU ran on T·O rows of F whose row axis is the
         # stream axis; what the backward rebuilds keeps that order
         assert caches[b][0].strides[0] == _rebuilt_mixed(cfg, store, caches, b).strides[0] == item
-    strides = {"spatial_conv_forward": [], "spatial_conv_backward": [], "prelu_backward": []}
+    strides = {"spatial_conv_forward": [], "spatial_conv_backward": [],
+               "spatial_conv_input_grad": [], "prelu_backward": []}
 
     def recording(name, kernel):
         def wrapper(*args, **kwargs):
-            # forward: x; backward: dout, x and the dx accumulator; PReLU
-            # backward: dout and the rebuilt layer-norm output
-            arrays = {"spatial_conv_forward": args[:1],
-                      "spatial_conv_backward": args[:2] + args[3:],
-                      "prelu_backward": args[:2]}[name]
+            out = kernel(*args, **kwargs)
+            # forward: x; backward: dout and x; input gradient: each reading
+            # block's dout and the gathered rows; PReLU backward: dout and
+            # the rebuilt layer-norm output
+            if name == "spatial_conv_input_grad":
+                arrays = [dout for dout, _ in args[0]] + [out]
+            else:
+                arrays = args[:1] if name == "spatial_conv_forward" else args[:2]
             strides[name] += [a.strides[0] for a in arrays]
-            return kernel(*args, **kwargs)
+            return out
         return wrapper
 
     for name in strides:
@@ -226,7 +230,11 @@ def test_block_tensors_keep_the_stream_axis_innermost(monkeypatch):
     y = np.random.default_rng(1).standard_normal((8, 400)).astype(np.float32)
     with Tape() as tape:
         tape.backward(pcm_loss(model_forward(y, cfg, store), y[0], y[0]))
-    assert strides["spatial_conv_backward"] == [item] * 3 * cfg.blocks
+    assert strides["spatial_conv_backward"] == [item] * 2 * cfg.blocks
+    # one call per block but the last, reading every later block's dout, and
+    # one for the encoder rows, reading all of them
+    n_reads = cfg.blocks * (cfg.blocks - 1) // 2 + cfg.blocks
+    assert strides["spatial_conv_input_grad"] == [item] * (n_reads + cfg.blocks)
     assert strides["spatial_conv_forward"] == [item] * cfg.blocks
     # the blocks' PReLU backwards run first; the encoder's rows are not stream rows
     assert strides["prelu_backward"][:2 * cfg.blocks] == [item] * 2 * cfg.blocks
@@ -244,27 +252,11 @@ def _cached_arrays(caches):
     return out
 
 
-def test_training_example_memory():
-    # A training example keeps one tensor per layer, not the layer norm's
-    # output, the PReLU's streams or the 16x-redundant encoder input frames;
-    # its forward, loss and backward together stay under 20 MiB at 0.25 s.
-    # 18.6 MiB are measured (20.9 before layer norm and PReLU wrote in place
-    # and the frames were freed after the encoder, 38.0 when every block
-    # also kept `y` and `mixed`).
-    cfg = ModelConfig()
-    store = build_params(cfg, seed=0)
+def _training_example_peak(cfg, store, n):
+    """Traced peak of one n-sample example's model_forward -> pcm_loss -> backward."""
     rng = np.random.default_rng(0)
-    n, t_len, f = 4000, cfg.frame.n_frames(4000), cfg.hidden
-    y = rng.standard_normal((8, n)).astype(np.float32)
+    y = rng.standard_normal((cfg.channels, n)).astype(np.float32)
     x = rng.standard_normal(n).astype(np.float32)
-    _, caches = _run_forward(cfg, store, np.zeros((8, t_len, cfg.frame.l_in), np.float32))
-    want = [(8 * t_len, f), (8 * t_len,)]
-    for b in range(1, cfg.blocks + 1):
-        rows = (cfg.block_out_width(b) + 1) * t_len
-        want += [(rows, f), (rows,), (t_len + 1, f), (t_len, 4 * f), (t_len + 1, f),
-                 (t_len, f), (t_len, f)]
-    want.append((cfg.block_in_width(cfg.blocks) + 1, t_len, f))
-    assert [a.shape for a in _cached_arrays(caches)] == want
 
     def example():
         with Tape() as tape:
@@ -275,10 +267,43 @@ def test_training_example_memory():
     tracemalloc.start()
     try:
         example()
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 20 * 2 ** 20, f"{peak / 2 ** 20:.1f} MiB"
+
+
+def test_training_example_memory():
+    # A training example keeps one tensor per layer, not the layer norm's
+    # output, the PReLU's streams or the 16x-redundant encoder input frames;
+    # its forward, loss and backward together stay under 16 MiB at 0.25 s.
+    # 14.3 MiB are measured (18.6 with a whole-stack gradient buffer and a
+    # cached tanh(c) per block, 20.9 before layer norm and PReLU wrote in
+    # place and the frames were freed after the encoder, 38.0 when every
+    # block also kept `y` and `mixed`).
+    cfg = ModelConfig()
+    store = build_params(cfg, seed=0)
+    n, t_len, f = 4000, cfg.frame.n_frames(4000), cfg.hidden
+    _, caches = _run_forward(cfg, store, np.zeros((8, t_len, cfg.frame.l_in), np.float32))
+    want = [(8 * t_len, f), (8 * t_len,)]
+    for b in range(1, cfg.blocks + 1):
+        rows = (cfg.block_out_width(b) + 1) * t_len
+        want += [(rows, f), (rows,), (t_len + 1, f), (t_len, 4 * f), (t_len + 1, f), (t_len, f)]
+    want.append((cfg.block_in_width(cfg.blocks) + 1, t_len, f))
+    assert [a.shape for a in _cached_arrays(caches)] == want
+    peak = _training_example_peak(cfg, store, n)
+    assert peak <= 16 * 2 ** 20, f"{peak / 2 ** 20:.1f} MiB"
+
+
+def test_training_backward_holds_no_stack_gradient():
+    # One 1 s example of 8-channel 64-8-8 input. The sweep keeps each
+    # finished block's conv-output gradient and gathers a block's output
+    # gradient when it reads it, so no gradient of the whole 16.6 MB stack
+    # is alive while every block's cache still is, and the LSTM caches no
+    # T×F tanh(c). 56.4 MiB are measured; 73.6 with the zeroed stack
+    # gradient and the cached tanh(c).
+    cfg = ModelConfig()
+    peak = _training_example_peak(cfg, build_params(cfg, seed=0), 16000)
+    assert peak <= 60 * 2 ** 20, f"{peak / 2 ** 20:.1f} MiB"
 
 
 def test_inference_forward_holds_one_block_working_set():
