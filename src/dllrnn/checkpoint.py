@@ -130,11 +130,9 @@ def save_checkpoint(path, config: ModelConfig, store, step: int, opt_state=None)
     else:
         parts.append(struct.pack("<B", 1))
         parts.append(struct.pack("<Q", opt_state.step))
-        records = []
-        for name, _ in items:
-            records.append((f"{name}.m", opt_state.m[name]))
-            records.append((f"{name}.v", opt_state.v[name]))
-            records.append((f"{name}.vmax", opt_state.v_max[name]))
+        moments = opt_state.moments(store)
+        records = [(f"{name}.{suffix}", views[name])
+                   for name, _ in items for suffix, views in moments]
         parts.append(struct.pack("<I", len(records)))
         for rec_name, arr in records:
             parts.append(_pack_record(rec_name, arr))

@@ -172,7 +172,8 @@ def prelu_backward(dout, x, a, out=None):
     da = np.asarray(scratch.sum(), dtype=x.dtype).reshape(np.shape(a))
     neg = x < 0
     np.multiply(neg, a, out=scratch)
-    scratch += ~neg                          # the slope: exactly a where x < 0, else 1
+    # the slope: exactly a where x < 0, else 1; the mask is negated in place
+    scratch += np.logical_not(neg, out=neg)
     return np.multiply(scratch, dout, out=out), da
 
 

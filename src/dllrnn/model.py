@@ -82,7 +82,6 @@ copied out for the LSTM backward. A no-tape forward of 2 s of 8-channel
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -95,8 +94,6 @@ from .framing import (SAMPLE_RATE, FrameSpec, frame_signal, gather_frames, norma
 from .tensor import Tensor, active_tape, from_op
 
 LN_EPS = 1e-5
-# A Tensor's array; mapped over a parameter list it makes no Python-level call.
-_DATA = operator.attrgetter("data")
 
 
 @dataclass(frozen=True)
@@ -133,16 +130,43 @@ class ModelConfig:
 
 
 class ParamStore:
-    """Ordered name -> parameter Tensor map; the unit of checkpointing."""
+    """Ordered name -> parameter Tensor map; the unit of checkpointing.
 
-    def __init__(self):
+    Every parameter's ``data`` is a view of one flat buffer, ``store.data``,
+    and its ``grad`` a view of a second, ``store.grad``, with the same
+    layout. The buffers are packed once, from ``rows``: ordered ``(name,
+    array)`` pairs of one float dtype. After that they are only written in
+    place: :meth:`load_arrays` copies into ``data``, the optimizer subtracts
+    from it, the tape's ``grad +=`` adds into ``grad`` and :meth:`zero_grad`
+    fills it with zeros. A view taken once therefore sees every later update.
+    """
+
+    def __init__(self, rows):
+        arrays = [(name, np.asarray(arr)) for name, arr in rows]
+        dtypes = {arr.dtype for _, arr in arrays}
+        if len(dtypes) != 1 or dtypes - {np.dtype(np.float32), np.dtype(np.float64)}:
+            raise ContractError(f"parameters need one float dtype, got {sorted(map(str, dtypes))}")
+        self._layout = {}  # name -> (slice of the flat buffers, shape)
+        end = 0
+        for name, arr in arrays:
+            if name in self._layout:
+                raise ContractError(f"duplicate parameter name '{name}'")
+            self._layout[name] = (slice(end, end + arr.size), arr.shape)
+            end += arr.size
+        self.data = np.empty(end, dtypes.pop())
+        # np.zeros, not zeros_like: the OS maps a large buffer's zero pages
+        # only when written, so a store that never trains need not hold them
+        self.grad = np.zeros(end, self.data.dtype)
         self._params = {}
+        for (name, arr), data, grad in zip(arrays, self.views(self.data).values(),
+                                           self.views(self.grad).values()):
+            data[...] = arr
+            tensor = self._params[name] = Tensor(data, requires_grad=True)
+            tensor.grad = grad
 
-    def add(self, name: str, tensor: Tensor) -> Tensor:
-        if name in self._params:
-            raise ContractError(f"duplicate parameter name '{name}'")
-        self._params[name] = tensor
-        return tensor
+    def views(self, flat):
+        """``flat``, an array laid out like ``data``, as a name -> view map."""
+        return {name: flat[part].reshape(shape) for name, (part, shape) in self._layout.items()}
 
     def __getitem__(self, name):
         return self._params[name]
@@ -160,27 +184,26 @@ class ParamStore:
         return list(self._params.values())
 
     def zero_grad(self):
-        for t in self._params.values():
-            t.grad = None
+        self.grad.fill(0)
 
     @property
     def dtype(self):
-        return next(iter(self._params.values())).dtype
+        return self.data.dtype
 
     def load_arrays(self, arrays):
-        """Copy a name -> array map into the store; shapes must match."""
+        """Copy a name -> array map into the store. Every name and shape is
+        checked, and unknown names refused, before anything is copied."""
         for name, tensor in self._params.items():
             if name not in arrays:
                 raise ContractError(f"missing parameter '{name}'")
-            arr = np.asarray(arrays[name])
-            if arr.shape != tuple(tensor.shape):
-                raise DimensionError(
-                    f"parameter '{name}' has shape {arr.shape}, expected {tuple(tensor.shape)}"
-                )
-            tensor.data = arr.astype(tensor.dtype)
-        extra = set(arrays) - set(self._params)
+            if np.shape(arrays[name]) != tensor.shape:
+                raise DimensionError(f"parameter '{name}' has shape {np.shape(arrays[name])}, "
+                                     f"expected {tensor.shape}")
+        extra = set(arrays) - self._params.keys()
         if extra:
             raise ContractError(f"unknown parameters {sorted(extra)}")
+        for name, tensor in self._params.items():
+            tensor.data[...] = arrays[name]
 
 
 def param_table(config: ModelConfig):
@@ -217,17 +240,20 @@ def param_table(config: ModelConfig):
 def build_params(config: ModelConfig, seed: int = 0, dtype=np.float32) -> ParamStore:
     """Initialize every row of :func:`param_table`, seeded, drawing in table order."""
     rng = np.random.default_rng(seed)
-    store = ParamStore()
-    for name, shape, init in param_table(config):
+    table = param_table(config)
+    # zero-strided rows give the store its layout without a second copy of
+    # the parameters; each row is then drawn straight into its view
+    zero = np.zeros((), dtype)
+    store = ParamStore([(name, np.broadcast_to(zero, shape)) for name, shape, _ in table])
+    for (_, shape, init), tensor in zip(table, store.tensors()):
         if init == "uniform":
             bound = 1.0 / np.sqrt(shape[-1])
-            data = rng.uniform(-bound, bound, size=shape)
+            tensor.data[...] = rng.uniform(-bound, bound, size=shape)
         elif init == "forget":
             # gate rows in (input, forget, cell, output) order
-            data = np.repeat([0.0, 1.0, 0.0, 0.0], shape[0] // 4)
+            tensor.data[...] = np.repeat([0.0, 1.0, 0.0, 0.0], shape[0] // 4)
         else:
-            data = np.full(shape, init)
-        store.add(name, Tensor(np.asarray(data, dtype=dtype), requires_grad=True))
+            tensor.data[...] = init
     return store
 
 
@@ -421,8 +447,10 @@ def model_forward(y, config: ModelConfig, store: ParamStore, *, scale=None) -> T
     freezes the normalization, keeping the processor strictly causal — the
     streaming session and the latency check rely on that. Under an active
     tape this is one recorded op, whose backward can run once: its sweep
-    frees the activations it reads. An input with a NaN or infinite sample is
-    a :class:`~dllrnn.errors.DegenerateInputError`.
+    frees the activations it reads. The backward reads the store's arrays as
+    they are then, so an update to the store between the two changes it. An
+    input with a NaN or infinite sample is a
+    :class:`~dllrnn.errors.DegenerateInputError`.
     """
     dtype = store.dtype
     y = _input(y, config, dtype)  # cast before the scale is taken, as enhance_waveform does
@@ -490,10 +518,11 @@ class StreamingEnhancer:
     :func:`model_forward` runs, in one call. It overlap-adds their frames with
     :func:`~dllrnn.framing.overlap_add` seeded with the carried sums and
     counts, and returns the 1×m·hop samples they complete, or None while
-    priming (the first ``l_out/hop - 1`` hops). The parameter arrays are read
-    at every push, so a later ``store.load_arrays`` takes effect. The output
-    is bit-identical to the whole-utterance one with the same frozen scale,
-    however the input is split into pushes.
+    priming (the first ``l_out/hop - 1`` hops). The parameter views are taken
+    once, at construction; the store is only updated in place, so a later
+    ``store.load_arrays`` or optimizer step takes effect at the next push.
+    The output is bit-identical to the whole-utterance one with the same
+    frozen scale, however the input is split into pushes.
     """
 
     def __init__(self, config: ModelConfig, store: ParamStore, scale: float = 1.0):
@@ -507,7 +536,7 @@ class StreamingEnhancer:
         self._tail = np.zeros((config.channels, spec.pad_left), dtype=self.dtype)
         # overlap sums and window counts of the samples not yet emitted
         self._carry = np.zeros((2, spec.l_out - spec.hop), dtype=self.dtype)
-        self._params = store.tensors()
+        self._params = [t.data for t in store.tensors()]
         self._states = np.zeros((config.blocks, 2, config.hidden), dtype=self.dtype)
 
     def push(self, block):
@@ -534,8 +563,7 @@ class StreamingEnhancer:
             self._tail = data
             return None
         self._tail = data[:, m * spec.hop:]
-        out = _forward(self.config, list(map(_DATA, self._params)),
-                       windows(data, spec.l_in, spec.hop), self._states)
+        out = _forward(self.config, self._params, windows(data, spec.l_in, spec.hop), self._states)
         sums = overlap_add(out, spec.hop, self._carry)
         self._carry = sums[:, m * spec.hop:]
         emitted = sums[:1, :m * spec.hop] / sums[1, :m * spec.hop]

@@ -5,9 +5,11 @@ active (``with Tape() as tape: ...``). Calling ``tape.backward(root)`` on a
 scalar output replays the records in reverse and accumulates ``d root / d
 leaf`` into the ``grad`` of every leaf tensor created with
 ``requires_grad=True``. Gradients of intermediate results are kept only for
-the duration of the sweep; leaf gradients add up across sweeps until their
-``grad`` is reset to None (``ParamStore.zero_grad``), which is how a training
-step sums its examples' gradients.
+the duration of the sweep; leaf gradients add up across sweeps, in place,
+until they are zeroed, which is how a training step sums its examples'
+gradients. A ``ParamStore``'s leaves have their ``grad`` from the start, as
+views of the store's one gradient buffer, which ``ParamStore.zero_grad``
+fills with zeros; any other leaf gets a zeroed ``grad`` at its first sweep.
 
 Tapes are thread-confined: the active-tape stack is thread-local, so
 independent tapes may run on separate threads without sharing state.

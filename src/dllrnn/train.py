@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,21 +33,22 @@ EPS = 1e-8
 
 @dataclass
 class OptState:
-    """Adam moments with the AMSGrad running maximum of the second moment."""
+    """Adam's step count and moments, with the AMSGrad running maximum of the
+    second moment: flat arrays laid out like the store's ``data``."""
 
+    m: np.ndarray
+    v: np.ndarray
+    v_max: np.ndarray
     step: int = 0
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
-    v_max: dict = field(default_factory=dict)
 
     @classmethod
     def for_store(cls, store: ParamStore) -> "OptState":
-        state = cls()
-        for name, tensor in store.items():
-            state.m[name] = np.zeros_like(tensor.data)
-            state.v[name] = np.zeros_like(tensor.data)
-            state.v_max[name] = np.zeros_like(tensor.data)
-        return state
+        return cls(*(np.zeros(store.data.shape, store.dtype) for _ in range(3)))
+
+    def moments(self, store: ParamStore):
+        """Each moment's checkpoint record suffix with its name -> view map."""
+        return [(suffix, store.views(flat))
+                for suffix, flat in (("m", self.m), ("v", self.v), ("vmax", self.v_max))]
 
     @classmethod
     def from_checkpoint(cls, ck, store: ParamStore) -> "OptState":
@@ -56,58 +57,44 @@ class OptState:
         state = cls.for_store(store)
         if ck.opt_arrays is not None:
             state.step = ck.opt_step
-            for name in store.names():
-                state.m[name] = ck.opt_arrays[f"{name}.m"].copy()
-                state.v[name] = ck.opt_arrays[f"{name}.v"].copy()
-                state.v_max[name] = ck.opt_arrays[f"{name}.vmax"].copy()
+            for suffix, views in state.moments(store):
+                for name, view in views.items():
+                    view[...] = ck.opt_arrays[f"{name}.{suffix}"]
         return state
 
 
 def adam_step(store: ParamStore, state: OptState, lr: float):
-    """One bias-corrected update of step size ``lr``; v_max (not v) feeds the denominator.
+    """One bias-corrected update of step size ``lr``, applied to the store's
+    whole flat buffer; v_max (not v) feeds the denominator.
 
     Aborts before touching any parameter if some gradient is non-finite.
     """
-    for name, tensor in store.items():
-        g = tensor.grad
-        if g is not None and not np.all(np.isfinite(g)):
-            raise NumericalError(
-                f"non-finite gradient in parameter '{name}' at step {state.step + 1}"
-            )
+    g = store.grad
+    if not np.isfinite(g).all():
+        name = next(name for name, t in store.items() if not np.isfinite(t.grad).all())
+        raise NumericalError(f"non-finite gradient in parameter '{name}' at step {state.step + 1}")
     state.step += 1
     bc1 = 1.0 - BETA1 ** state.step
     bc2 = 1.0 - BETA2 ** state.step
-    for name, tensor in store.items():
-        g = tensor.grad
-        if g is None:
-            g = np.zeros_like(tensor.data)
-        m = state.m[name]
-        v = state.v[name]
-        m *= BETA1
-        m += (1.0 - BETA1) * g
-        v *= BETA2
-        v += (1.0 - BETA2) * g * g
-        np.maximum(state.v_max[name], v, out=state.v_max[name])
-        denom = np.sqrt(state.v_max[name] / bc2) + EPS
-        tensor.data = tensor.data - (lr / bc1) * m / denom
+    m, v, v_max = state.m, state.v, state.v_max
+    m *= BETA1
+    m += (1.0 - BETA1) * g
+    v *= BETA2
+    v += (1.0 - BETA2) * g * g
+    np.maximum(v_max, v, out=v_max)
+    store.data -= (lr / bc1) * m / (np.sqrt(v_max / bc2) + EPS)
 
 
 def clip_grad_norm(store: ParamStore, max_norm: float) -> float:
     """Scale all gradients so their global L2 norm is at most ``max_norm``.
 
-    Returns the pre-clip norm, computed in double precision.
+    Returns the pre-clip norm, computed in double precision and summed one
+    parameter at a time, so each parameter's sum keeps its own reduction order.
     """
-    total = 0.0
-    grads = []
-    for tensor in store.tensors():
-        if tensor.grad is not None:
-            grads.append(tensor.grad)
-            total += float(np.sum(tensor.grad.astype(np.float64) ** 2))
-    norm = float(np.sqrt(total))
+    norm = math.sqrt(sum(float(np.sum(t.grad.astype(np.float64) ** 2))
+                         for t in store.tensors()))
     if norm > max_norm:
-        scale = max_norm / norm
-        for g in grads:
-            g *= np.asarray(scale, dtype=g.dtype)
+        store.grad *= store.dtype.type(max_norm / norm)
     return norm
 
 
@@ -197,9 +184,7 @@ def fit(config: ModelConfig, store: ParamStore, dataset, schedule: Schedule, *,
                         tape.backward(item)
                     total = total + item.data
                 inv_batch = store.dtype.type(1.0 / len(batch))
-                for tensor in store.tensors():
-                    if tensor.grad is not None:
-                        tensor.grad *= inv_batch
+                store.grad *= inv_batch
                 loss_value = float(total * inv_batch)
                 if not np.isfinite(loss_value):
                     raise NumericalError(f"non-finite loss {loss_value} at step {step + 1}")

@@ -10,7 +10,6 @@ from dllrnn.checkpoint import load_checkpoint, save_checkpoint
 from dllrnn.cli import evaluate_manifest, main
 from dllrnn.model import ParamStore, build_params
 from dllrnn.simulate import manifest_read, manifest_write
-from dllrnn.tensor import Tensor
 from dllrnn.train import OptState
 from dllrnn.wavio import read_wav, write_wav
 
@@ -219,14 +218,15 @@ def test_enhance_all_zero_wav_exits_2(workspace, tmp_path, capsys):
 @pytest.mark.parametrize("fault", ["renamed", "reshaped"])
 def test_bad_parameter_record_exits_2(workspace, tmp_path, capsys, fault):
     ck = load_checkpoint(workspace["ckpt"])
-    store = ParamStore()
+    rows = []
     for name, arr in ck.arrays.items():
         if name == "encoder.linear.weight":
             if fault == "renamed":
                 name = "encoder.linear.weights"
             else:
                 arr = arr.T  # same scalar count; the shape check against the table sees it
-        store.add(name, Tensor(arr))
+        rows.append((name, arr))
+    store = ParamStore(rows)
     bad = tmp_path / f"{fault}.ckpt"
     save_checkpoint(bad, ck.config, store, ck.step)
     mixture = workspace["data"] / manifest_read(workspace["manifest"])[0]["mixture"]
@@ -246,14 +246,17 @@ def test_bad_optimizer_record_exits_2(workspace, tmp_path, capsys, fault):
     store = build_params(ck.config)
     store.load_arrays(ck.arrays)
     state = OptState.from_checkpoint(ck, store)
-    if fault == "reshaped":
-        state.m["encoder.linear.weight"] = state.m["encoder.linear.weight"].T
     bad = tmp_path / f"{fault}.ckpt"
     save_checkpoint(bad, ck.config, store, ck.step, opt_state=state)
+    blob = bad.read_bytes()
+    assert blob.count(b"encoder.linear.weight.m") == 1
     if fault == "renamed":
-        blob = bad.read_bytes()
-        assert blob.count(b"encoder.linear.weight.m") == 1
         bad.write_bytes(blob.replace(b"encoder.linear.weight.m", b"encoder.linear.weight.M"))
+    else:
+        # swap the record's two u32 extents, past its rank byte: the same
+        # scalar count in the transposed shape
+        at = blob.index(b"encoder.linear.weight.m") + len(b"encoder.linear.weight.m") + 1
+        bad.write_bytes(blob[:at] + blob[at + 4:at + 8] + blob[at:at + 4] + blob[at + 8:])
     assert main(["train", "--config", str(workspace["cfg"]),
                  "--manifest", str(workspace["manifest"]),
                  "--out", str(tmp_path / "run"), "--resume", str(bad)]) == 2
@@ -418,10 +421,11 @@ def test_non_finite_optimizer_record_exits_2(workspace, tmp_path, capsys):
     store = build_params(ck.config)
     store.load_arrays(ck.arrays)
     state = OptState.from_checkpoint(ck, store)
-    state.v["encoder.linear.weight"][2, 3] = np.inf
+    v = store.views(state.v)["encoder.linear.weight"]
+    v[2, 3] = np.inf
     bad = tmp_path / "inf.ckpt"
     save_checkpoint(bad, ck.config, store, ck.step, opt_state=state)
-    flat = 2 * state.v["encoder.linear.weight"].shape[1] + 3
+    flat = 2 * v.shape[1] + 3
     assert main(["train", "--config", str(workspace["cfg"]),
                  "--manifest", str(workspace["manifest"]),
                  "--out", str(tmp_path / "run"), "--resume", str(bad)]) == 2

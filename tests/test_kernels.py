@@ -3,6 +3,7 @@ call, backwards match finite differences, and the sinc tap placer matches its
 formula and behaves like an interpolator."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -286,6 +287,21 @@ def test_prelu_matches_select():
         npt.assert_array_equal(dx, np.where(neg, a, np.float32(1.0)) * dout)
         npt.assert_array_equal(da, (dout * np.where(neg, x, 0.0)).sum())
         assert dx.dtype == da.dtype == np.float32
+
+
+def test_prelu_backward_in_place_peak():
+    # with dx written over dout, the only full-size temporaries are the
+    # float32 scratch and one bool mask: 5 bytes per element, plus the
+    # ~34 KB buffer numpy casts the bool mask through
+    rng = np.random.default_rng(3)
+    x, dout = _f32(rng, 9000, 64), _f32(rng, 9000, 64)
+    tracemalloc.start()
+    try:
+        K.prelu_backward(dout, x, np.float32(0.25), out=dout)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * x.size + 65536
 
 
 def test_lstm_backward_fd():

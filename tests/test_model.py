@@ -18,6 +18,7 @@ from dllrnn.model import (_BLOCK_HOPS, ModelConfig, ParamStore, StreamingEnhance
                           _forward, _streams, build_params, count_flops, count_macs_per_frame,
                           count_params, enhance_waveform, model_forward, param_table)
 from dllrnn.tensor import Tape, Tensor
+from dllrnn.train import OptState, adam_step
 
 TINY = ModelConfig(channels=2, hidden=2, spatial=1, blocks=2,
                    frame=FrameSpec(l_in=4, l_out=2, hop=1))
@@ -49,12 +50,11 @@ def test_config_validation_and_naming():
 
 
 def test_param_store_contracts():
-    store = ParamStore()
-    t = store.add("a", Tensor(np.zeros(3), requires_grad=True))
-    assert store["a"] is t
-    with pytest.raises(ContractError):
-        store.add("a", Tensor(np.zeros(3)))
-    store.add("b", Tensor(np.zeros((2, 2))))
+    store = ParamStore([("a", np.zeros(3)), ("b", np.zeros((2, 2)))])
+    t = store["a"]
+    assert store["a"] is t and t.requires_grad
+    with pytest.raises(ContractError, match="duplicate parameter name 'a'"):
+        ParamStore([("a", np.zeros(3)), ("a", np.zeros(3))])
     assert store.names() == ["a", "b"]
     assert sum(t.size for t in store.tensors()) == 7
     with pytest.raises(ContractError):
@@ -63,6 +63,43 @@ def test_param_store_contracts():
         store.load_arrays({"a": np.zeros(4), "b": np.zeros((2, 2))})
     with pytest.raises(ContractError):
         store.load_arrays({"a": np.zeros(3), "b": np.zeros((2, 2)), "c": np.zeros(1)})
+
+
+def test_param_store_is_views_of_two_flat_buffers():
+    store = build_params(TINY, seed=0)
+    assert store.data.shape == store.grad.shape == (count_params(TINY),)
+    for name, tensor in store.items():
+        assert np.shares_memory(tensor.data, store.data), name
+        assert np.shares_memory(tensor.grad, store.grad), name
+        assert tensor.grad.shape == tensor.shape and not tensor.grad.any()
+    views = store.views(np.arange(store.data.size, dtype=np.float32))
+    assert [(n, v.shape) for n, v in views.items()] == [(n, t.shape) for n, t in store.items()]
+    assert np.concatenate([v.reshape(-1) for v in views.values()]).tolist() == list(
+        range(store.data.size))
+    with pytest.raises(ContractError, match="one float dtype"):
+        ParamStore([("a", np.zeros(3, np.float32)), ("b", np.zeros(2))])
+    with pytest.raises(ContractError, match="one float dtype"):
+        ParamStore([("a", np.arange(3))])
+
+
+def test_rejected_load_arrays_leaves_the_store_unchanged():
+    store = build_params(TINY, seed=0)
+
+    def snapshot():
+        return b"".join(t.data.tobytes() for t in store.tensors())
+
+    kept = snapshot()
+    good = {name: t.data + 1 for name, t in store.items()}
+    last = store.names()[-1]
+    for bad, error in (({**good, last: np.zeros(7)}, DimensionError),
+                       ({**good, "extra": np.zeros(1)}, ContractError),
+                       ({n: a for n, a in good.items() if n != last}, ContractError)):
+        with pytest.raises(error):
+            store.load_arrays(bad)
+        assert snapshot() == kept
+    store.load_arrays(good)
+    for name, tensor in store.items():
+        npt.assert_array_equal(tensor.data, good[name])
 
 
 def test_build_params_matches_count_params():
@@ -576,6 +613,14 @@ def test_streaming_session_sees_later_load_arrays():
     store.load_arrays({name: t.data for name, t in trained.items()})
     npt.assert_array_equal(_stream(session, y, (1,)),
                            _stream(StreamingEnhancer(cfg, trained), y, (1,)))
+    # an optimizer step writes the same buffer: a session built before it
+    # streams what a session built after it does
+    session = StreamingEnhancer(cfg, store)
+    store.grad[...] = 1.0
+    adam_step(store, OptState.for_store(store), 1e-2)
+    assert not np.array_equal(store.data, trained.data)
+    npt.assert_array_equal(_stream(session, y, (1,)),
+                           _stream(StreamingEnhancer(cfg, store), y, (1,)))
 
 
 def test_streaming_push_runs_through_the_kernel_module(monkeypatch):

@@ -14,7 +14,7 @@ from dllrnn.errors import ConfigError, DataError, NumericalError
 from dllrnn.framing import FrameSpec
 from dllrnn.losses import pcm_loss
 from dllrnn.model import ModelConfig, ParamStore, build_params, model_forward
-from dllrnn.tensor import Tape, Tensor
+from dllrnn.tensor import Tape
 from dllrnn.train import OptState, Schedule, TrainExample, adam_step, clip_grad_norm, fit
 from conftest import make_anechoic_example
 
@@ -23,10 +23,8 @@ SMALL = ModelConfig(channels=2, hidden=8, spatial=2, blocks=2,
 
 
 def _toy_store(values=(0.5, -1.0, 2.0)):
-    store = ParamStore()
-    store.add("w", Tensor(np.array(values, dtype=np.float32), requires_grad=True))
-    store.add("b", Tensor(np.array([0.25], dtype=np.float32), requires_grad=True))
-    return store
+    return ParamStore([("w", np.array(values, dtype=np.float32)),
+                       ("b", np.array([0.25], dtype=np.float32))])
 
 
 def test_opt_state_for_store():
@@ -35,14 +33,14 @@ def test_opt_state_for_store():
     assert state.step == 0
     for name in ("w", "b"):
         for bank in (state.m, state.v, state.v_max):
-            npt.assert_array_equal(bank[name], np.zeros_like(store[name].data))
+            npt.assert_array_equal(store.views(bank)[name], np.zeros_like(store[name].data))
 
 
 def test_adam_zero_grad_is_noop():
     store = _toy_store()
     before = {n: store[n].data.copy() for n in store.names()}
     state = OptState.for_store(store)
-    adam_step(store, state, 2e-4)  # all grads None
+    adam_step(store, state, 2e-4)  # all grads zero
     assert state.step == 1
     for name in store.names():
         npt.assert_array_equal(store[name].data, before[name])
@@ -53,7 +51,7 @@ def test_adam_first_step_moves_by_lr():
     store = _toy_store()
     state = OptState.for_store(store)
     for name in store.names():
-        store[name].grad = np.ones_like(store[name].data)
+        store[name].grad[...] = 1.0
     before = {n: store[n].data.copy() for n in store.names()}
     adam_step(store, state, 0.01)
     for name in store.names():
@@ -66,23 +64,24 @@ def test_adam_vmax_never_decreases():
     store = _toy_store()
     state = OptState.for_store(store)
     rng = np.random.default_rng(0)
-    prev = {n: state.v_max[n].copy() for n in store.names()}
+    v_max = store.views(state.v_max)
+    prev = {n: v_max[n].copy() for n in store.names()}
     for _ in range(100):
         for name in store.names():
-            store[name].grad = rng.standard_normal(store[name].shape).astype(np.float32)
+            store[name].grad[...] = rng.standard_normal(store[name].shape).astype(np.float32)
         adam_step(store, state, 1e-3)
         for name in store.names():
-            assert np.all(state.v_max[name] >= prev[name])
+            assert np.all(v_max[name] >= prev[name])
             assert np.all(np.isfinite(store[name].data))
-            prev[name] = state.v_max[name].copy()
+            prev[name] = v_max[name].copy()
 
 
 def test_adam_rejects_nonfinite_gradient():
     store = _toy_store()
     state = OptState.for_store(store)
     before = {n: store[n].data.copy() for n in store.names()}
-    store["w"].grad = np.array([1.0, np.inf, 0.0], dtype=np.float32)
-    store["b"].grad = np.zeros(1, dtype=np.float32)
+    store["w"].grad[...] = [1.0, np.inf, 0.0]
+    store["b"].grad[...] = 0.0
     with pytest.raises(NumericalError, match="'w'"):
         adam_step(store, state, 2e-4)
     assert state.step == 0  # aborted before any mutation
@@ -92,8 +91,8 @@ def test_adam_rejects_nonfinite_gradient():
 
 def test_clip_below_threshold_is_identity():
     store = _toy_store()
-    store["w"].grad = np.array([0.006, 0.0, 0.008], dtype=np.float32)  # norm 0.01
-    store["b"].grad = np.zeros(1, dtype=np.float32)
+    store["w"].grad[...] = [0.006, 0.0, 0.008]  # norm 0.01
+    store["b"].grad[...] = 0.0
     kept = store["w"].grad.copy()
     norm = clip_grad_norm(store, 0.03)
     assert norm == pytest.approx(0.01, abs=1e-9)
@@ -102,8 +101,8 @@ def test_clip_below_threshold_is_identity():
 
 def test_clip_scales_to_threshold():
     store = _toy_store()
-    store["w"].grad = np.array([0.18, 0.0, 0.24], dtype=np.float32)  # norm 0.3
-    store["b"].grad = np.zeros(1, dtype=np.float32)
+    store["w"].grad[...] = [0.18, 0.0, 0.24]  # norm 0.3
+    store["b"].grad[...] = 0.0
     norm = clip_grad_norm(store, 0.03)
     assert norm == pytest.approx(0.3, abs=1e-7)
     total = sum(float(np.sum(store[n].grad.astype(np.float64) ** 2)) for n in store.names())
@@ -112,12 +111,57 @@ def test_clip_scales_to_threshold():
 
 
 def test_clip_ignores_missing_grads():
+    # a parameter no op reached keeps the zeros zero_grad gave it
     store = _toy_store()
-    store["w"].grad = None
-    store["b"].grad = np.array([0.5], dtype=np.float32)
+    store.zero_grad()
+    store["b"].grad[...] = 0.5
     norm = clip_grad_norm(store, 0.03)
     assert norm == pytest.approx(0.5, rel=1e-6)
     assert abs(store["b"].grad[0] - 0.03) < 1e-7
+
+
+def test_flat_clip_and_adam_match_a_per_parameter_loop():
+    # Reference: the per-parameter loops clip_grad_norm and adam_step replace,
+    # on separate arrays. The whole-buffer forms must give their bytes on a
+    # 64-8-8 store, with a clip that fires at every step.
+    store = build_params(ModelConfig(), seed=0)
+    state = OptState.for_store(store)
+    ref = {name: [t.data.copy()] + [np.zeros_like(t.data) for _ in range(3)]
+           for name, t in store.items()}
+    rng = np.random.default_rng(9)
+    lr, max_norm = 1e-3, 0.03
+    for step in range(1, 4):
+        grads = {name: rng.standard_normal(t.shape).astype(np.float32)
+                 for name, t in store.items()}
+        for name, tensor in store.items():
+            tensor.grad[...] = grads[name]
+        total = 0.0
+        for g in grads.values():
+            total += float(np.sum(g.astype(np.float64) ** 2))
+        norm = float(np.sqrt(total))
+        assert norm > max_norm
+        for g in grads.values():
+            g *= np.asarray(max_norm / norm, dtype=g.dtype)
+        bc1 = 1.0 - train.BETA1 ** step
+        bc2 = 1.0 - train.BETA2 ** step
+        for name, (p, m, v, v_max) in ref.items():
+            g = grads[name]
+            m *= train.BETA1
+            m += (1.0 - train.BETA1) * g
+            v *= train.BETA2
+            v += (1.0 - train.BETA2) * g * g
+            np.maximum(v_max, v, out=v_max)
+            ref[name][0] = p - (lr / bc1) * m / (np.sqrt(v_max / bc2) + train.EPS)
+
+        assert clip_grad_norm(store, max_norm) == norm
+        adam_step(store, state, lr)
+        assert state.step == step
+        moments = [store.views(flat) for flat in (state.m, state.v, state.v_max)]
+        for name, (p, m, v, v_max) in ref.items():
+            assert store[name].grad.tobytes() == grads[name].tobytes(), name
+            assert store[name].data.tobytes() == p.tobytes(), name
+            for got, want in zip(moments, (m, v, v_max)):
+                assert got[name].tobytes() == want.tobytes(), name
 
 
 def _tiny_dataset(n_examples=2, n=900, seed=0):
@@ -320,7 +364,7 @@ def test_checkpoint_roundtrip_exact(tmp_path):
     store = build_params(SMALL, seed=7)
     state = OptState.for_store(store)
     state.step = 11
-    state.m["encoder.prelu"][...] = 0.125
+    store.views(state.m)["encoder.prelu"][...] = 0.125
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, SMALL, store, 42, opt_state=state)
     ck = load_checkpoint(path)
@@ -371,7 +415,7 @@ def test_checkpoint_rejects_corruption(tmp_path):
     ("unknown", "unknown parameter record 'extra.weight'"),
 ], ids=["renamed", "reshaped", "missing", "unknown"])
 def test_checkpoint_rejects_mismatched_records(tmp_path, fault, message):
-    store = ParamStore()
+    rows = []
     for name, tensor in build_params(SMALL, seed=0).items():
         arr = tensor.data
         if name == "encoder.linear.weight" and fault == "renamed":
@@ -380,9 +424,10 @@ def test_checkpoint_rejects_mismatched_records(tmp_path, fault, message):
             arr = arr.T   # same scalar count
         elif name == "decoder.linear.bias" and fault == "missing":
             continue
-        store.add(name, Tensor(arr))
+        rows.append((name, arr))
     if fault == "unknown":
-        store.add("extra.weight", Tensor(np.zeros(3, np.float32)))
+        rows.append(("extra.weight", np.zeros(3, np.float32)))
+    store = ParamStore(rows)
     path = tmp_path / f"{fault}.ckpt"
     save_checkpoint(path, SMALL, store, 1)
     with pytest.raises(DataError, match=re.escape(f"{path}: {message}")):
