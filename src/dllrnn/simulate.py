@@ -11,12 +11,16 @@ all channels, hits the requested SNR.
 Impulse responses come from the mirror-image construction: every image of the
 source across the walls up to a reflection order contributes a tap of
 amplitude beta^reflections / (4*pi*distance) at its fractional arrival delay,
-rendered with an 81-tap Hann-tapered sinc kernel.
+rendered with an 81-tap Hann-tapered sinc kernel. The images depend on the
+source alone, so each source's image set is enumerated once per order and
+every microphone's response is placed from it.
 
 The module needs numpy alone. Convolution and the source generators' IIR
-filters are real FFTs at a 5-smooth length (``fftconvolve``, ``iir_filter``);
-each source's spectrum is taken once and multiplied by all of its
-microphones' responses.
+filters are real FFTs at a 5-smooth length (``fftconvolve``, ``iir_filter``).
+Each source's spectrum is taken once and multiplied by all of its
+microphones' responses. The noise sources' products are added in the
+frequency domain, one source at a time, and the sum takes one inverse
+transform.
 """
 
 from __future__ import annotations
@@ -55,15 +59,40 @@ def _smooth_len(n: int) -> int:
     return best
 
 
-def fftconvolve(in1, in2):
+def fftconvolve(in1, in2, summed=False):
     """Full linear convolution along the last axis; leading axes broadcast,
     so one signal convolves with a stack of responses and its spectrum is
-    taken once."""
-    in1, in2 = np.asarray(in1), np.asarray(in2)
-    n = in1.shape[-1] + in2.shape[-1] - 1
+    taken once.
+
+    With ``summed=True`` the leading axis of both operands is a source axis:
+    ``in1[s]`` is source s's signal and ``in2[s]`` its response (or stack of
+    responses), and the result is the sum over s of their convolutions. Each
+    source's spectra are multiplied into one accumulator in turn, so one
+    inverse transform serves them all and at most one source's spectra are
+    held beside it. The operands may be sequences of arrays of different
+    lengths; the result is as long as the longest convolution.
+    """
+    if not summed:
+        in1, in2 = np.asarray(in1), np.asarray(in2)
+        n = in1.shape[-1] + in2.shape[-1] - 1
+        size = _smooth_len(n)
+        spectrum = np.fft.rfft(in1, size) * np.fft.rfft(in2, size)
+        return np.fft.irfft(spectrum, size)[..., :n]
+    if len(in1) != len(in2) or len(in1) == 0:
+        raise ValueError(f"summed convolution needs as many signals as responses, "
+                         f"at least one; got {len(in1)} and {len(in2)}")
+    n = max(np.shape(x)[-1] for x in in1) + max(np.shape(h)[-1] for h in in2) - 1
     size = _smooth_len(n)
-    spectrum = np.fft.rfft(in1, size) * np.fft.rfft(in2, size)
-    return np.fft.irfft(spectrum, size)[..., :n]
+
+    def spectrum(x, h):
+        out = np.fft.rfft(h, size)
+        out *= np.fft.rfft(x, size)
+        return out
+
+    total = spectrum(in1[0], in2[0])
+    for x, h in zip(in1[1:], in2[1:]):
+        total += spectrum(x, h)
+    return np.fft.irfft(total, size)[..., :n]
 
 
 def iir_filter(b, a, x):
@@ -151,20 +180,35 @@ def image_sources(room: RoomSpec, src, order: int):
 
 
 def simulate_rir(room: RoomSpec, src, mic, order: int = DEFAULT_ORDER):
-    """Impulse response between a source and a microphone, as float64 taps."""
+    """Impulse responses between a source and one or more microphones, as
+    float64 taps.
+
+    ``mic`` is one xyz point, for which the response is 1-D, or a C×3 array,
+    for which row c is microphone c's response, zero-padded to the longest
+    row. The source's images are enumerated once for all microphones.
+    """
     src = _check_inside(room, src, "source")
-    mic = _check_inside(room, mic, "microphone")
-    if np.array_equal(src, mic):
-        raise GeometryError("source and microphone coincide")
+    mics = np.asarray(mic, dtype=np.float64)
+    stack = mics if mics.ndim == 2 else mics[None]
+    if stack.ndim != 2 or len(stack) == 0:
+        raise GeometryError(f"microphones must be an xyz triple or a C×3 array, "
+                            f"got shape {mics.shape}")
+    for point in stack:
+        _check_inside(room, point, "microphone")
+        if np.array_equal(src, point):
+            raise GeometryError("source and microphone coincide")
     if order < 0:
         raise GeometryError(f"reflection order must be >= 0, got {order}")
     positions, reflections = image_sources(room, src, order)
-    dist = np.linalg.norm(positions - mic[None, :], axis=1)
+    dist = np.linalg.norm(positions[None, :, :] - stack[:, None, :], axis=-1)
     beta = np.sqrt(1.0 - room.absorption)
     amps = beta ** reflections / (4.0 * np.pi * dist)
     delays = dist * SAMPLE_RATE / SPEED_OF_SOUND
-    length = int(np.ceil(delays.max())) + K.SINC_HALF_WIDTH + 2
-    return K.place_taps(delays, amps, length)
+    lengths = np.ceil(delays.max(axis=1)).astype(np.int64) + K.SINC_HALF_WIDTH + 2
+    out = np.zeros((len(stack), int(lengths.max())))
+    for row, d, a, length in zip(out, delays, amps, lengths):
+        row[:length] = K.place_taps(d, a, int(length))
+    return out if mics.ndim == 2 else out[0]
 
 
 def mic_circle(center, n: int = N_MICS):
@@ -233,16 +277,6 @@ class MixtureExample:
     scene: Scene = field(default=None, repr=False)
 
 
-def _convolve_to_mics(source, room, src_pos, mics, order):
-    """``source`` through each microphone's response, cut to its length: one
-    convolution of the source with the responses zero-padded to one length."""
-    rirs = [simulate_rir(room, src_pos, mic, order) for mic in mics]
-    stack = np.zeros((len(rirs), max(len(rir) for rir in rirs)))
-    for row, rir in zip(stack, rirs):
-        row[:len(rir)] = rir
-    return np.ascontiguousarray(fftconvolve(source, stack)[:, :source.shape[0]])
-
-
 def spatialize_mixture(scene: Scene, speech, noises,
                        order: int = DEFAULT_ORDER) -> MixtureExample:
     """Render one multichannel example from mono source material.
@@ -250,7 +284,8 @@ def spatialize_mixture(scene: Scene, speech, noises,
     ``speech`` is convolved per microphone with the full-order response and,
     separately, with the order-0 (direct-path) response; their difference is
     the reverberation. Each noise waveform, as long as the speech, is
-    convolved from its own drawn position; all noises share one scale factor
+    convolved from its own drawn position, and the noise sources' spectra are
+    summed before one inverse transform; all noises share one scale factor
     chosen so the channel-summed direct-to-noise energy ratio equals the
     scene's ``snr_db``. A source whose direct path reaches no microphone
     within the example's samples is a ``DegenerateInputError``: the example
@@ -278,12 +313,15 @@ def spatialize_mixture(scene: Scene, speech, noises,
             raise DegenerateInputError(
                 f"{what} source's direct path first reaches a microphone at sample "
                 f"{arrival}, past the example's {speech.size} samples")
-    s_full = _convolve_to_mics(speech, scene.room, scene.speech_pos, scene.mics, order)
-    s_direct = _convolve_to_mics(speech, scene.room, scene.speech_pos, scene.mics, 0)
-    s_reverb = s_full - s_direct
-    noise = np.zeros_like(s_direct)
-    for pos, nz in zip(scene.noise_pos, noises):
-        noise += _convolve_to_mics(nz, scene.room, pos, scene.mics, order)
+    n = speech.size
+    room, mics = scene.room, scene.mics
+    s_direct = np.ascontiguousarray(
+        fftconvolve(speech, simulate_rir(room, scene.speech_pos, mics, 0))[:, :n])
+    s_reverb = (fftconvolve(speech, simulate_rir(room, scene.speech_pos, mics, order))[:, :n]
+                - s_direct)
+    noise = np.ascontiguousarray(fftconvolve(
+        noises, [simulate_rir(room, pos, mics, order) for pos in scene.noise_pos],
+        summed=True)[:, :n])
     e_direct = float(np.sum(s_direct ** 2))
     e_noise = float(np.sum(noise ** 2))
     if e_noise == 0.0:

@@ -77,12 +77,21 @@ def adam_step(store: ParamStore, state: OptState, lr: float):
     bc1 = 1.0 - BETA1 ** state.step
     bc2 = 1.0 - BETA2 ** state.step
     m, v, v_max = state.m, state.v, state.v_max
+    # Two scratch buffers carry every temporary, in the operation order of
+    # data -= (lr/bc1)·m / (sqrt(v_max/bc2) + eps), so the bits match it.
+    update, denom = np.empty_like(g), np.empty_like(g)
     m *= BETA1
-    m += (1.0 - BETA1) * g
+    m += np.multiply(1.0 - BETA1, g, out=update)
     v *= BETA2
-    v += (1.0 - BETA2) * g * g
+    np.multiply(1.0 - BETA2, g, out=update)
+    v += np.multiply(update, g, out=update)
     np.maximum(v_max, v, out=v_max)
-    store.data -= (lr / bc1) * m / (np.sqrt(v_max / bc2) + EPS)
+    np.multiply(lr / bc1, m, out=update)
+    np.divide(v_max, bc2, out=denom)
+    np.sqrt(denom, out=denom)
+    denom += EPS
+    update /= denom
+    store.data -= update
 
 
 def clip_grad_norm(store: ParamStore, max_norm: float) -> float:

@@ -2,11 +2,13 @@
 SNR bookkeeping, and scene/mixture contracts."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+from dllrnn import simulate
 from dllrnn.errors import DataError, DegenerateInputError, DimensionError, GeometryError
 from dllrnn.simulate import (MixtureExample, RoomSpec, Scene, _axis_images, _smooth_len,
                              achieved_snr, draw_scene, fftconvolve, iir_filter, image_sources,
@@ -36,6 +38,35 @@ def test_simulate_rir_geometry_errors():
         simulate_rir(ROOM, [2.0, 2.0, 2.0], [2.0, 2.0, 2.0], order=0)
     with pytest.raises(GeometryError):
         simulate_rir(ROOM, [2.0, 2.0, 2.0], [3.0, 2.0, 2.0], order=-1)
+
+
+@pytest.mark.parametrize("order", [0, 1, 6])
+def test_simulate_rir_microphone_array_rows_match_single_calls(order):
+    scene = draw_scene(np.random.default_rng(14), n_mics=8)
+    mics = np.concatenate([scene.mics, [[0.5, 0.5, 0.5]]])  # one far from the array
+    stack = simulate_rir(scene.room, scene.speech_pos, mics, order)
+    assert stack.ndim == 2 and stack.shape[0] == len(mics)
+    lengths = []
+    for row, mic in zip(stack, mics):
+        single = simulate_rir(scene.room, scene.speech_pos, mic, order)
+        assert single.ndim == 1
+        assert np.array_equal(row[:len(single)], single)
+        assert not np.any(row[len(single):])
+        lengths.append(len(single))
+    assert stack.shape[1] == max(lengths)
+
+
+def test_simulate_rir_checks_every_microphone_of_an_array():
+    src = [2.0, 2.0, 2.0]
+    good = [[3.0, 2.0, 2.0], [2.0, 3.0, 2.0]]
+    for bad in ([6.05, 2.0, 2.0], src):  # in the wall margin; on the source
+        for where in (0, 1, 2):
+            mics = np.array(good[:where] + [bad] + good[where:])
+            with pytest.raises(GeometryError):
+                simulate_rir(ROOM, src, mics, order=1)
+    for shape in ((0, 3), (2, 4), (2, 2, 3)):
+        with pytest.raises(GeometryError):
+            simulate_rir(ROOM, src, np.full(shape, 2.5), order=1)
 
 
 def test_image_source_counts():
@@ -162,9 +193,80 @@ def _render(seed, order, n=1500, n_mics=4):
 
 def test_mixture_additivity():
     ex = _render(seed=1, order=1)
-    npt.assert_allclose(ex.mixture, ex.s_direct + ex.s_reverb + ex.noise,
-                        rtol=0.0, atol=1e-12)
+    npt.assert_array_equal(ex.mixture, ex.s_direct + ex.s_reverb + ex.noise)
     assert ex.s_direct.shape == ex.mixture.shape == (4, 1500)
+
+
+def _spatialize_reference(scene, speech, noises, order):
+    """The per-microphone rendering that ``spatialize_mixture`` replaces, kept
+    as its reference: one single-microphone response per (source, microphone),
+    and one inverse transform per source."""
+    def to_mics(source, pos, order):
+        rirs = [simulate_rir(scene.room, pos, mic, order) for mic in scene.mics]
+        stack = np.zeros((len(rirs), max(len(rir) for rir in rirs)))
+        for row, rir in zip(stack, rirs):
+            row[:len(rir)] = rir
+        return fftconvolve(source, stack)[:, :source.size]
+
+    s_direct = to_mics(speech, scene.speech_pos, 0)
+    s_reverb = to_mics(speech, scene.speech_pos, order) - s_direct
+    noise = np.zeros_like(s_direct)
+    for pos, nz in zip(scene.noise_pos, noises):
+        noise += to_mics(nz, pos, order)
+    noise *= np.sqrt(np.sum(s_direct ** 2)
+                     / (np.sum(noise ** 2) * 10.0 ** (scene.snr_db / 10.0)))
+    return {"s_direct": s_direct, "s_reverb": s_reverb, "noise": noise,
+            "mixture": s_direct + s_reverb + noise}
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+@pytest.mark.parametrize("n_noise", [1, 2, 3])
+def test_spatialize_matches_per_microphone_reference(order, n_noise):
+    rng = np.random.default_rng(100 + 10 * order + n_noise)
+    scene = draw_scene(rng, n_mics=4, n_noise_range=(n_noise, n_noise))
+    speech = speech_like(rng, 1500)
+    noises = [pink_noise(rng, 1500) for _ in scene.noise_pos]
+    ex = spatialize_mixture(scene, speech, noises, order=order)
+    for name, want in _spatialize_reference(scene, speech, noises, order).items():
+        got = getattr(ex, name)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), name
+
+
+def test_spatialize_enumerates_images_once_per_source_and_order(monkeypatch):
+    calls = []
+    original = simulate.image_sources
+
+    def counting(room, src, order):
+        calls.append((tuple(np.asarray(src).tolist()), order))
+        return original(room, src, order)
+
+    monkeypatch.setattr(simulate, "image_sources", counting)
+    rng = np.random.default_rng(15)
+    scene = draw_scene(rng, n_mics=8, n_noise_range=(3, 3))
+    noises = [white_noise(rng, 1200) for _ in scene.noise_pos]
+    spatialize_mixture(scene, speech_like(rng, 1200), noises, order=2)
+    speech = tuple(scene.speech_pos.tolist())
+    want = [(speech, 2), (speech, 0)] + [(tuple(p.tolist()), 2) for p in scene.noise_pos]
+    assert sorted(calls) == sorted(want)
+
+
+def test_spatialize_peak_memory():
+    # 2 s, order 6, 8 microphones, 10 noise sources. The parent's per-microphone
+    # rendering peaked at 12.87 MiB on this scene; one spectral accumulator
+    # over the noise sources peaks near 10.3 MiB.
+    rng = np.random.default_rng(1)
+    scene = draw_scene(rng, n_mics=8, n_noise_range=(10, 10))
+    speech = speech_like(rng, 32000)
+    noises = [white_noise(rng, 32000) for _ in scene.noise_pos]
+    spatialize_mixture(scene, speech, noises, order=6)
+    tracemalloc.start()
+    try:
+        spatialize_mixture(scene, speech, noises, order=6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12.87 * 2 ** 20, peak / 2 ** 20
 
 
 def test_mixture_hits_requested_snr():
@@ -288,6 +390,27 @@ def test_fftconvolve_matches_scipy():
     stacked = fftconvolve(source, rirs)
     for rir, row in zip(rirs, stacked):
         npt.assert_array_equal(row, fftconvolve(source, rir))
+
+
+def test_fftconvolve_sums_over_a_leading_source_axis():
+    rng = np.random.default_rng(16)
+    signals = [rng.standard_normal(900) for _ in range(3)]
+    stacks = [rng.standard_normal((4, length)) for length in (120, 300, 45)]
+    want = np.zeros((4, 900 + 300 - 1))
+    for x, h in zip(signals, stacks):
+        row = fftconvolve(x, h)
+        want[:, :row.shape[1]] += row
+    got = fftconvolve(signals, stacks, summed=True)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    # an array with a leading source axis is the same sum
+    same = fftconvolve(np.stack(signals), np.stack([s[:, :45] for s in stacks]), summed=True)
+    npt.assert_allclose(same, sum(fftconvolve(x, h[:, :45]) for x, h in zip(signals, stacks)),
+                        rtol=0.0, atol=1e-12 * np.abs(same).max())
+    with pytest.raises(ValueError, match="as many signals as responses"):
+        fftconvolve(signals[:2], stacks, summed=True)
+    with pytest.raises(ValueError, match="at least one"):
+        fftconvolve([], [], summed=True)
 
 
 @pytest.mark.parametrize("n", [16, 1000, 32000])

@@ -3,6 +3,7 @@ roundtrips, and deterministic resume."""
 
 import os
 import re
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -162,6 +163,48 @@ def test_flat_clip_and_adam_match_a_per_parameter_loop():
             assert store[name].data.tobytes() == p.tobytes(), name
             for got, want in zip(moments, (m, v, v_max)):
                 assert got[name].tobytes() == want.tobytes(), name
+
+
+def _adam_expression(data, g, m, v, v_max, step, lr):
+    """The whole-buffer update ``adam_step`` computed before it wrote its
+    temporaries into scratch buffers, kept as its exact reference."""
+    bc1 = 1.0 - train.BETA1 ** step
+    bc2 = 1.0 - train.BETA2 ** step
+    m *= train.BETA1
+    m += (1.0 - train.BETA1) * g
+    v *= train.BETA2
+    v += (1.0 - train.BETA2) * g * g
+    np.maximum(v_max, v, out=v_max)
+    data -= (lr / bc1) * m / (np.sqrt(v_max / bc2) + train.EPS)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_adam_step_bytes_match_the_whole_buffer_expression(dtype):
+    store = build_params(ModelConfig(), seed=0, dtype=dtype)
+    state = OptState.for_store(store)
+    ref = [store.data.copy()] + [np.zeros_like(store.data) for _ in range(3)]
+    rng = np.random.default_rng(21)
+    for step in range(1, 4):
+        store.grad[...] = 1e-2 * rng.standard_normal(store.grad.shape)
+        _adam_expression(*ref[:1], store.grad, *ref[1:], step, 1e-3)
+        adam_step(store, state, 1e-3)
+        for got, want in zip((store.data, state.m, state.v, state.v_max), ref):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), step
+
+
+def test_adam_step_peak_memory():
+    # two scratch buffers of the flat store (1.75 MiB each at 64-8-8); the
+    # whole-buffer expression held three at once, a 5.25 MiB peak
+    store = build_params(ModelConfig(), seed=0)
+    state = OptState.for_store(store)
+    store.grad[...] = 1e-2 * np.random.default_rng(22).standard_normal(store.grad.shape)
+    tracemalloc.start()
+    try:
+        adam_step(store, state, 1e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.6 * 2 ** 20, peak / 2 ** 20
 
 
 def _tiny_dataset(n_examples=2, n=900, seed=0):
