@@ -5,10 +5,11 @@ Callers reach every kernel through this module's attributes
 (``K.lstm_forward`` etc.), so a tracer or a test can wrap them in one place.
 No kernel calls another of these attributes, which a tracer would count
 twice. Positional arguments come first in a fixed order (input, weight,
-...), which the tracer reads for its cost counts. Layer norm, PReLU and
-their backwards take an optional ``out=`` buffer, which may be their own
-input. They write the allocating form's bits into it and write nothing
-else the caller passed.
+...), which the tracer reads for its cost counts. The layer norm, its affine
+and the PReLU after it are one forward and one backward kernel (and a
+rebuild of the forward's output for the backward); the pair takes an
+optional ``out=`` buffer, which may be its own input. They write the
+allocating form's bits into it and write nothing else the caller passed.
 
 The forward kernels are row-stable: each output frame is computed by a
 product whose summation order does not depend on how many frames share the
@@ -101,41 +102,79 @@ def spatial_conv_input_grad(pairs, lo, n):
 
 
 # ---------------------------------------------------------------------------
-# Layer normalization over the trailing axis: rows (M, F)
+# Layer normalization over the trailing axis of rows (M, F), with its affine
+# and a PReLU of one scalar slope a: PReLU(v) = v where v >= 0, a·v otherwise.
+# The PReLU is branch-free products and sums in both directions, not an
+# np.where select: a select branches per element, and on activations of
+# random sign that costs about four times the arithmetic. It gives the
+# select's values, except that a zero may come out +0 where the select gives
+# -0. The backward rebuilds the PReLU's input, xhat·gain + bias, from the
+# cached xhat with the forward's expressions, so it has the forward's bits.
 # ---------------------------------------------------------------------------
 
-def layer_norm_forward(x, gain, bias, eps, out=None):
-    """Rows normalized to zero mean and unit variance, then scaled and shifted.
+# The forward rectifies its rows in blocks of about this many elements, walked
+# in memory order: its PReLU temporaries stay small beside xhat and r, and in
+# cache. With no tape the caller drops xhat on return, so the layer norm then
+# needs two block-size buffers, not three.
+_PRELU_BLOCK = 32768
 
-    Returns ``(y, xhat, inv_std)``. ``xhat`` is written to ``out`` when it is
-    given, which may be ``x`` itself; the squared deviations are formed in
-    the buffer that then becomes ``y``, so the call allocates only ``y`` (and
-    ``xhat`` when ``out`` is None).
+
+def layer_norm_forward(x, gain, bias, a, eps, out=None):
+    """Rows normalized to zero mean and unit variance, scaled by ``gain``,
+    shifted by ``bias`` and rectified by a PReLU of slope ``a``.
+
+    Returns ``(r, xhat, inv_std)``: the rectified rows, the normalized rows
+    and each row's 1/std. ``r`` is written to ``out`` when it is given, which
+    may be ``x`` itself; the squared deviations are formed there first, so
+    the call allocates ``xhat`` and PReLU temporaries of about
+    ``_PRELU_BLOCK`` elements each (and ``r`` when ``out`` is None).
     """
     f = x.shape[1]
-    xhat = np.subtract(x, np.add.reduce(x, axis=1, keepdims=True) / f, out=out)
-    y = np.multiply(xhat, xhat)
-    var = np.add.reduce(y, axis=1, keepdims=True) / f
+    xhat = np.subtract(x, np.add.reduce(x, axis=1, keepdims=True) / f)
+    r = np.multiply(xhat, xhat, out=out)
+    var = np.add.reduce(r, axis=1, keepdims=True) / f
     inv_std = 1.0 / np.sqrt(var + eps)
     xhat *= inv_std
-    np.multiply(xhat, gain, out=y)
-    y += bias
-    return y, xhat, inv_std[:, 0]
+    np.multiply(xhat, gain, out=r)
+    r += bias
+    v = r.T if r.flags.f_contiguous else r  # rows in memory order
+    step = _PRELU_BLOCK // v.shape[1] or 1
+    for lo in range(0, v.shape[0], step):
+        part = v[lo:lo + step]
+        neg = np.minimum(part, 0) * a
+        np.add(np.maximum(part, 0, out=part), neg, out=part)
+    return r, xhat, inv_std[:, 0]
 
 
-def layer_norm_affine(xhat, gain, bias):
-    """The layer norm's output from its normalized rows; the backward rebuilds it with this."""
-    return xhat * gain + bias
+def layer_norm_output(xhat, gain, bias, a):
+    """The forward's rectified rows again, from its ``xhat``, with its
+    expressions; the backward rebuilds a block's streams with this."""
+    r = xhat * gain + bias
+    neg = np.minimum(r, 0) * a
+    return np.add(np.maximum(r, 0, out=r), neg, out=r)
 
 
-def layer_norm_backward(dout, xhat, inv_std, gain, out=None):
-    """``(dx, dgain, dbias)``; ``dx`` is written to ``out`` when it is given,
-    which may be ``dout`` itself (its sums are taken first)."""
+def layer_norm_backward(dout, xhat, inv_std, gain, bias, a, out=None):
+    """``(dx, dgain, dbias, da)`` from the gradient ``dout`` of the rectified
+    rows; ``dx`` is written to ``out`` when it is given, which may be
+    ``dout`` itself (the slope's gradient is taken first). The PReLU's input
+    is rebuilt into the one full-size scratch, beside one bool mask."""
     f = xhat.shape[1]
-    dbias = dout.sum(axis=0)
-    scratch = dout * xhat
-    dgain = scratch.sum(axis=0)
-    g = np.multiply(dout, gain, out=out)
+    scratch = np.multiply(xhat, gain)
+    scratch += bias
+    neg = scratch < 0
+    np.minimum(scratch, 0, out=scratch)
+    scratch *= dout
+    da = np.asarray(scratch.sum(), dtype=xhat.dtype).reshape(np.shape(a))
+    # the slope: exactly a where the input is < 0, else 1; the mask is negated in place
+    np.multiply(neg, a, out=scratch)
+    scratch += np.logical_not(neg, out=neg)
+    del neg
+    g = np.multiply(scratch, dout, out=out)
+    # the layer norm's backward, from g = the PReLU's input gradient
+    dbias = g.sum(axis=0)
+    dgain = np.multiply(g, xhat, out=scratch).sum(axis=0)
+    g *= gain
     s1 = g.sum(axis=1, keepdims=True)
     s2 = np.multiply(g, xhat, out=scratch).sum(axis=1, keepdims=True)
     # dx = (g - s1/f - xhat·s2/f)·inv_std, with the full-size terms in g and scratch
@@ -144,37 +183,7 @@ def layer_norm_backward(dout, xhat, inv_std, gain, out=None):
     scratch /= f
     g -= scratch
     g *= inv_std[:, None]
-    return g, dgain, dbias
-
-
-# ---------------------------------------------------------------------------
-# PReLU with one scalar slope a: x where x >= 0, a·x otherwise. Both
-# directions are branch-free products and sums, not np.where selects: a
-# select branches per element, and on activations of random sign that costs
-# about four times the arithmetic. Each gives the select's values, except
-# that a zero may come out +0 where the select gives -0.
-# ---------------------------------------------------------------------------
-
-def prelu_forward(x, a, out=None):
-    """PReLU of x, written to ``out`` when it is given, which may be ``x`` itself."""
-    neg = np.minimum(x, 0)
-    neg *= a
-    out = np.maximum(x, 0, out=out)
-    out += neg
-    return out
-
-
-def prelu_backward(dout, x, a, out=None):
-    """``(dx, da)``; ``dx`` is written to ``out`` when it is given, which may
-    be ``dout`` itself (``da`` is taken first)."""
-    scratch = np.minimum(x, 0)
-    scratch *= dout
-    da = np.asarray(scratch.sum(), dtype=x.dtype).reshape(np.shape(a))
-    neg = x < 0
-    np.multiply(neg, a, out=scratch)
-    # the slope: exactly a where x < 0, else 1; the mask is negated in place
-    scratch += np.logical_not(neg, out=neg)
-    return np.multiply(scratch, dout, out=out), da
+    return g, dgain, dbias, da
 
 
 # ---------------------------------------------------------------------------

@@ -50,7 +50,7 @@ A training example keeps one tensor per layer from its forward to its
 backward: the layer norms' ``xhat`` and ``inv_std``, each block's LSTM
 states and gates and its gate, and the dense stack, about 48 MiB per second
 of 64-8-8 float32 audio, plus the scaled waveform. The backward rebuilds the
-layer norm's output, the PReLU's streams, the LSTM's tanh(c) rows and the
+layer norm's rectified streams, the LSTM's tanh(c) rows and the
 encoder's input frames from these with the forward's own expressions, so
 they are bit-identical, and frees each block's cache once its backward is
 done (rematerialization: Chen et al., "Training Deep Nets with Sublinear
@@ -62,20 +62,23 @@ a block's output gradient, or at the end the encoder rows', is summed from
 the later blocks' products only when it is read. These gradients grow as the
 block caches are freed, so they add nothing at the sweep's start, where
 every cache is alive: one 1 s example's forward, loss and backward peak at
-56.4 MiB of tracemalloc (73.6 when the sweep zeroed a stack gradient and
-each LSTM cached its tanh(c) rows).
+54.2 MiB of tracemalloc (56.4 when a block held its rebuilt layer-norm
+output through the LSTM backward, 73.6 when the sweep zeroed a stack
+gradient and each LSTM cached its tanh(c) rows).
 
 Beyond what is cached, a forward or backward holds one block's working set
 at a time (in-place operation and buffer sharing, Chen et al., §3). The
 input frames are a strided view of the padded waveform, copied into rows
-only for the encoder's product and freed with it. Each conv output is
-normalized in place into the layer norm's ``xhat``, and the layer norm's
-output is rectified in place into ``mixed``. A block's locals die with
-:func:`_block_forward`, and its LSTM state is written into the caller's
-state array. The backward writes the PReLU and layer-norm input gradients
-over the block's ``d_mixed``, so the rebuilt ``y`` and ``mixed`` are its
-only other block-size arrays, and it drops ``mixed`` once stream 0 is
-copied out for the LSTM backward. A no-tape forward of 2 s of 8-channel
+only for the encoder's product and freed with it. The layer norm, its
+affine and the PReLU are one kernel call each way. The forward writes each
+conv output's rectified rows, ``mixed``, over it, beside the normalized
+rows ``xhat``, and rectifies a small block at a time, so these two are its
+only block-size buffers. A block's locals die with :func:`_block_forward`,
+and its LSTM state is written into the caller's state array. The backward
+rebuilds ``mixed``, drops it once stream 0 is copied out for the LSTM
+backward, and writes the layer norm's input gradient, through the PReLU,
+over the block's ``d_mixed``; the kernel rebuilds the PReLU's input into
+its own scratch. A no-tape forward of 2 s of 8-channel
 64-8-8 input peaks at 42.8 MiB, 31.7 MiB of it the dense stack.
 """
 
@@ -279,8 +282,8 @@ def _forward(config: ModelConfig, params, frames, states, caches=None):
     When ``caches`` is a list, the activations :func:`_backward` cannot
     cheaply rebuild are appended to it: the encoder's layer-norm ``(xhat,
     inv_std)``; per block ``(xhat, inv_std, (h, gates, cell), gate)``;
-    and last the dense stack. The layer norm's output, the PReLU's output
-    ``mixed`` and the LSTM's input copy are not kept, nor are the input frames.
+    and last the dense stack. The rectified rows ``mixed`` and the LSTM's
+    input copy are not kept, nor are the input frames.
 
     ``frames`` may be a strided window view; its C·T rows are copied out only
     for the encoder's product. Each block runs in :func:`_block_forward`, so
@@ -290,11 +293,10 @@ def _forward(config: ModelConfig, params, frames, states, caches=None):
     f = config.hidden
     eps = frames.dtype.type(LN_EPS)
     enc = K.linear_forward(np.ascontiguousarray(frames.reshape(-1, l_in)), params[0], params[1])
-    y, xhat, inv_std = K.layer_norm_forward(enc, params[2], params[3], eps, out=enc)
+    y, xhat, inv_std = K.layer_norm_forward(enc, *params[2:5], eps, out=enc)
     if caches is not None:
         caches.append((xhat, inv_std))
     del enc, xhat
-    K.prelu_forward(y, params[4], out=y)
     # The dense stack: block b reads rows [:D_b] and writes its output to the
     # rows after them; the final block's single row is the decoder's input.
     # It is indexed D×T×F and stored F×T×D, stream axis innermost.
@@ -314,20 +316,20 @@ def _block_forward(config: ModelConfig, b, block_params, dense, state, eps, cach
     after them; its LSTM ``state`` (2×F) is overwritten with the state after
     the last frame, so no row of the LSTM's arrays outlives the block.
 
-    The conv output becomes the layer norm's ``xhat`` in place and the layer
-    norm's output becomes ``mixed`` in place: two block-size buffers, one
-    past the layer norm when nothing is cached. Every block tensor is stored
-    with its stream axis innermost, like the dense stack: the spatial conv
-    returns O×T×F stored F×T×O, layer norm and PReLU run on :func:`_rows`
-    views of it, and the only copy is the LSTM's contiguous T×F input stream.
+    The conv output becomes the rectified rows ``mixed`` in place, beside
+    the normalized rows ``xhat``: two block-size buffers, one past the layer
+    norm when nothing is cached. Every block tensor is stored with its
+    stream axis innermost, like the dense stack: the spatial conv returns
+    O×T×F stored F×T×O, the layer norm runs on a :func:`_rows` view of it,
+    and the only copy is the LSTM's contiguous T×F input stream.
     """
     conv_w, conv_b, ln_g, ln_b, a, wx, wh, lstm_b, lin_w, lin_b = block_params
     lo, n_out = config.block_widths[b - 1]
     conv = _rows(K.spatial_conv_forward(dense[:lo], conv_w, conv_b))
-    y, xhat, inv_std = K.layer_norm_forward(conv, ln_g, ln_b, eps, out=conv)
+    _, xhat, inv_std = K.layer_norm_forward(conv, ln_g, ln_b, a, eps, out=conv)
     if caches is None:
-        del conv, xhat  # with no tape, nothing reads the normalized rows again
-    mixed = _streams(K.prelu_forward(y, a, out=y), n_out + 1)
+        del xhat  # with no tape, nothing reads the normalized rows again
+    mixed = _streams(conv, n_out + 1)  # rectified in place
     # Stream 0 is the temporal stream: LSTM plus linear, then it gates the rest.
     h, gates, cell = K.lstm_forward(np.ascontiguousarray(mixed[0]), wx, wh, lstm_b,
                                     state[0], state[1])
@@ -346,18 +348,17 @@ def _block_backward(config: ModelConfig, b, block_params, cache, dense, d_out):
     (S_out×T×F). The caller forms the stack's input gradient from
     ``d_mixed`` and the conv weight when it reads those rows.
 
-    The layer norm's output ``y``, ``mixed`` and the LSTM's input stream are
-    rebuilt from ``cache`` with the forward's own expressions, so they are
-    the forward's values bit for bit. Stream 0 is copied out and ``mixed``
-    dropped before the LSTM backward. The PReLU and layer-norm input
-    gradients are written over ``d_mixed``, so ``y`` is its only other
-    block-size array. Everything else made here is freed on return.
+    ``mixed`` and the LSTM's input stream are rebuilt from ``cache`` with
+    the forward's own expressions, so they are the forward's values bit for
+    bit. Stream 0 is copied out and ``mixed`` dropped before the LSTM
+    backward, so no rebuilt array is alive through it. The layer norm's
+    input gradient, through the PReLU, is written over ``d_mixed``.
+    Everything else made here is freed on return.
     """
     conv_w, _, ln_g, ln_b, a, wx, wh, _, lin_w, _ = block_params
     xhat, inv_std, (h, gates, cell), gate = cache
     lo, n_out = config.block_widths[b - 1]
-    y = K.layer_norm_affine(xhat, ln_g, ln_b)
-    mixed = _streams(K.prelu_forward(y, a), n_out + 1)
+    mixed = _streams(K.layer_norm_output(xhat, ln_g, ln_b, a), n_out + 1)
     # the gate was broadcast over the S_out gated streams
     d_gate = np.einsum("stf,stf->tf", d_out, mixed[1:])
     x_lstm = np.ascontiguousarray(mixed[0])
@@ -368,9 +369,8 @@ def _block_backward(config: ModelConfig, b, block_params, cache, dense, d_out):
     del d_out
     d_mixed[0], d_wx, d_wh, d_lstm_b = K.lstm_backward(d_h, x_lstm, wx, wh, gates, cell, h)
     d_rows = _rows(d_mixed)
-    d_a = K.prelu_backward(d_rows, y, a, out=d_rows)[1]
-    del y
-    d_ln_g, d_ln_b = K.layer_norm_backward(d_rows, xhat, inv_std, ln_g, out=d_rows)[1:]
+    d_ln_g, d_ln_b, d_a = K.layer_norm_backward(d_rows, xhat, inv_std, ln_g, ln_b, a,
+                                                out=d_rows)[1:]
     d_conv_w, d_conv_b = K.spatial_conv_backward(d_mixed, dense[:lo], conv_w)
     return (d_conv_w, d_conv_b, d_ln_g, d_ln_b, d_a, d_wx, d_wh, d_lstm_b, d_lin_w,
             d_lin_b), d_mixed
@@ -414,13 +414,10 @@ def _backward(config: ModelConfig, params, caches, g, signal):
         done.append((d_mixed, params[i]))
     del dense, d_dec
     xhat, inv_std = caches.pop()
-    y = K.layer_norm_affine(xhat, params[2], params[3])
     # the encoder's C·T rows of F: a copy, as the gathered rows are D-innermost
     d_enc = np.ascontiguousarray(K.spatial_conv_input_grad(done, 0, c)).reshape(-1, f)
     del done
-    grads[4] = K.prelu_backward(d_enc, y, params[4], out=d_enc)[1]
-    del y
-    grads[2], grads[3] = K.layer_norm_backward(d_enc, xhat, inv_std, params[2], out=d_enc)[1:]
+    grads[2:5] = K.layer_norm_backward(d_enc, xhat, inv_std, *params[2:5], out=d_enc)[1:]
     del xhat
     x = np.ascontiguousarray(frame_signal(signal, config.frame).reshape(-1, l_in))
     grads[0], grads[1] = K.linear_backward(d_enc, x, params[0])[1:]
@@ -428,7 +425,9 @@ def _backward(config: ModelConfig, params, caches, g, signal):
 
 
 def _input(y, config: ModelConfig, dtype):
-    """A C×N (or N-sample) input as a C×N array of ``dtype``, its rank and channels checked."""
+    """A C×N (or N-sample) input as a C×N array of ``dtype``, its rank and
+    channels checked; an input of no samples is a
+    :class:`~dllrnn.errors.DegenerateInputError`."""
     y = np.asarray(y)
     if y.ndim == 1:
         y = y[None, :]
@@ -436,6 +435,8 @@ def _input(y, config: ModelConfig, dtype):
         raise DimensionError(f"input must be C×N or N samples, got shape {y.shape}")
     if y.shape[0] != config.channels:
         raise DimensionError(f"input has {y.shape[0]} channels, config expects {config.channels}")
+    if y.shape[1] == 0:
+        raise DegenerateInputError("cannot enhance an empty input: it has no samples")
     return y.astype(dtype, copy=False)
 
 
@@ -589,8 +590,6 @@ def enhance_waveform(y, config: ModelConfig, store: ParamStore, *, scale=None):
     if scale is None:
         _, scale = normalize_variance(y)
     spec, n = config.frame, y.shape[1]
-    if n == 0:
-        raise DegenerateInputError("cannot enhance an empty signal")
     total = (spec.n_frames(n) + spec.l_out // spec.hop - 1) * spec.hop  # last frame emitted
     padded = np.pad(y, ((0, 0), (0, total - n)))
     session = StreamingEnhancer(config, store, scale)

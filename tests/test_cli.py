@@ -203,15 +203,20 @@ def test_evaluate_limit_below_one_exits_1(workspace, capsys, limit):
 
 
 def test_enhance_all_zero_wav_exits_2(workspace, tmp_path, capsys):
-    # a constant input has variance zero too: it would scale to inf and NaN
-    for name, value, message in (("silent", 0.0, "an all-zero waveform"),
-                                 ("constant", 0.25, "a constant waveform")):
+    # a constant input has variance zero too: it would scale to inf and NaN;
+    # a WAV of no samples is an empty input, not an all-zero one
+    for name, data, message in (("silent", np.zeros((2, 400), np.float32),
+                                 "cannot normalize an all-zero waveform"),
+                                ("constant", np.full((2, 400), 0.25, np.float32),
+                                 "cannot normalize a constant waveform"),
+                                ("empty", np.zeros((2, 0), np.float32),
+                                 "cannot enhance an empty input")):
         path = tmp_path / f"{name}.wav"
-        write_wav(path, np.full((2, 400), value, np.float32))
+        write_wav(path, data)
         out = tmp_path / "o.wav"
         assert main(["enhance", str(workspace["ckpt"]), str(path), "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert f"error: cannot normalize {message}" in err and "Traceback" not in err
+        assert f"error: {message}" in err and "Traceback" not in err
         assert not out.exists()
 
 

@@ -54,10 +54,10 @@ def test_forward_rows_are_independent_of_row_count():
             npt.assert_array_equal(K.spatial_conv_forward(x[:, t:t + 1].copy(), w, b)[:, 0],
                                    full[:, t])
     x, gain, bias = _f32(rng, 8 * t_len, f), _f32(rng, f), _f32(rng, f)
-    eps = np.float32(1e-5)
-    full = K.layer_norm_forward(x, gain, bias, eps)
+    a, eps = np.float32(0.25), np.float32(1e-5)
+    full = K.layer_norm_forward(x, gain, bias, a, eps)
     for i in range(x.shape[0]):
-        for got, want in zip(K.layer_norm_forward(x[i:i + 1].copy(), gain, bias, eps), full):
+        for got, want in zip(K.layer_norm_forward(x[i:i + 1].copy(), gain, bias, a, eps), full):
             npt.assert_array_equal(got[0], want[i])
     # the same kernels at the strides the model passes them, T=40 against the
     # one-frame buffers a push builds: numpy picks its matmul and reduce loops
@@ -81,10 +81,10 @@ def test_forward_rows_are_independent_of_row_count():
         conv = _d_innermost(_f32(rng, o, t_len, f))
         rows = _stream_rows(conv)
         assert rows.strides[0] == rows.itemsize and np.shares_memory(rows, conv)
-        full = K.layer_norm_forward(rows, gain, bias, eps)
+        full = K.layer_norm_forward(rows, gain, bias, a, eps)
         for t in range(t_len):
             one = K.layer_norm_forward(_stream_rows(_d_innermost(conv[:, t:t + 1])),
-                                       gain, bias, eps)
+                                       gain, bias, a, eps)
             for got, want in zip(one, full):
                 npt.assert_array_equal(got, want[t * o:(t + 1) * o])
     # the LSTM one step per call with carried state, as a streaming session
@@ -127,28 +127,22 @@ def test_out_buffers_give_the_allocating_forms_bits(layout):
     def bytes_of(*arrays):
         return [np.asarray(v).tobytes() for v in arrays]
 
-    want = K.layer_norm_forward(x, gain, bias, eps)
+    want = K.layer_norm_forward(x, gain, bias, a, eps)
     buf = x.copy(order="K")
-    got = K.layer_norm_forward(buf, gain, bias, eps, out=buf)
-    assert got[1] is buf and bytes_of(*got) == bytes_of(*want)
-    y, xhat, inv_std = want
-
-    want = K.prelu_forward(y, a)
-    buf = y.copy(order="K")
-    assert K.prelu_forward(buf, a, out=buf) is buf and bytes_of(buf) == bytes_of(want)
-
-    want = K.prelu_backward(dout, y, a)
-    buf = dout.copy(order="K")
-    got = K.prelu_backward(buf, y, a, out=buf)
+    got = K.layer_norm_forward(buf, gain, bias, a, eps, out=buf)
     assert got[0] is buf and bytes_of(*got) == bytes_of(*want)
+    r, xhat, inv_std = want
+    # the backward's rebuild of the rectified rows gives the forward's bits
+    assert bytes_of(K.layer_norm_output(xhat, gain, bias, a)) == bytes_of(r)
 
-    want = K.layer_norm_backward(dout, xhat, inv_std, gain)
+    want = K.layer_norm_backward(dout, xhat, inv_std, gain, bias, a)
     buf = dout.copy(order="K")
-    got = K.layer_norm_backward(buf, xhat, inv_std, gain, out=buf)
+    got = K.layer_norm_backward(buf, xhat, inv_std, gain, bias, a, out=buf)
     assert got[0] is buf and bytes_of(*got) == bytes_of(*want)
     # nothing but the buffers handed over was written
     assert bytes_of(x, dout) == bytes_of(kept["x"], kept["dout"])
-    assert bytes_of(*K.layer_norm_forward(kept["x"], gain, bias, eps)) == bytes_of(y, xhat, inv_std)
+    assert bytes_of(*K.layer_norm_forward(kept["x"], gain, bias, a, eps)) == bytes_of(r, xhat,
+                                                                                    inv_std)
 
 
 # ---------------------------------------------------------------------------
@@ -245,63 +239,75 @@ def test_spatial_conv_input_grad_fd():
 
 
 def test_layer_norm_backward_fd():
+    # x, gain, bias and the PReLU slope, with every PReLU input clear of the kink at 0
     rng = np.random.default_rng(7)
     x, gain, bias = _rand(rng, 4, 5), _rand(rng, 5), _rand(rng, 5)
+    a = np.float64(0.25)
     dout = _rand(rng, 4, 5)
 
-    def loss(xv, gv, bv):
-        return float((K.layer_norm_forward(xv, gv, bv, 1e-5)[0] * dout).sum())
+    def loss(xv, gv, bv, av):
+        return float((K.layer_norm_forward(xv, gv, bv, av, 1e-5)[0] * dout).sum())
 
-    _, xhat, inv_std = K.layer_norm_forward(x, gain, bias, 1e-5)
-    dx, dgain, dbias = K.layer_norm_backward(dout, xhat, inv_std, gain)
-    assert rel_err(dx, fd_grad(lambda v: loss(v, gain, bias), x)) < 1e-6
-    assert rel_err(dgain, fd_grad(lambda v: loss(x, v, bias), gain)) < 1e-6
-    assert rel_err(dbias, fd_grad(lambda v: loss(x, gain, v), bias)) < 1e-6
-
-
-def test_prelu_backward_fd():
-    rng = np.random.default_rng(5)
-    x = _rand(rng, 3, 4) + 0.05  # keep clear of the kink at 0
-    a = np.float64(0.25)
-    dout = _rand(rng, 3, 4)
-
-    def loss(xv, av):
-        return float((K.prelu_forward(xv, av) * dout).sum())
-
-    dx, da = K.prelu_backward(dout, x, a)
+    _, xhat, inv_std = K.layer_norm_forward(x, gain, bias, a, 1e-5)
+    assert np.abs(xhat * gain + bias).min() > 0.01
+    dx, dgain, dbias, da = K.layer_norm_backward(dout, xhat, inv_std, gain, bias, a)
     assert da.shape == ()
-    assert rel_err(dx, fd_grad(lambda v: loss(v, a), x)) < 1e-8
-    assert rel_err(da, fd_grad(lambda v: loss(x, v), a)) < 1e-8
+    assert rel_err(dx, fd_grad(lambda v: loss(v, gain, bias, a), x)) < 1e-6
+    assert rel_err(dgain, fd_grad(lambda v: loss(x, v, bias, a), gain)) < 1e-6
+    assert rel_err(dbias, fd_grad(lambda v: loss(x, gain, v, a), bias)) < 1e-6
+    assert rel_err(da, fd_grad(lambda v: loss(x, gain, bias, v), a)) < 1e-8
 
 
 def test_prelu_matches_select():
-    # the branch-free forms give np.where's values, zeros and both slopes included
+    # the branch-free PReLU gives np.where's values, zeros and both slopes
+    # included: forward, rebuild, and the slope's and the input's gradients
     rng = np.random.default_rng(17)
     x = _f32(rng, 50, 64)
-    x[::7, ::5] = 0.0
+    gain, bias, eps = _f32(rng, 64), _f32(rng, 64), np.float32(1e-5)
     dout = _f32(rng, 50, 64)
+    one, zero = np.ones(64, np.float32), np.zeros(64, np.float32)
     for a in (np.float32(0.25), np.float32(-0.5), np.float32(0.0)):
-        neg = x < 0
-        npt.assert_array_equal(K.prelu_forward(x, a), np.where(neg, a * x, x))
-        dx, da = K.prelu_backward(dout, x, a)
-        npt.assert_array_equal(dx, np.where(neg, a, np.float32(1.0)) * dout)
-        npt.assert_array_equal(da, (dout * np.where(neg, x, 0.0)).sum())
-        assert dx.dtype == da.dtype == np.float32
+        r, xhat, inv_std = K.layer_norm_forward(x, gain, bias, a, eps)
+        y = xhat * gain + bias
+        neg = y < 0
+        npt.assert_array_equal(r, np.where(neg, a * y, y))
+        # with unit gain and zero bias the rebuild is the PReLU of its input rows
+        rows = x.copy()
+        rows[::7, ::5] = 0.0
+        npt.assert_array_equal(K.layer_norm_output(rows, one, zero, a),
+                               np.where(rows < 0, a * rows, rows))
+        _, dgain, dbias, da = K.layer_norm_backward(dout, xhat, inv_std, gain, bias, a)
+        d_y = np.where(neg, a, np.float32(1.0)) * dout  # the PReLU's input gradient
+        npt.assert_array_equal(dbias, d_y.sum(axis=0))
+        npt.assert_array_equal(dgain, (d_y * xhat).sum(axis=0))
+        npt.assert_array_equal(da, (dout * np.where(neg, y, 0.0)).sum())
+        assert dgain.dtype == dbias.dtype == da.dtype == np.float32
 
 
-def test_prelu_backward_in_place_peak():
-    # with dx written over dout, the only full-size temporaries are the
-    # float32 scratch and one bool mask: 5 bytes per element, plus the
-    # ~34 KB buffer numpy casts the bool mask through
+@pytest.mark.parametrize("direction", ["forward", "backward"])
+def test_layer_norm_in_place_peak(direction):
+    # with the output written over its input, the forward allocates xhat and
+    # PReLU temporaries of at most three blocks of _PRELU_BLOCK elements; the
+    # backward a float32 scratch and one bool mask: 5 bytes per element. Each
+    # also holds a few per-row vectors, and numpy casts the bool mask through
+    # a ~34 KB buffer.
     rng = np.random.default_rng(3)
-    x, dout = _f32(rng, 9000, 64), _f32(rng, 9000, 64)
+    x, gain, bias, dout = _f32(rng, 9000, 64), _f32(rng, 64), _f32(rng, 64), _f32(rng, 9000, 64)
+    a = np.float32(0.25)
+    _, xhat, inv_std = K.layer_norm_forward(x, gain, bias, a, np.float32(1e-5))
+    if direction == "forward":
+        call, full_size = (lambda: K.layer_norm_forward(x, gain, bias, a, np.float32(1e-5),
+                                                        out=x)), x.nbytes + 3 * 4 * K._PRELU_BLOCK
+    else:
+        call, full_size = (lambda: K.layer_norm_backward(dout, xhat, inv_std, gain, bias, a,
+                                                         out=dout)), 5 * x.size
     tracemalloc.start()
     try:
-        K.prelu_backward(dout, x, np.float32(0.25), out=dout)
+        call()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 5 * x.size + 65536
+    assert peak <= full_size + 16 * x.shape[0] + 65536
 
 
 def test_lstm_backward_fd():

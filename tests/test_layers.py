@@ -43,7 +43,8 @@ def test_linear_batches_leading_axes():
 # ---------------------------------------------------------------------------
 
 def _layer_norm(x, gain, bias):
-    return K.layer_norm_forward(_rows(x), _rows(gain), _rows(bias), 1e-5)[0]
+    # a slope of 1 makes the PReLU the identity
+    return K.layer_norm_forward(_rows(x), _rows(gain), _rows(bias), 1.0, 1e-5)[0]
 
 
 def test_layer_norm_hand_cases():
@@ -67,12 +68,15 @@ def test_layer_norm_statistics():
 # ---------------------------------------------------------------------------
 
 def test_prelu_values():
+    # the rectified rows from unit gain and zero bias are the PReLU of the input
     slope = np.float64(0.25)
-    x = np.array([-2.0, -0.5, 0.0, 3.0])
-    npt.assert_array_equal(K.prelu_forward(x, slope), [-0.5, -0.125, 0.0, 3.0])
-    npt.assert_array_equal(K.prelu_forward(x, np.float64(0.0)), [0.0, 0.0, 0.0, 3.0])
-    pos = np.array([0.1, 5.0])
-    npt.assert_array_equal(K.prelu_forward(pos, slope), pos)
+    one, zero = np.ones(4), np.zeros(4)
+    x = np.array([[-2.0, -0.5, 0.0, 3.0]])
+    npt.assert_array_equal(K.layer_norm_output(x, one, zero, slope), [[-0.5, -0.125, 0.0, 3.0]])
+    npt.assert_array_equal(K.layer_norm_output(x, one, zero, np.float64(0.0)),
+                           [[0.0, 0.0, 0.0, 3.0]])
+    pos = np.array([[0.1, 5.0]])
+    npt.assert_array_equal(K.layer_norm_output(pos, one[:2], zero[:2], slope), pos)
 
 
 # ---------------------------------------------------------------------------

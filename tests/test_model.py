@@ -194,9 +194,9 @@ def _run_forward(cfg, store, frames):
 def _rebuilt_mixed(cfg, store, caches, b):
     """Block b's S_out + 1 streams after conv, norm and PReLU, rebuilt from
     its cached ``xhat`` with the forward's expressions, as the backward does."""
-    y = K.layer_norm_affine(caches[b][0], store[f"block{b}.norm.weight"].data,
-                            store[f"block{b}.norm.bias"].data)
-    return _streams(K.prelu_forward(y, store[f"block{b}.prelu"].data), cfg.block_out_width(b) + 1)
+    rows = K.layer_norm_output(caches[b][0], *(store[f"block{b}.{name}"].data
+                                               for name in ("norm.weight", "norm.bias", "prelu")))
+    return _streams(rows, cfg.block_out_width(b) + 1)
 
 
 def test_st_block_shapes_at_defaults():
@@ -246,14 +246,14 @@ def test_block_tensors_keep_the_stream_axis_innermost(monkeypatch):
         # stream axis; what the backward rebuilds keeps that order
         assert caches[b][0].strides[0] == _rebuilt_mixed(cfg, store, caches, b).strides[0] == item
     strides = {"spatial_conv_forward": [], "spatial_conv_backward": [],
-               "spatial_conv_input_grad": [], "prelu_backward": []}
+               "spatial_conv_input_grad": [], "layer_norm_backward": []}
 
     def recording(name, kernel):
         def wrapper(*args, **kwargs):
             out = kernel(*args, **kwargs)
             # forward: x; backward: dout and x; input gradient: each reading
-            # block's dout and the gathered rows; PReLU backward: dout and
-            # the rebuilt layer-norm output
+            # block's dout and the gathered rows; layer norm backward: dout
+            # and the cached xhat
             if name == "spatial_conv_input_grad":
                 arrays = [dout for dout, _ in args[0]] + [out]
             else:
@@ -273,8 +273,8 @@ def test_block_tensors_keep_the_stream_axis_innermost(monkeypatch):
     n_reads = cfg.blocks * (cfg.blocks - 1) // 2 + cfg.blocks
     assert strides["spatial_conv_input_grad"] == [item] * (n_reads + cfg.blocks)
     assert strides["spatial_conv_forward"] == [item] * cfg.blocks
-    # the blocks' PReLU backwards run first; the encoder's rows are not stream rows
-    assert strides["prelu_backward"][:2 * cfg.blocks] == [item] * 2 * cfg.blocks
+    # the blocks' layer norm backwards run first; the encoder's rows are not stream rows
+    assert strides["layer_norm_backward"][:2 * cfg.blocks] == [item] * 2 * cfg.blocks
     session = StreamingEnhancer(cfg, store)
     for k in range(0, 64, cfg.frame.hop):
         session.push(y[:, k:k + cfg.frame.hop])  # T=1 forwards, one per primed push
@@ -312,8 +312,10 @@ def _training_example_peak(cfg, store, n):
 def test_training_example_memory():
     # A training example keeps one tensor per layer, not the layer norm's
     # output, the PReLU's streams or the 16x-redundant encoder input frames;
-    # its forward, loss and backward together stay under 16 MiB at 0.25 s.
-    # 14.3 MiB are measured (18.6 with a whole-stack gradient buffer and a
+    # its forward, loss and backward together stay under 14 MiB at 0.25 s.
+    # 13.7 MiB are measured (14.3 when the block backward held the rebuilt
+    # layer-norm output through the LSTM backward and the PReLU backward had
+    # a scratch of its own, 18.6 with a whole-stack gradient buffer and a
     # cached tanh(c) per block, 20.9 before layer norm and PReLU wrote in
     # place and the frames were freed after the encoder, 38.0 when every
     # block also kept `y` and `mixed`).
@@ -328,7 +330,7 @@ def test_training_example_memory():
     want.append((cfg.block_in_width(cfg.blocks) + 1, t_len, f))
     assert [a.shape for a in _cached_arrays(caches)] == want
     peak = _training_example_peak(cfg, store, n)
-    assert peak <= 16 * 2 ** 20, f"{peak / 2 ** 20:.1f} MiB"
+    assert peak <= 14 * 2 ** 20, f"{peak / 2 ** 20:.1f} MiB"
 
 
 def test_training_backward_holds_no_stack_gradient():
@@ -336,18 +338,20 @@ def test_training_backward_holds_no_stack_gradient():
     # finished block's conv-output gradient and gathers a block's output
     # gradient when it reads it, so no gradient of the whole 16.6 MB stack
     # is alive while every block's cache still is, and the LSTM caches no
-    # T×F tanh(c). 56.4 MiB are measured; 73.6 with the zeroed stack
-    # gradient and the cached tanh(c).
+    # T×F tanh(c), nor the rebuilt layer-norm output through the LSTM
+    # backward. 54.2 MiB are measured; 56.4 when the block held that output
+    # and the PReLU backward had a scratch of its own, 73.6 with the zeroed
+    # stack gradient and the cached tanh(c).
     cfg = ModelConfig()
     peak = _training_example_peak(cfg, build_params(cfg, seed=0), 16000)
-    assert peak <= 60 * 2 ** 20, f"{peak / 2 ** 20:.1f} MiB"
+    assert peak <= 55 * 2 ** 20, f"{peak / 2 ** 20:.1f} MiB"
 
 
 def test_inference_forward_holds_one_block_working_set():
     # model_forward with no tape, 2 s of 8-channel 64-8-8 input: the peak is
     # the 31.7 MiB dense stack plus one block's buffers (its conv output,
-    # normalized in place, its layer-norm output, rectified in place, and the
-    # LSTM's arrays) and the input's copies. 42.8 MiB are measured; 93.0
+    # rectified in place, its normalized rows, and the LSTM's arrays) and the
+    # input's copies. 42.8 MiB are measured; 93.0
     # when the input frames lived through every block and each layer norm
     # and PReLU allocated its output and temporaries.
     cfg = ModelConfig()
@@ -364,7 +368,7 @@ def test_inference_forward_holds_one_block_working_set():
 
 
 def test_forward_and_backward_write_no_array_they_still_read():
-    # Layer norm and PReLU write over buffers they are handed; none of them
+    # The layer norm kernels write over buffers they are handed; none of them
     # may be the input frames, the dense stack or a cached activation, which
     # the backward reads after the forward is done.
     cfg = ModelConfig(channels=2, hidden=8, spatial=3, blocks=3,
@@ -407,10 +411,10 @@ def test_st_block_forced_gate_identity_and_annihilator():
     dense = caches[-1]
     conv = K.spatial_conv_forward(dense[:lo], store["block1.conv.weight"].data,
                                   store["block1.conv.bias"].data)
-    normed = K.layer_norm_forward(np.ascontiguousarray(conv.reshape(-1, cfg.hidden)),
-                                  store["block1.norm.weight"].data,
-                                  store["block1.norm.bias"].data, np.float32(1e-5))[0]
-    mixed = K.prelu_forward(normed.reshape(conv.shape), store["block1.prelu"].data)
+    mixed = K.layer_norm_forward(np.ascontiguousarray(conv.reshape(-1, cfg.hidden)),
+                                 *(store[f"block1.{name}"].data
+                                   for name in ("norm.weight", "norm.bias", "prelu")),
+                                 np.float32(1e-5))[0].reshape(conv.shape)
     npt.assert_array_equal(dense[lo:hi], mixed[1:])
 
     store = build_params(cfg, seed=0)
@@ -669,10 +673,11 @@ def test_streaming_matches_batch_with_normalization():
 
 def test_streaming_push_call_budget():
     # A primed 64-8-8 push is bound by its Python-level calls, not by its
-    # 0.1 ms of arithmetic. 190 are measured, counting the profiler's own
-    # disable call and the input's finiteness check (205 when every block
-    # asked the config for its widths, 221 when the LSTM called a Python
-    # sigmoid per step and allocated h and c apart).
+    # 0.1 ms of arithmetic. 181 are measured, counting the profiler's own
+    # disable call and the input's finiteness check (190 when each layer
+    # norm's PReLU was a call of its own, 205 when every block asked the
+    # config for its widths, 221 when the LSTM called a Python sigmoid per
+    # step and allocated h and c apart).
     cfg = ModelConfig()
     session = StreamingEnhancer(cfg, build_params(cfg, seed=0))
     block = np.random.default_rng(7).standard_normal((8, cfg.frame.hop)).astype(np.float32)
@@ -682,7 +687,7 @@ def test_streaming_push_call_budget():
     profile.enable()
     session.push(block)
     profile.disable()
-    assert pstats.Stats(profile).total_calls <= 190
+    assert pstats.Stats(profile).total_calls <= 181
 
 
 def _framing_calls(fn, *args, **kwargs):
@@ -736,15 +741,18 @@ def _with_one_nan(shape, seed):
 
 
 def test_non_finite_input_is_a_named_error_on_every_entry_point():
-    # and so are the wrong channel count and an input that is neither C×N
-    # nor N samples, with the same message on both paths, before
-    # enhance_waveform normalizes or pads the input
+    # and so are an input with no samples, the wrong channel count and an
+    # input that is neither C×N nor N samples, with the same message on both
+    # paths and at either scale, before enhance_waveform normalizes or pads
+    # the input
     cfg = ModelConfig(channels=2, hidden=8, spatial=2, blocks=2,
                       frame=FrameSpec(l_in=32, l_out=8, hop=4))
     store = build_params(cfg, seed=0)
     three_channels = np.random.default_rng(0).standard_normal((3, 800)).astype(np.float32)
     three_dims = np.random.default_rng(0).standard_normal((2, 1, 800)).astype(np.float32)
     for y, error, match in ((_with_one_nan((2, 800), 0), DegenerateInputError, "finite"),
+                            (np.zeros((2, 0), np.float32), DegenerateInputError,
+                             "cannot enhance an empty input"),
                             (three_channels, DimensionError,
                              "input has 3 channels, config expects 2"),
                             (three_dims, DimensionError,
