@@ -258,6 +258,25 @@ def test_layer_norm_backward_fd():
     assert rel_err(da, fd_grad(lambda v: loss(x, gain, bias, v), a)) < 1e-8
 
 
+def test_prelu_backward_fd():
+    # the PReLU alone: with unit gain and zero bias the rebuild is the PReLU of
+    # its input rows, and for one row the bias gradient is its input gradient
+    rng = np.random.default_rng(5)
+    y = _rand(rng, 1, 12)
+    y += np.copysign(0.05, y)  # keep clear of the kink at 0
+    a = np.float64(0.25)
+    dout = _rand(rng, 1, 12)
+    one, zero = np.ones(12), np.zeros(12)
+
+    def loss(yv, av):
+        return float((K.layer_norm_output(yv, one, zero, av) * dout).sum())
+
+    _, _, dy, da = K.layer_norm_backward(dout, y, np.ones(1), one, zero, a)
+    assert da.shape == ()
+    assert rel_err(dy, fd_grad(lambda v: loss(v, a), y)[0]) < 1e-8
+    assert rel_err(da, fd_grad(lambda v: loss(y, v), a)) < 1e-8
+
+
 def test_prelu_matches_select():
     # the branch-free PReLU gives np.where's values, zeros and both slopes
     # included: forward, rebuild, and the slope's and the input's gradients
