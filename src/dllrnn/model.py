@@ -79,7 +79,8 @@ rebuilds ``mixed``, drops it once stream 0 is copied out for the LSTM
 backward, and writes the layer norm's input gradient, through the PReLU,
 over the block's ``d_mixed``; the kernel rebuilds the PReLU's input into
 its own scratch. A no-tape forward of 2 s of 8-channel
-64-8-8 input peaks at 42.8 MiB, 31.7 MiB of it the dense stack.
+64-8-8 input peaks at 42.9 MiB, 31.7 MiB of it the dense stack (42.8
+when the PReLU was a kernel of its own).
 """
 
 from __future__ import annotations

@@ -295,6 +295,13 @@ def test_prelu_matches_select():
         rows[::7, ::5] = 0.0
         npt.assert_array_equal(K.layer_norm_output(rows, one, zero, a),
                                np.where(rows < 0, a * rows, rows))
+        # the backward at the same rows taken as one row, so that its bias
+        # gradient is the PReLU's input gradient element by element
+        flat, d_flat = rows.reshape(1, -1), dout.reshape(1, -1)
+        ones, zeros = np.ones(flat.shape[1], np.float32), np.zeros(flat.shape[1], np.float32)
+        _, _, d, da0 = K.layer_norm_backward(d_flat, flat, np.ones(1, np.float32), ones, zeros, a)
+        npt.assert_array_equal(d, np.where(flat[0] < 0, a, np.float32(1.0)) * d_flat[0])
+        npt.assert_array_equal(da0, (d_flat * np.where(flat < 0, flat, 0)).sum())
         _, dgain, dbias, da = K.layer_norm_backward(dout, xhat, inv_std, gain, bias, a)
         d_y = np.where(neg, a, np.float32(1.0)) * dout  # the PReLU's input gradient
         npt.assert_array_equal(dbias, d_y.sum(axis=0))

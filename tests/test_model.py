@@ -351,9 +351,10 @@ def test_inference_forward_holds_one_block_working_set():
     # model_forward with no tape, 2 s of 8-channel 64-8-8 input: the peak is
     # the 31.7 MiB dense stack plus one block's buffers (its conv output,
     # rectified in place, its normalized rows, and the LSTM's arrays) and the
-    # input's copies. 42.8 MiB are measured; 93.0
-    # when the input frames lived through every block and each layer norm
-    # and PReLU allocated its output and temporaries.
+    # input's copies. 42.9 MiB are measured; 42.8 when the PReLU was a
+    # kernel of its own, 93.0 when the input frames lived through every
+    # block and each layer norm and PReLU allocated its output and
+    # temporaries.
     cfg = ModelConfig()
     store = build_params(cfg, seed=0)
     y = np.random.default_rng(0).standard_normal((8, 32000)).astype(np.float32)
