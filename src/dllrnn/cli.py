@@ -21,8 +21,8 @@ from .errors import ConfigError, DataError, DegenerateInputError, NumericalError
 from .framing import SAMPLE_RATE
 from .losses import si_sdr
 from .model import (ModelConfig, build_params, count_flops, count_params, enhance_waveform)
-from .simulate import (draw_scene, manifest_read, manifest_write, pink_noise, spatialize_mixture,
-                       speech_like, white_noise)
+from .simulate import (MAX_ORDER, draw_scene, manifest_read, manifest_write, pink_noise,
+                       spatialize_mixture, speech_like, white_noise)
 from .train import OptState, TrainExample, fit
 from .wavio import read_wav, write_wav
 
@@ -57,8 +57,8 @@ def cmd_simulate(args) -> int:
         raise ConfigError("simulate needs an output directory (--out)")
     if cfg.count < 0:
         raise ConfigError(f"count must be >= 0, got {cfg.count}")
-    if cfg.order < 0:
-        raise ConfigError(f"order must be >= 0, got {cfg.order}")
+    if not 0 <= cfg.order <= MAX_ORDER:
+        raise ConfigError(f"order must lie in [0, MAX_ORDER = {MAX_ORDER}], got {cfg.order}")
     if cfg.channels < 1:
         raise ConfigError(f"channels must be >= 1, got {cfg.channels}")
     if cfg.snr_min > cfg.snr_max:

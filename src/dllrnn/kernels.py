@@ -7,9 +7,9 @@ No kernel calls another of these attributes, which a tracer would count
 twice. Positional arguments come first in a fixed order (input, weight,
 ...), which the tracer reads for its cost counts. The layer norm, its affine
 and the PReLU after it are one forward and one backward kernel (and a
-rebuild of the forward's output for the backward); the pair takes an
-optional ``out=`` buffer, which may be its own input. They write the
-allocating form's bits into it and write nothing else the caller passed.
+rebuild of the forward's output for the backward). The pair works in place:
+each writes its output over its first argument and writes nothing else the
+caller passed.
 
 The forward kernels are row-stable: each output frame is computed by a
 product whose summation order does not depend on how many frames share the
@@ -72,8 +72,7 @@ def linear_backward(dout, x, w):
 # ---------------------------------------------------------------------------
 
 def spatial_conv_forward(x, w, b):
-    out = np.matmul(x.transpose(2, 1, 0)[:, :, None, :],
-                    w.transpose(0, 2, 1)[:, None])[:, :, 0, :].transpose(2, 1, 0)
+    out = np.matmul(x.T[:, :, None, :], w.transpose(0, 2, 1)[:, None])[:, :, 0, :].T
     out += b[:, None, :]
     return out
 
@@ -108,33 +107,22 @@ def spatial_conv_input_grad(pairs, lo, n):
 # np.where select: a select branches per element, and on activations of
 # random sign that costs about four times the arithmetic. It gives the
 # select's values, except that a zero may come out +0 where the select gives
-# -0. The backward rebuilds the PReLU's input, xhat·gain + bias, from the
-# cached xhat with the forward's expressions, so it has the forward's bits.
+# -0. The affine and the PReLU are written once, in _affine_prelu, which the
+# forward runs over its input and the rebuild over a new buffer, so the
+# rebuilt rows have the forward's bits. The backward forms the PReLU's input,
+# xhat·gain + bias, from the cached xhat with the same expressions.
 # ---------------------------------------------------------------------------
 
-# The forward rectifies its rows in blocks of about this many elements, walked
-# in memory order: its PReLU temporaries stay small beside xhat and r, and in
-# cache. With no tape the caller drops xhat on return, so the layer norm then
-# needs two block-size buffers, not three.
+# Rows are rectified in blocks of about this many elements, walked in memory
+# order: the PReLU temporaries stay small beside xhat and r, and in cache.
+# With no tape the caller drops xhat on return, so the layer norm then needs
+# two block-size buffers, not three.
 _PRELU_BLOCK = 32768
 
 
-def layer_norm_forward(x, gain, bias, a, eps, out=None):
-    """Rows normalized to zero mean and unit variance, scaled by ``gain``,
-    shifted by ``bias`` and rectified by a PReLU of slope ``a``.
-
-    Returns ``(r, xhat, inv_std)``: the rectified rows, the normalized rows
-    and each row's 1/std. ``r`` is written to ``out`` when it is given, which
-    may be ``x`` itself; the squared deviations are formed there first, so
-    the call allocates ``xhat`` and PReLU temporaries of about
-    ``_PRELU_BLOCK`` elements each (and ``r`` when ``out`` is None).
-    """
-    f = x.shape[1]
-    xhat = np.subtract(x, np.add.reduce(x, axis=1, keepdims=True) / f)
-    r = np.multiply(xhat, xhat, out=out)
-    var = np.add.reduce(r, axis=1, keepdims=True) / f
-    inv_std = 1.0 / np.sqrt(var + eps)
-    xhat *= inv_std
+def _affine_prelu(xhat, gain, bias, a, r):
+    """``xhat·gain + bias`` rectified by a PReLU of slope ``a``, written to
+    ``r`` a block of rows at a time. Private, so no tracer wraps it."""
     np.multiply(xhat, gain, out=r)
     r += bias
     v = r.T if r.flags.f_contiguous else r  # rows in memory order
@@ -143,22 +131,38 @@ def layer_norm_forward(x, gain, bias, a, eps, out=None):
         part = v[lo:lo + step]
         neg = np.minimum(part, 0) * a
         np.add(np.maximum(part, 0, out=part), neg, out=part)
-    return r, xhat, inv_std[:, 0]
+    return r
+
+
+def layer_norm_forward(x, gain, bias, a, eps):
+    """Rows normalized to zero mean and unit variance, scaled by ``gain``,
+    shifted by ``bias`` and rectified by a PReLU of slope ``a``.
+
+    Returns ``(r, xhat, inv_std)``: the rectified rows, written over ``x``,
+    the normalized rows and each row's 1/std. The squared deviations are
+    formed in ``x`` first, so the call allocates ``xhat`` and PReLU
+    temporaries of about ``_PRELU_BLOCK`` elements each.
+    """
+    f = x.shape[1]
+    xhat = np.subtract(x, np.add.reduce(x, axis=1, keepdims=True) / f)
+    r = np.multiply(xhat, xhat, out=x)
+    var = np.add.reduce(r, axis=1, keepdims=True) / f
+    inv_std = 1.0 / np.sqrt(var + eps)
+    xhat *= inv_std
+    return _affine_prelu(xhat, gain, bias, a, r), xhat, inv_std[:, 0]
 
 
 def layer_norm_output(xhat, gain, bias, a):
     """The forward's rectified rows again, from its ``xhat``, with its
     expressions; the backward rebuilds a block's streams with this."""
-    r = xhat * gain + bias
-    neg = np.minimum(r, 0) * a
-    return np.add(np.maximum(r, 0, out=r), neg, out=r)
+    return _affine_prelu(xhat, gain, bias, a, np.empty_like(xhat))
 
 
-def layer_norm_backward(dout, xhat, inv_std, gain, bias, a, out=None):
+def layer_norm_backward(dout, xhat, inv_std, gain, bias, a):
     """``(dx, dgain, dbias, da)`` from the gradient ``dout`` of the rectified
-    rows; ``dx`` is written to ``out`` when it is given, which may be
-    ``dout`` itself (the slope's gradient is taken first). The PReLU's input
-    is rebuilt into the one full-size scratch, beside one bool mask."""
+    rows; ``dx`` is written over ``dout`` (the slope's gradient is taken
+    first). The PReLU's input is rebuilt into the one full-size scratch,
+    beside one bool mask."""
     f = xhat.shape[1]
     scratch = np.multiply(xhat, gain)
     scratch += bias
@@ -170,7 +174,7 @@ def layer_norm_backward(dout, xhat, inv_std, gain, bias, a, out=None):
     np.multiply(neg, a, out=scratch)
     scratch += np.logical_not(neg, out=neg)
     del neg
-    g = np.multiply(scratch, dout, out=out)
+    g = np.multiply(scratch, dout, out=dout)
     # the layer norm's backward, from g = the PReLU's input gradient
     dbias = g.sum(axis=0)
     dgain = np.multiply(g, xhat, out=scratch).sum(axis=0)

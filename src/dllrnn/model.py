@@ -70,15 +70,16 @@ Beyond what is cached, a forward or backward holds one block's working set
 at a time (in-place operation and buffer sharing, Chen et al., §3). The
 input frames are a strided view of the padded waveform, copied into rows
 only for the encoder's product and freed with it. The layer norm, its
-affine and the PReLU are one kernel call each way. The forward writes each
-conv output's rectified rows, ``mixed``, over it, beside the normalized
-rows ``xhat``, and rectifies a small block at a time, so these two are its
-only block-size buffers. A block's locals die with :func:`_block_forward`,
-and its LSTM state is written into the caller's state array. The backward
-rebuilds ``mixed``, drops it once stream 0 is copied out for the LSTM
-backward, and writes the layer norm's input gradient, through the PReLU,
-over the block's ``d_mixed``; the kernel rebuilds the PReLU's input into
-its own scratch. A no-tape forward of 2 s of 8-channel
+affine and the PReLU are one kernel call each way, and both calls work in
+place. The forward writes each conv output's rectified rows, ``mixed``,
+over it, beside the normalized rows ``xhat``, and rectifies a small block
+at a time, so these two are its only block-size buffers. A block's locals
+die with :func:`_block_forward`, and its LSTM state is written into the
+caller's state array. The backward rebuilds ``mixed`` with the forward's
+small blocks, drops it once stream 0 is copied out for the LSTM backward,
+and writes the layer norm's input gradient, through the PReLU, over the
+block's ``d_mixed``; the kernel rebuilds the PReLU's input into its own
+scratch. A no-tape forward of 2 s of 8-channel
 64-8-8 input peaks at 42.9 MiB, 31.7 MiB of it the dense stack (42.8
 when the PReLU was a kernel of its own).
 """
@@ -119,17 +120,13 @@ class ModelConfig:
     def name(self):
         return f"D-LL-RNN-{self.hidden}-{self.spatial}-{self.blocks}"
 
-    def block_in_width(self, b: int) -> int:
-        """Spatial width consumed by block b (1-based): C + (b-1)*S."""
-        return self.channels + (b - 1) * self.spatial
-
-    def block_out_width(self, b: int) -> int:
-        return 1 if b == self.blocks else self.spatial
-
     @cached_property
     def block_widths(self):
-        """Each block's (in, out) widths, computed once; a later read makes no call."""
-        return tuple((self.block_in_width(b), self.block_out_width(b))
+        """Each block's (in, out) spatial widths, block b (1-based) at index
+        b-1: it reads C + (b-1)·S streams and writes S, the last block 1.
+        Computed once; a later read makes no call."""
+        c, s = self.channels, self.spatial
+        return tuple((c + (b - 1) * s, 1 if b == self.blocks else s)
                      for b in range(1, self.blocks + 1))
 
 
@@ -224,11 +221,10 @@ def param_table(config: ModelConfig):
             ("encoder.norm.weight", (f,), 1.0),
             ("encoder.norm.bias", (f,), 0.0),
             ("encoder.prelu", (), 0.25)]
-    for b in range(1, config.blocks + 1):
-        n_streams = config.block_out_width(b) + 1
+    for b, (d_in, d_out) in enumerate(config.block_widths, 1):
         rows += [(f"block{b}.{name}", shape, init) for name, shape, init in (
-            ("conv.weight", (f, n_streams, config.block_in_width(b)), "uniform"),
-            ("conv.bias", (n_streams, f), 0.0),
+            ("conv.weight", (f, d_out + 1, d_in), "uniform"),
+            ("conv.bias", (d_out + 1, f), 0.0),
             ("norm.weight", (f,), 1.0),
             ("norm.bias", (f,), 0.0),
             ("prelu", (), 0.25),
@@ -294,14 +290,14 @@ def _forward(config: ModelConfig, params, frames, states, caches=None):
     f = config.hidden
     eps = frames.dtype.type(LN_EPS)
     enc = K.linear_forward(np.ascontiguousarray(frames.reshape(-1, l_in)), params[0], params[1])
-    y, xhat, inv_std = K.layer_norm_forward(enc, *params[2:5], eps, out=enc)
+    y, xhat, inv_std = K.layer_norm_forward(enc, *params[2:5], eps)  # y is enc, rectified
     if caches is not None:
         caches.append((xhat, inv_std))
     del enc, xhat
     # The dense stack: block b reads rows [:D_b] and writes its output to the
     # rows after them; the final block's single row is the decoder's input.
     # It is indexed D×T×F and stored F×T×D, stream axis innermost.
-    dense = np.empty((f, t_len, config.block_widths[-1][0] + 1), frames.dtype).transpose(2, 1, 0)
+    dense = np.empty((f, t_len, config.block_widths[-1][0] + 1), frames.dtype).T
     dense[:c] = y.reshape(c, t_len, f)
     del y
     for b in range(1, config.blocks + 1):
@@ -327,7 +323,7 @@ def _block_forward(config: ModelConfig, b, block_params, dense, state, eps, cach
     conv_w, conv_b, ln_g, ln_b, a, wx, wh, lstm_b, lin_w, lin_b = block_params
     lo, n_out = config.block_widths[b - 1]
     conv = _rows(K.spatial_conv_forward(dense[:lo], conv_w, conv_b))
-    _, xhat, inv_std = K.layer_norm_forward(conv, ln_g, ln_b, a, eps, out=conv)
+    _, xhat, inv_std = K.layer_norm_forward(conv, ln_g, ln_b, a, eps)
     if caches is None:
         del xhat  # with no tape, nothing reads the normalized rows again
     mixed = _streams(conv, n_out + 1)  # rectified in place
@@ -370,8 +366,7 @@ def _block_backward(config: ModelConfig, b, block_params, cache, dense, d_out):
     del d_out
     d_mixed[0], d_wx, d_wh, d_lstm_b = K.lstm_backward(d_h, x_lstm, wx, wh, gates, cell, h)
     d_rows = _rows(d_mixed)
-    d_ln_g, d_ln_b, d_a = K.layer_norm_backward(d_rows, xhat, inv_std, ln_g, ln_b, a,
-                                                out=d_rows)[1:]
+    d_ln_g, d_ln_b, d_a = K.layer_norm_backward(d_rows, xhat, inv_std, ln_g, ln_b, a)[1:]
     d_conv_w, d_conv_b = K.spatial_conv_backward(d_mixed, dense[:lo], conv_w)
     return (d_conv_w, d_conv_b, d_ln_g, d_ln_b, d_a, d_wx, d_wh, d_lstm_b, d_lin_w,
             d_lin_b), d_mixed
@@ -418,7 +413,7 @@ def _backward(config: ModelConfig, params, caches, g, signal):
     # the encoder's C·T rows of F: a copy, as the gathered rows are D-innermost
     d_enc = np.ascontiguousarray(K.spatial_conv_input_grad(done, 0, c)).reshape(-1, f)
     del done
-    grads[2:5] = K.layer_norm_backward(d_enc, xhat, inv_std, *params[2:5], out=d_enc)[1:]
+    grads[2:5] = K.layer_norm_backward(d_enc, xhat, inv_std, *params[2:5])[1:]
     del xhat
     x = np.ascontiguousarray(frame_signal(signal, config.frame).reshape(-1, l_in))
     grads[0], grads[1] = K.linear_backward(d_enc, x, params[0])[1:]
@@ -498,8 +493,8 @@ def count_params(config: ModelConfig) -> int:
 def count_macs_per_frame(config: ModelConfig) -> int:
     f, l_in, l_out = config.hidden, config.frame.l_in, config.frame.l_out
     macs = config.channels * f * l_in             # encoder, per channel
-    for b in range(1, config.blocks + 1):
-        macs += f * (config.block_out_width(b) + 1) * config.block_in_width(b)
+    for d_in, d_out in config.block_widths:
+        macs += f * (d_out + 1) * d_in
         macs += 8 * f * f                          # lstm input + recurrent products
         macs += f * f                              # post-lstm linear
     macs += l_out * f                              # decoder

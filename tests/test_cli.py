@@ -320,7 +320,9 @@ def test_evaluate_skips_unusable_example(workspace, tmp_path, capsys, fault):
 
 
 @pytest.mark.parametrize("command,line,message", [
-    ("simulate", "order=-1", "order must be >= 0, got -1"),
+    ("simulate", "order=-1", "order must lie in [0, MAX_ORDER = 37], got -1"),
+    ("simulate", "order=38", "order must lie in [0, MAX_ORDER = 37], got 38"),
+    ("simulate", "order=100", "order must lie in [0, MAX_ORDER = 37], got 100"),
     ("train", "l_out=33", "l_out 33 not a multiple of hop 16"),
     ("train", "hop=0", "need hop <= l_out <= l_in, got (256, 32, 0)"),
     ("train", "channels=2\nbatch=0", "batch size must be >= 1, got 0"),
@@ -338,8 +340,8 @@ def test_evaluate_skips_unusable_example(workspace, tmp_path, capsys, fault):
     ("train", "channels=2\nchunk_s=0", "chunk_seconds must be finite and positive, got 0.0"),
     ("train", "channels=2\nepochs=-1", "epochs must be >= 0, got -1"),
     ("train", "channels=2\nseed=-1", "seed must be >= 0, got -1"),
-], ids=["order", "l_out", "hop", "batch", "snr_nan", "snr_inf", "duration_nan",
-        "duration_inf", "duration_negative", "duration_zero", "duration_under_one_sample",
+], ids=["order", "order_38", "order_100", "l_out", "hop", "batch", "snr_nan", "snr_inf",
+        "duration_nan", "duration_inf", "duration_negative", "duration_zero", "duration_under_one_sample",
         "channels_zero", "channels_negative", "clip_negative", "lr_negative", "chunk_zero",
         "epochs_negative", "seed_negative"])
 def test_bad_config_value_exits_1(workspace, tmp_path, capsys, command, line, message):

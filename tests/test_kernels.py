@@ -55,7 +55,7 @@ def test_forward_rows_are_independent_of_row_count():
                                    full[:, t])
     x, gain, bias = _f32(rng, 8 * t_len, f), _f32(rng, f), _f32(rng, f)
     a, eps = np.float32(0.25), np.float32(1e-5)
-    full = K.layer_norm_forward(x, gain, bias, a, eps)
+    full = K.layer_norm_forward(x.copy(), gain, bias, a, eps)
     for i in range(x.shape[0]):
         for got, want in zip(K.layer_norm_forward(x[i:i + 1].copy(), gain, bias, a, eps), full):
             npt.assert_array_equal(got[0], want[i])
@@ -81,7 +81,7 @@ def test_forward_rows_are_independent_of_row_count():
         conv = _d_innermost(_f32(rng, o, t_len, f))
         rows = _stream_rows(conv)
         assert rows.strides[0] == rows.itemsize and np.shares_memory(rows, conv)
-        full = K.layer_norm_forward(rows, gain, bias, a, eps)
+        full = K.layer_norm_forward(rows.copy(order="K"), gain, bias, a, eps)
         for t in range(t_len):
             one = K.layer_norm_forward(_stream_rows(_d_innermost(conv[:, t:t + 1])),
                                        gain, bias, a, eps)
@@ -101,8 +101,9 @@ def test_forward_rows_are_independent_of_row_count():
 
 
 # ---------------------------------------------------------------------------
-# the kernels that take an out= buffer: the allocating form's bits, written
-# into the buffer, with every other argument left as it was
+# the layer-norm pair works in place: each writes over its first argument
+# the bits of the same expressions evaluated into new arrays, and leaves
+# every other argument as it was
 # ---------------------------------------------------------------------------
 
 def _like(rng, array):
@@ -112,8 +113,28 @@ def _like(rng, array):
     return out
 
 
+def _layer_norm_reference(x, gain, bias, a, eps, dout):
+    """The pair's forward ``(r, xhat, inv_std)`` and backward ``(dx, dgain,
+    dbias, da)``, in the kernels' order of operations, every step into a new
+    array laid out like ``x``."""
+    f = x.shape[1]
+    xhat = x - np.add.reduce(x, axis=1, keepdims=True) / f
+    inv_std = 1.0 / np.sqrt(np.add.reduce(xhat * xhat, axis=1, keepdims=True) / f + eps)
+    xhat = xhat * inv_std
+    y = xhat * gain + bias
+    r = np.maximum(y, 0) + np.minimum(y, 0) * a
+    neg = y < 0
+    da = np.asarray((np.minimum(y, 0) * dout).sum(), dtype=x.dtype)
+    g = (neg * a + ~neg) * dout
+    dbias, dgain = g.sum(axis=0), (g * xhat).sum(axis=0)
+    g = g * gain
+    s1, s2 = g.sum(axis=1, keepdims=True), (g * xhat).sum(axis=1, keepdims=True)
+    dx = (g - s1 / f - xhat * s2 / f) * inv_std
+    return (r, xhat, inv_std[:, 0]), (dx, dgain, dbias, da)
+
+
 @pytest.mark.parametrize("layout", ["C", "stream rows"])
-def test_out_buffers_give_the_allocating_forms_bits(layout):
+def test_layer_norm_in_place_gives_reference_bits(layout):
     # both layouts the model passes: the encoder's C-ordered rows and a
     # block's T·O stream rows of an F×T×O buffer, whose reductions numpy
     # runs in another order
@@ -122,27 +143,25 @@ def test_out_buffers_give_the_allocating_forms_bits(layout):
     x = _f32(rng, 40, f) if layout == "C" else _stream_rows(_d_innermost(_f32(rng, 9, 40, f)))
     gain, bias, eps, a = _f32(rng, f), _f32(rng, f), np.float32(1e-5), np.float32(0.25)
     dout = _like(rng, x)
-    kept = {"x": x.copy(order="K"), "dout": dout.copy(order="K")}
+    want_fwd, want_bwd = _layer_norm_reference(x, gain, bias, a, eps, dout)
+    kept = [v.copy() for v in (gain, bias)]
 
     def bytes_of(*arrays):
         return [np.asarray(v).tobytes() for v in arrays]
 
-    want = K.layer_norm_forward(x, gain, bias, a, eps)
     buf = x.copy(order="K")
-    got = K.layer_norm_forward(buf, gain, bias, a, eps, out=buf)
-    assert got[0] is buf and bytes_of(*got) == bytes_of(*want)
-    r, xhat, inv_std = want
+    got = K.layer_norm_forward(buf, gain, bias, a, eps)
+    assert got[0] is buf and bytes_of(*got) == bytes_of(*want_fwd)
+    r, xhat, inv_std = got
+    r_bytes = bytes_of(r)
     # the backward's rebuild of the rectified rows gives the forward's bits
-    assert bytes_of(K.layer_norm_output(xhat, gain, bias, a)) == bytes_of(r)
+    assert bytes_of(K.layer_norm_output(xhat, gain, bias, a)) == r_bytes
 
-    want = K.layer_norm_backward(dout, xhat, inv_std, gain, bias, a)
     buf = dout.copy(order="K")
-    got = K.layer_norm_backward(buf, xhat, inv_std, gain, bias, a, out=buf)
-    assert got[0] is buf and bytes_of(*got) == bytes_of(*want)
-    # nothing but the buffers handed over was written
-    assert bytes_of(x, dout) == bytes_of(kept["x"], kept["dout"])
-    assert bytes_of(*K.layer_norm_forward(kept["x"], gain, bias, a, eps)) == bytes_of(r, xhat,
-                                                                                    inv_std)
+    got = K.layer_norm_backward(buf, xhat, inv_std, gain, bias, a)
+    assert got[0] is buf and bytes_of(*got) == bytes_of(*want_bwd)
+    # nothing but the first argument was written
+    assert bytes_of(r, xhat, inv_std, gain, bias) == r_bytes + bytes_of(*want_fwd[1:], *kept)
 
 
 # ---------------------------------------------------------------------------
@@ -246,11 +265,11 @@ def test_layer_norm_backward_fd():
     dout = _rand(rng, 4, 5)
 
     def loss(xv, gv, bv, av):
-        return float((K.layer_norm_forward(xv, gv, bv, av, 1e-5)[0] * dout).sum())
+        return float((K.layer_norm_forward(xv.copy(), gv, bv, av, 1e-5)[0] * dout).sum())
 
-    _, xhat, inv_std = K.layer_norm_forward(x, gain, bias, a, 1e-5)
+    _, xhat, inv_std = K.layer_norm_forward(x.copy(), gain, bias, a, 1e-5)
     assert np.abs(xhat * gain + bias).min() > 0.01
-    dx, dgain, dbias, da = K.layer_norm_backward(dout, xhat, inv_std, gain, bias, a)
+    dx, dgain, dbias, da = K.layer_norm_backward(dout.copy(), xhat, inv_std, gain, bias, a)
     assert da.shape == ()
     assert rel_err(dx, fd_grad(lambda v: loss(v, gain, bias, a), x)) < 1e-6
     assert rel_err(dgain, fd_grad(lambda v: loss(x, v, bias, a), gain)) < 1e-6
@@ -271,7 +290,7 @@ def test_prelu_backward_fd():
     def loss(yv, av):
         return float((K.layer_norm_output(yv, one, zero, av) * dout).sum())
 
-    _, _, dy, da = K.layer_norm_backward(dout, y, np.ones(1), one, zero, a)
+    _, _, dy, da = K.layer_norm_backward(dout.copy(), y, np.ones(1), one, zero, a)
     assert da.shape == ()
     assert rel_err(dy, fd_grad(lambda v: loss(v, a), y)[0]) < 1e-8
     assert rel_err(da, fd_grad(lambda v: loss(y, v), a)) < 1e-8
@@ -286,7 +305,7 @@ def test_prelu_matches_select():
     dout = _f32(rng, 50, 64)
     one, zero = np.ones(64, np.float32), np.zeros(64, np.float32)
     for a in (np.float32(0.25), np.float32(-0.5), np.float32(0.0)):
-        r, xhat, inv_std = K.layer_norm_forward(x, gain, bias, a, eps)
+        r, xhat, inv_std = K.layer_norm_forward(x.copy(), gain, bias, a, eps)
         y = xhat * gain + bias
         neg = y < 0
         npt.assert_array_equal(r, np.where(neg, a * y, y))
@@ -299,10 +318,11 @@ def test_prelu_matches_select():
         # gradient is the PReLU's input gradient element by element
         flat, d_flat = rows.reshape(1, -1), dout.reshape(1, -1)
         ones, zeros = np.ones(flat.shape[1], np.float32), np.zeros(flat.shape[1], np.float32)
-        _, _, d, da0 = K.layer_norm_backward(d_flat, flat, np.ones(1, np.float32), ones, zeros, a)
+        _, _, d, da0 = K.layer_norm_backward(d_flat.copy(), flat, np.ones(1, np.float32), ones,
+                                             zeros, a)
         npt.assert_array_equal(d, np.where(flat[0] < 0, a, np.float32(1.0)) * d_flat[0])
         npt.assert_array_equal(da0, (d_flat * np.where(flat < 0, flat, 0)).sum())
-        _, dgain, dbias, da = K.layer_norm_backward(dout, xhat, inv_std, gain, bias, a)
+        _, dgain, dbias, da = K.layer_norm_backward(dout.copy(), xhat, inv_std, gain, bias, a)
         d_y = np.where(neg, a, np.float32(1.0)) * dout  # the PReLU's input gradient
         npt.assert_array_equal(dbias, d_y.sum(axis=0))
         npt.assert_array_equal(dgain, (d_y * xhat).sum(axis=0))
@@ -312,7 +332,7 @@ def test_prelu_matches_select():
 
 @pytest.mark.parametrize("direction", ["forward", "backward"])
 def test_layer_norm_in_place_peak(direction):
-    # with the output written over its input, the forward allocates xhat and
+    # writing its output over its input, the forward allocates xhat and
     # PReLU temporaries of at most three blocks of _PRELU_BLOCK elements; the
     # backward a float32 scratch and one bool mask: 5 bytes per element. Each
     # also holds a few per-row vectors, and numpy casts the bool mask through
@@ -320,13 +340,13 @@ def test_layer_norm_in_place_peak(direction):
     rng = np.random.default_rng(3)
     x, gain, bias, dout = _f32(rng, 9000, 64), _f32(rng, 64), _f32(rng, 64), _f32(rng, 9000, 64)
     a = np.float32(0.25)
-    _, xhat, inv_std = K.layer_norm_forward(x, gain, bias, a, np.float32(1e-5))
+    _, xhat, inv_std = K.layer_norm_forward(x.copy(), gain, bias, a, np.float32(1e-5))
     if direction == "forward":
-        call, full_size = (lambda: K.layer_norm_forward(x, gain, bias, a, np.float32(1e-5),
-                                                        out=x)), x.nbytes + 3 * 4 * K._PRELU_BLOCK
+        call, full_size = (lambda: K.layer_norm_forward(x, gain, bias, a, np.float32(1e-5)),
+                           x.nbytes + 3 * 4 * K._PRELU_BLOCK)
     else:
-        call, full_size = (lambda: K.layer_norm_backward(dout, xhat, inv_std, gain, bias, a,
-                                                         out=dout)), 5 * x.size
+        call, full_size = (lambda: K.layer_norm_backward(dout, xhat, inv_std, gain, bias, a),
+                           5 * x.size)
     tracemalloc.start()
     try:
         call()

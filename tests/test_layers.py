@@ -43,8 +43,8 @@ def test_linear_batches_leading_axes():
 # ---------------------------------------------------------------------------
 
 def _layer_norm(x, gain, bias):
-    # a slope of 1 makes the PReLU the identity
-    return K.layer_norm_forward(_rows(x), _rows(gain), _rows(bias), 1.0, 1e-5)[0]
+    # a slope of 1 makes the PReLU the identity; the kernel writes over a copy of x
+    return K.layer_norm_forward(np.array(x, np.float64), _rows(gain), _rows(bias), 1.0, 1e-5)[0]
 
 
 def test_layer_norm_hand_cases():

@@ -39,10 +39,11 @@ def test_config_validation_and_naming():
     cfg = ModelConfig()
     assert (cfg.channels, cfg.hidden, cfg.spatial, cfg.blocks) == (8, 64, 8, 8)
     assert cfg.name == "D-LL-RNN-64-8-8"
-    assert cfg.block_in_width(1) == 8
-    assert cfg.block_in_width(3) == 8 + 2 * 8
-    assert cfg.block_out_width(7) == 8
-    assert cfg.block_out_width(8) == 1
+    assert cfg.block_widths[0] == (8, 8)
+    assert cfg.block_widths[2] == (8 + 2 * 8, 8)
+    assert cfg.block_widths[6] == (8 + 6 * 8, 8)
+    assert cfg.block_widths[7] == (8 + 7 * 8, 1)
+    assert len(cfg.block_widths) == 8
     with pytest.raises(ConfigError):
         ModelConfig(channels=0)
     with pytest.raises(ConfigError):
@@ -196,7 +197,7 @@ def _rebuilt_mixed(cfg, store, caches, b):
     its cached ``xhat`` with the forward's expressions, as the backward does."""
     rows = K.layer_norm_output(caches[b][0], *(store[f"block{b}.{name}"].data
                                                for name in ("norm.weight", "norm.bias", "prelu")))
-    return _streams(rows, cfg.block_out_width(b) + 1)
+    return _streams(rows, cfg.block_widths[b - 1][1] + 1)
 
 
 def test_st_block_shapes_at_defaults():
@@ -206,11 +207,11 @@ def test_st_block_shapes_at_defaults():
     out, caches = _run_forward(cfg, store, frames)
     assert out.shape == (3, 32)
     dense = caches[-1]
-    assert dense.shape == (cfg.block_in_width(8) + 1, 3, 64)
+    assert dense.shape == (cfg.block_widths[7][0] + 1, 3, 64)
     zeros = np.zeros(cfg.hidden, np.float32)
     for b in range(1, 9):
         xhat, inv_std, (h, gates, cell), gate = caches[b]
-        n_streams = cfg.block_out_width(b) + 1
+        n_streams = cfg.block_widths[b - 1][1] + 1
         assert xhat.shape == (3 * n_streams, 64) and inv_std.shape == (3 * n_streams,)
         assert h.shape == cell.shape == (4, 64) and gate.shape == (3, 64)
         assert gates.shape == (3, 4 * 64)
@@ -224,7 +225,7 @@ def test_st_block_shapes_at_defaults():
     # block 1 writes its 8 gated streams after the 8 encoder rows; block 8
     # writes its single stream, the decoder's input, to the last row; the
     # rebuilt streams give the forward's stack rows bit for bit
-    for b, rows in ((1, slice(8, 16)), (8, slice(cfg.block_in_width(8), None))):
+    for b, rows in ((1, slice(8, 16)), (8, slice(cfg.block_widths[7][0], None))):
         gate = caches[b][3]
         npt.assert_array_equal(dense[rows], _rebuilt_mixed(cfg, store, caches, b)[1:] * gate)
     with pytest.raises(DimensionError):
@@ -325,9 +326,9 @@ def test_training_example_memory():
     _, caches = _run_forward(cfg, store, np.zeros((8, t_len, cfg.frame.l_in), np.float32))
     want = [(8 * t_len, f), (8 * t_len,)]
     for b in range(1, cfg.blocks + 1):
-        rows = (cfg.block_out_width(b) + 1) * t_len
+        rows = (cfg.block_widths[b - 1][1] + 1) * t_len
         want += [(rows, f), (rows,), (t_len + 1, f), (t_len, 4 * f), (t_len + 1, f), (t_len, f)]
-    want.append((cfg.block_in_width(cfg.blocks) + 1, t_len, f))
+    want.append((cfg.block_widths[-1][0] + 1, t_len, f))
     assert [a.shape for a in _cached_arrays(caches)] == want
     peak = _training_example_peak(cfg, store, n)
     assert peak <= 14 * 2 ** 20, f"{peak / 2 ** 20:.1f} MiB"
@@ -404,7 +405,7 @@ def test_st_block_forced_gate_identity_and_annihilator():
     cfg = ModelConfig(channels=3, hidden=4, spatial=2, blocks=2,
                       frame=FrameSpec(l_in=8, l_out=4, hop=2))
     frames = np.random.default_rng(1).standard_normal((3, 5, 8)).astype(np.float32)
-    lo, hi = cfg.block_in_width(1), cfg.block_in_width(2)
+    lo, hi = cfg.block_widths[0][0], cfg.block_widths[1][0]
 
     store = build_params(cfg, seed=0)
     _force_gate(store, 1, 0.0, 1.0)  # gate branch emits ones
@@ -674,11 +675,13 @@ def test_streaming_matches_batch_with_normalization():
 
 def test_streaming_push_call_budget():
     # A primed 64-8-8 push is bound by its Python-level calls, not by its
-    # 0.1 ms of arithmetic. 181 are measured, counting the profiler's own
-    # disable call and the input's finiteness check (190 when each layer
-    # norm's PReLU was a call of its own, 205 when every block asked the
-    # config for its widths, 221 when the LSTM called a Python sigmoid per
-    # step and allocated h and c apart).
+    # 0.1 ms of arithmetic. 173 are measured, counting the profiler's own
+    # disable call and the input's finiteness check (181 when the spatial
+    # conv and the dense stack reversed their axes by a transpose call, not
+    # the .T attribute, and before each layer norm made one call for its
+    # affine and PReLU; 190 when each layer norm's PReLU was a call of its
+    # own, 205 when every block asked the config for its widths, 221 when
+    # the LSTM called a Python sigmoid per step and allocated h and c apart).
     cfg = ModelConfig()
     session = StreamingEnhancer(cfg, build_params(cfg, seed=0))
     block = np.random.default_rng(7).standard_normal((8, cfg.frame.hop)).astype(np.float32)
@@ -688,7 +691,7 @@ def test_streaming_push_call_budget():
     profile.enable()
     session.push(block)
     profile.disable()
-    assert pstats.Stats(profile).total_calls <= 181
+    assert pstats.Stats(profile).total_calls <= 173
 
 
 def _framing_calls(fn, *args, **kwargs):
@@ -828,5 +831,5 @@ def test_dense_widths_consistent():
     for b in range(1, cfg.blocks + 1):
         n_hidden, s_out, s_in = store[f"block{b}.conv.weight"].shape
         assert n_hidden == cfg.hidden
-        assert s_in == cfg.block_in_width(b) == 5 + (b - 1) * 3
-        assert s_out == cfg.block_out_width(b) + 1
+        assert s_in == cfg.block_widths[b - 1][0] == 5 + (b - 1) * 3
+        assert s_out == cfg.block_widths[b - 1][1] + 1 == (2 if b == cfg.blocks else 4)

@@ -40,6 +40,29 @@ def test_simulate_rir_geometry_errors():
         simulate_rir(ROOM, [2.0, 2.0, 2.0], [3.0, 2.0, 2.0], order=-1)
 
 
+def test_order_above_max_is_refused_before_any_image(monkeypatch):
+    # MAX_ORDER is the largest order whose images fit 256 MiB at the
+    # measured ~3.6 KiB per image; orders past it are refused before
+    # image_sources runs, so no test enumerates them
+    def n_images(order):
+        return (2 * order + 1) * (2 * order * order + 2 * order + 3) // 3
+
+    for order in (0, 1, 2, 6, 12):
+        assert len(image_sources(ROOM, [2.0, 2.5, 1.5], order)[1]) == n_images(order)
+    per_image, allowance = 3.6 * 1024, 256 * 2 ** 20
+    assert n_images(simulate.MAX_ORDER) * per_image <= allowance
+    assert n_images(simulate.MAX_ORDER + 1) * per_image > allowance
+
+    def unreachable(*args):
+        raise AssertionError("image_sources ran for an order above MAX_ORDER")
+
+    monkeypatch.setattr(simulate, "image_sources", unreachable)
+    for order in (simulate.MAX_ORDER + 1, 100, 10 ** 6):
+        with pytest.raises(GeometryError,
+                           match=rf"must lie in \[0, {simulate.MAX_ORDER}\], got {order}"):
+            simulate_rir(ROOM, [2.0, 2.0, 2.0], [3.0, 2.0, 2.0], order=order)
+
+
 @pytest.mark.parametrize("order", [0, 1, 6])
 def test_simulate_rir_microphone_array_rows_match_single_calls(order):
     scene = draw_scene(np.random.default_rng(14), n_mics=8)
