@@ -59,7 +59,8 @@ def normalize_variance(y):
 
     The scale is 1/std over all C·N samples, returned so callers can undo the
     normalization on the enhanced output. A waveform that is all zeros,
-    constant, or has a non-finite variance (a NaN or infinite sample) is a
+    constant, has a non-finite variance (a NaN or infinite sample), or is so
+    quiet that its scale overflows its dtype is a
     :class:`DegenerateInputError`. Scaling the input by a power of two
     changes the output bit-for-bit not at all; for other factors the result
     agrees to rounding error.
@@ -75,6 +76,9 @@ def normalize_variance(y):
     if var == 0.0:
         raise DegenerateInputError("cannot normalize a constant waveform: its variance is zero")
     scale = 1.0 / np.sqrt(var)
+    if scale > np.finfo(y.dtype).max:  # checked before the cast, which would give inf
+        raise DegenerateInputError(f"cannot normalize a waveform of standard deviation "
+                                   f"{np.sqrt(var):.3g}: its scale {scale:.3g} overflows {y.dtype}")
     return (y * np.asarray(scale, dtype=y.dtype)).astype(y.dtype), scale
 
 

@@ -62,9 +62,7 @@ a block's output gradient, or at the end the encoder rows', is summed from
 the later blocks' products only when it is read. These gradients grow as the
 block caches are freed, so they add nothing at the sweep's start, where
 every cache is alive: one 1 s example's forward, loss and backward peak at
-54.2 MiB of tracemalloc (56.4 when a block held its rebuilt layer-norm
-output through the LSTM backward, 73.6 when the sweep zeroed a stack
-gradient and each LSTM cached its tanh(c) rows).
+54.2 MiB of tracemalloc.
 
 Beyond what is cached, a forward or backward holds one block's working set
 at a time (in-place operation and buffer sharing, Chen et al., §3). The
@@ -80,8 +78,7 @@ small blocks, drops it once stream 0 is copied out for the LSTM backward,
 and writes the layer norm's input gradient, through the PReLU, over the
 block's ``d_mixed``; the kernel rebuilds the PReLU's input into its own
 scratch. A no-tape forward of 2 s of 8-channel
-64-8-8 input peaks at 42.9 MiB, 31.7 MiB of it the dense stack (42.8
-when the PReLU was a kernel of its own).
+64-8-8 input peaks at 42.9 MiB, 31.7 MiB of it the dense stack.
 """
 
 from __future__ import annotations

@@ -12,15 +12,16 @@ Impulse responses come from the mirror-image construction: every image of the
 source across the walls up to a reflection order contributes a tap of
 amplitude beta^reflections / (4*pi*distance) at its fractional arrival delay,
 rendered with an 81-tap Hann-tapered sinc kernel. The images depend on the
-source alone, so each source's image set is enumerated once per order and
-every microphone's response is placed from it.
+source alone, so each source's image set is enumerated once per order; each
+microphone's distances, delays and amplitudes are then formed for its own
+row alone, just before its taps are placed.
 
 The module needs numpy alone. Convolution and the source generators' IIR
 filters are real FFTs at a 5-smooth length (``fftconvolve``, ``iir_filter``).
-Each source's spectrum is taken once and multiplied by all of its
-microphones' responses. The noise sources' products are added in the
-frequency domain, one source at a time, and the sum takes one inverse
-transform.
+``fftconvolve`` has one path, a sum over sources: each source's spectrum is
+taken once and multiplied by all of its microphones' responses, the products
+are added in the frequency domain one source at a time, and the sum takes
+one inverse transform. The speech is rendered as a one-source sum.
 """
 
 from __future__ import annotations
@@ -39,12 +40,15 @@ MIC_RADIUS = 0.10
 N_MICS = 8
 WALL_MARGIN = 0.1
 DEFAULT_ORDER = 6
-# The largest reflection order a response is simulated at. One response's
-# working set grows with its image count, (2N+1)(2N²+2N+3)/3 at order N, by
-# about 3.6 KiB per image: the tracemalloc peaks of one 8-microphone response
-# are 1.6, 9.2, 29.1 and 67.0 MiB at orders 6, 12, 18 and 24 (377, 2,625,
-# 8,473 and 19,649 images). Order 37, 70,375 images, is the largest whose
-# images fit an allowance of 256 MiB per response; order 38 has 76,153.
+# The largest reflection order a response is simulated at. Beside the C×L
+# rows it returns, one response's working set is its image set and one row's
+# tap arrays, whatever the microphone count C, so it grows with the image
+# count alone, (2N+1)(2N²+2N+3)/3 at order N, by under 3.6 KiB per image.
+# The tracemalloc peaks of one response at orders 6, 12, 18 and 24 (377,
+# 2,625, 8,473 and 19,649 images) are 1.5, 8.7, 27.6 and 63.8 MiB at 8
+# microphones and 2.8, 11.2, 31.3 and 68.7 MiB at 128, whose rows are 1.4 to
+# 5.2 MiB of that. Order 37, 70,375 images, is the largest whose images fit
+# an allowance of 256 MiB per response; order 38 has 76,153.
 MAX_ORDER = 37
 
 
@@ -66,38 +70,30 @@ def _smooth_len(n: int) -> int:
     return best
 
 
-def fftconvolve(in1, in2, summed=False):
-    """Full linear convolution along the last axis; leading axes broadcast,
-    so one signal convolves with a stack of responses and its spectrum is
-    taken once.
+def fftconvolve(signals, responses):
+    """The sum over sources of each source's full linear convolution along
+    the last axis: ``signals[s]`` is source s's 1-D signal and
+    ``responses[s]`` its response or stack of responses, whose leading axes
+    broadcast, so a source's spectrum is taken once for all of its rows.
 
-    With ``summed=True`` the leading axis of both operands is a source axis:
-    ``in1[s]`` is source s's signal and ``in2[s]`` its response (or stack of
-    responses), and the result is the sum over s of their convolutions. Each
-    source's spectra are multiplied into one accumulator in turn, so one
-    inverse transform serves them all and at most one source's spectra are
-    held beside it. The operands may be sequences of arrays of different
-    lengths; the result is as long as the longest convolution.
+    Each source's product is formed in its response spectrum's buffer, in
+    scipy's operand order (the signal's spectrum first), and added into one
+    running sum, so one inverse transform serves every source and at most
+    one source's spectra are held beside the sum. Signals and responses may
+    differ in length; the result is as long as the longest convolution.
     """
-    if not summed:
-        in1, in2 = np.asarray(in1), np.asarray(in2)
-        n = in1.shape[-1] + in2.shape[-1] - 1
-        size = _smooth_len(n)
-        spectrum = np.fft.rfft(in1, size) * np.fft.rfft(in2, size)
-        return np.fft.irfft(spectrum, size)[..., :n]
-    if len(in1) != len(in2) or len(in1) == 0:
-        raise ValueError(f"summed convolution needs as many signals as responses, "
-                         f"at least one; got {len(in1)} and {len(in2)}")
-    n = max(np.shape(x)[-1] for x in in1) + max(np.shape(h)[-1] for h in in2) - 1
+    if len(signals) != len(responses) or len(signals) == 0:
+        raise ValueError(f"convolution needs as many signals as responses, "
+                         f"at least one; got {len(signals)} and {len(responses)}")
+    n = max(np.shape(x)[-1] for x in signals) + max(np.shape(h)[-1] for h in responses) - 1
     size = _smooth_len(n)
 
     def spectrum(x, h):
         out = np.fft.rfft(h, size)
-        out *= np.fft.rfft(x, size)
-        return out
+        return np.multiply(np.fft.rfft(x, size), out, out=out)
 
-    total = spectrum(in1[0], in2[0])
-    for x, h in zip(in1[1:], in2[1:]):
+    total = spectrum(signals[0], responses[0])
+    for x, h in zip(signals[1:], responses[1:]):
         total += spectrum(x, h)
     return np.fft.irfft(total, size)[..., :n]
 
@@ -186,36 +182,38 @@ def image_sources(room: RoomSpec, src, order: int):
     return grid[keep], total.ravel()[keep]
 
 
-def simulate_rir(room: RoomSpec, src, mic, order: int = DEFAULT_ORDER):
-    """Impulse responses between a source and one or more microphones, as
-    float64 taps.
+def simulate_rir(room: RoomSpec, src, mics, order: int = DEFAULT_ORDER):
+    """Impulse responses between a source and a C×3 array of microphones, as
+    a C×L float64 array: row c is microphone c's taps, zero-padded to the
+    longest row's length L.
 
-    ``mic`` is one xyz point, for which the response is 1-D, or a C×3 array,
-    for which row c is microphone c's response, zero-padded to the longest
-    row. The source's images are enumerated once for all microphones.
+    The source's images are enumerated once; each microphone's distances,
+    delays and amplitudes are formed for its own row alone, just before its
+    taps are placed, so the working set does not grow with the microphone
+    count beyond the rows themselves.
     """
     src = _check_inside(room, src, "source")
-    mics = np.asarray(mic, dtype=np.float64)
-    stack = mics if mics.ndim == 2 else mics[None]
-    if stack.ndim != 2 or len(stack) == 0:
-        raise GeometryError(f"microphones must be an xyz triple or a C×3 array, "
-                            f"got shape {mics.shape}")
-    for point in stack:
+    mics = np.asarray(mics, dtype=np.float64)
+    if mics.ndim != 2 or len(mics) == 0:
+        raise GeometryError(f"microphones must be a C×3 array, got shape {mics.shape}")
+    for point in mics:
         _check_inside(room, point, "microphone")
         if np.array_equal(src, point):
             raise GeometryError("source and microphone coincide")
     if not 0 <= order <= MAX_ORDER:
         raise GeometryError(f"reflection order must lie in [0, {MAX_ORDER}], got {order}")
     positions, reflections = image_sources(room, src, order)
-    dist = np.linalg.norm(positions[None, :, :] - stack[:, None, :], axis=-1)
-    beta = np.sqrt(1.0 - room.absorption)
-    amps = beta ** reflections / (4.0 * np.pi * dist)
-    delays = dist * SAMPLE_RATE / SPEED_OF_SOUND
-    lengths = np.ceil(delays.max(axis=1)).astype(np.int64) + K.SINC_HALF_WIDTH + 2
-    out = np.zeros((len(stack), int(lengths.max())))
-    for row, d, a, length in zip(out, delays, amps, lengths):
-        row[:length] = K.place_taps(d, a, int(length))
-    return out if mics.ndim == 2 else out[0]
+    gains = np.sqrt(1.0 - room.absorption) ** reflections
+    # A delay d's last tap is at most ceil(d) + SINC_HALF_WIDTH, and the
+    # farthest image's delay is the largest, since scaling rounds monotonically.
+    far = max(np.linalg.norm(positions - mic, axis=1).max() for mic in mics)
+    out = np.empty((len(mics), math.ceil(far * SAMPLE_RATE / SPEED_OF_SOUND)
+                    + K.SINC_HALF_WIDTH + 2))
+    for row, mic in zip(out, mics):
+        dist = np.linalg.norm(positions - mic, axis=1)
+        row[:] = K.place_taps(dist * SAMPLE_RATE / SPEED_OF_SOUND,
+                              gains / (4.0 * np.pi * dist), len(row))
+    return out
 
 
 def mic_circle(center, n: int = N_MICS):
@@ -323,12 +321,11 @@ def spatialize_mixture(scene: Scene, speech, noises,
     n = speech.size
     room, mics = scene.room, scene.mics
     s_direct = np.ascontiguousarray(
-        fftconvolve(speech, simulate_rir(room, scene.speech_pos, mics, 0))[:, :n])
-    s_reverb = (fftconvolve(speech, simulate_rir(room, scene.speech_pos, mics, order))[:, :n]
+        fftconvolve([speech], [simulate_rir(room, scene.speech_pos, mics, 0)])[:, :n])
+    s_reverb = (fftconvolve([speech], [simulate_rir(room, scene.speech_pos, mics, order)])[:, :n]
                 - s_direct)
     noise = np.ascontiguousarray(fftconvolve(
-        noises, [simulate_rir(room, pos, mics, order) for pos in scene.noise_pos],
-        summed=True)[:, :n])
+        noises, [simulate_rir(room, pos, mics, order) for pos in scene.noise_pos])[:, :n])
     e_direct = float(np.sum(s_direct ** 2))
     e_noise = float(np.sum(noise ** 2))
     if e_noise == 0.0:

@@ -203,12 +203,17 @@ def test_evaluate_limit_below_one_exits_1(workspace, capsys, limit):
 
 
 def test_enhance_all_zero_wav_exits_2(workspace, tmp_path, capsys):
-    # a constant input has variance zero too: it would scale to inf and NaN;
-    # a WAV of no samples is an empty input, not an all-zero one
+    # a constant input has variance zero too: it would scale to inf and NaN,
+    # as would one whose scale 1/std overflows float32; a WAV of no samples
+    # is an empty input, not an all-zero one
+    quiet = np.random.default_rng(5).standard_normal((2, 400))
+    quiet = (quiet / np.std(quiet) * 1e-39).astype(np.float32)
     for name, data, message in (("silent", np.zeros((2, 400), np.float32),
                                  "cannot normalize an all-zero waveform"),
                                 ("constant", np.full((2, 400), 0.25, np.float32),
                                  "cannot normalize a constant waveform"),
+                                ("quiet", quiet,
+                                 "cannot normalize a waveform of standard deviation 1e-39"),
                                 ("empty", np.zeros((2, 0), np.float32),
                                  "cannot enhance an empty input")):
         path = tmp_path / f"{name}.wav"

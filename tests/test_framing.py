@@ -165,6 +165,10 @@ def test_normalize_variance():
     unit /= np.std(unit)
     _, s1 = normalize_variance(unit)
     assert abs(s1 - 1.0) < 1e-6
+    # float32 samples at standard deviation 1e-39 need a scale past float32's
+    # largest value: refused before the cast, which would give inf
+    with pytest.raises(DegenerateInputError, match=r"deviation 1e-39: .* overflows float32"):
+        normalize_variance((unit * 1e-39).astype(np.float32))
     with pytest.raises(DegenerateInputError):
         normalize_variance(np.zeros((2, 100)))
     # a constant, or a single sample, has variance zero: its scale would be inf

@@ -771,6 +771,22 @@ def test_non_finite_input_is_a_named_error_on_every_entry_point():
             model_forward(np.full((2, 800), np.inf, np.float32), cfg, store, scale=1.0)
 
 
+def test_input_too_quiet_to_scale_is_a_named_error_on_both_paths():
+    # at standard deviation 1e-39 the float32 scale 1/std overflows; cast,
+    # it is inf, which gives the training path an all-NaN output and the
+    # streaming path a "non-finite samples" error. At 1e-30 both are finite
+    cfg = ModelConfig(channels=2, hidden=8, spatial=2, blocks=2,
+                      frame=FrameSpec(l_in=32, l_out=8, hop=4))
+    store = build_params(cfg, seed=0)
+    y = np.random.default_rng(9).standard_normal((2, 800))
+    y /= np.std(y)
+    for run in (lambda x: model_forward(x, cfg, store).data,
+                lambda x: enhance_waveform(x, cfg, store)):
+        with pytest.raises(DegenerateInputError, match="standard deviation 1e-39"):
+            run((y * 1e-39).astype(np.float32))
+        assert np.isfinite(run((y * 1e-30).astype(np.float32))).all()
+
+
 def test_rejected_push_leaves_the_session_as_it_was():
     # An all-inf block after priming is rejected before the carried input,
     # overlap sums or LSTM states change: the pushes after it give a fresh

@@ -31,13 +31,13 @@ def test_room_spec_validation():
 
 def test_simulate_rir_geometry_errors():
     with pytest.raises(GeometryError):
-        simulate_rir(ROOM, [2.0, 2.0, 2.0], [6.05, 2.0, 2.0], order=0)  # in the wall margin
+        simulate_rir(ROOM, [2.0, 2.0, 2.0], [[6.05, 2.0, 2.0]], order=0)  # in the wall margin
     with pytest.raises(GeometryError):
-        simulate_rir(ROOM, [-1.0, 2.0, 2.0], [2.0, 2.0, 2.0], order=0)
+        simulate_rir(ROOM, [-1.0, 2.0, 2.0], [[2.0, 2.0, 2.0]], order=0)
     with pytest.raises(GeometryError):
-        simulate_rir(ROOM, [2.0, 2.0, 2.0], [2.0, 2.0, 2.0], order=0)
+        simulate_rir(ROOM, [2.0, 2.0, 2.0], [[2.0, 2.0, 2.0]], order=0)
     with pytest.raises(GeometryError):
-        simulate_rir(ROOM, [2.0, 2.0, 2.0], [3.0, 2.0, 2.0], order=-1)
+        simulate_rir(ROOM, [2.0, 2.0, 2.0], [[3.0, 2.0, 2.0]], order=-1)
 
 
 def test_order_above_max_is_refused_before_any_image(monkeypatch):
@@ -60,7 +60,7 @@ def test_order_above_max_is_refused_before_any_image(monkeypatch):
     for order in (simulate.MAX_ORDER + 1, 100, 10 ** 6):
         with pytest.raises(GeometryError,
                            match=rf"must lie in \[0, {simulate.MAX_ORDER}\], got {order}"):
-            simulate_rir(ROOM, [2.0, 2.0, 2.0], [3.0, 2.0, 2.0], order=order)
+            simulate_rir(ROOM, [2.0, 2.0, 2.0], [[3.0, 2.0, 2.0]], order=order)
 
 
 @pytest.mark.parametrize("order", [0, 1, 6])
@@ -71,12 +71,31 @@ def test_simulate_rir_microphone_array_rows_match_single_calls(order):
     assert stack.ndim == 2 and stack.shape[0] == len(mics)
     lengths = []
     for row, mic in zip(stack, mics):
-        single = simulate_rir(scene.room, scene.speech_pos, mic, order)
-        assert single.ndim == 1
+        single = simulate_rir(scene.room, scene.speech_pos, [mic], order)[0]
         assert np.array_equal(row[:len(single)], single)
         assert not np.any(row[len(single):])
         lengths.append(len(single))
     assert stack.shape[1] == max(lengths)
+
+
+def test_simulate_rir_peak_grows_with_microphones_by_its_rows_alone():
+    # each microphone's distances, delays and amplitudes are formed for its
+    # own row, so from 8 to 128 microphones one order-12 response (2,625
+    # images) grows by its added rows, 2.5 MiB here; forming them for all
+    # rows at once, as C×M×3 and C×M arrays, grows by 11.5 MiB on this scene
+    scene = draw_scene(np.random.default_rng(3), n_mics=8)
+    peaks, sizes = [], []
+    for n_mics in (8, 128):
+        mics = mic_circle(scene.mics.mean(axis=0), n_mics)
+        tracemalloc.start()
+        try:
+            sizes.append(simulate_rir(scene.room, scene.speech_pos, mics, 12).nbytes)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    growth = peaks[1] - peaks[0]
+    assert growth <= 6 * 2 ** 20, growth / 2 ** 20
+    assert growth <= sizes[1] - sizes[0] + 2 ** 20, (growth, sizes)
 
 
 def test_simulate_rir_checks_every_microphone_of_an_array():
@@ -87,7 +106,7 @@ def test_simulate_rir_checks_every_microphone_of_an_array():
             mics = np.array(good[:where] + [bad] + good[where:])
             with pytest.raises(GeometryError):
                 simulate_rir(ROOM, src, mics, order=1)
-    for shape in ((0, 3), (2, 4), (2, 2, 3)):
+    for shape in ((3,), (0, 3), (2, 4), (2, 2, 3)):
         with pytest.raises(GeometryError):
             simulate_rir(ROOM, src, np.full(shape, 2.5), order=1)
 
@@ -144,7 +163,7 @@ def test_rir_integer_delay_tap():
     # exactly 47 samples, so the interpolation kernel collapses to one tap of
     # 1/(4*pi*d); every other sample is sinc-at-integers residue.
     d = 343.0 * 47 / 16000.0
-    rir = simulate_rir(ROOM, [2.0, 2.0, 2.0], [2.0 + d, 2.0, 2.0], order=0)
+    rir = simulate_rir(ROOM, [2.0, 2.0, 2.0], [[2.0 + d, 2.0, 2.0]], order=0)[0]
     assert abs(rir[47] - 0.07898018390516487) < 1e-12
     rest = np.delete(rir, 47)
     assert np.max(np.abs(rest)) <= 1e-12
@@ -153,7 +172,7 @@ def test_rir_integer_delay_tap():
 def test_rir_fractional_delay_peak():
     # 1 m separation: delay 46.647 samples, peak lands on sample 47 with the
     # windowed-sinc value at offset 0.353 of the free-field 1/(4*pi) amplitude
-    rir = simulate_rir(ROOM, [2.0, 2.0, 2.0], [3.0, 2.0, 2.0], order=0)
+    rir = simulate_rir(ROOM, [2.0, 2.0, 2.0], [[3.0, 2.0, 2.0]], order=0)[0]
     assert int(np.argmax(np.abs(rir))) == 47
     peak = rir[47] * 4.0 * np.pi
     assert 0.75 <= peak <= 1.05
@@ -162,9 +181,9 @@ def test_rir_fractional_delay_peak():
 def test_rir_absorption_damps_tail():
     kwargs = dict(length=5.0, width=4.0, height=3.0)
     live = simulate_rir(RoomSpec(absorption=0.1, **kwargs), [1.0, 1.0, 1.0],
-                        [3.5, 2.5, 1.5], order=4)
+                        [[3.5, 2.5, 1.5]], order=4)[0]
     damped = simulate_rir(RoomSpec(absorption=0.4, **kwargs), [1.0, 1.0, 1.0],
-                          [3.5, 2.5, 1.5], order=4)
+                          [[3.5, 2.5, 1.5]], order=4)[0]
     assert damped.shape == live.shape
     tail = slice(200, None)
     assert np.sum(damped[tail] ** 2) < np.sum(live[tail] ** 2)
@@ -225,11 +244,11 @@ def _spatialize_reference(scene, speech, noises, order):
     as its reference: one single-microphone response per (source, microphone),
     and one inverse transform per source."""
     def to_mics(source, pos, order):
-        rirs = [simulate_rir(scene.room, pos, mic, order) for mic in scene.mics]
+        rirs = [simulate_rir(scene.room, pos, [mic], order)[0] for mic in scene.mics]
         stack = np.zeros((len(rirs), max(len(rir) for rir in rirs)))
         for row, rir in zip(stack, rirs):
             row[:len(rir)] = rir
-        return fftconvolve(source, stack)[:, :source.size]
+        return fftconvolve([source], [stack])[:, :source.size]
 
     s_direct = to_mics(speech, scene.speech_pos, 0)
     s_reverb = to_mics(speech, scene.speech_pos, order) - s_direct
@@ -408,11 +427,12 @@ def test_fftconvolve_matches_scipy():
     assert all(_smooth_len(n) == fft.next_fast_len(n, True) for n in range(1, 5000))
     rng = np.random.default_rng(13)
     source, rirs = rng.standard_normal(32000), rng.standard_normal((8, 3000))
-    npt.assert_array_equal(fftconvolve(source, rirs[0]), signal.fftconvolve(source, rirs[0]))
+    npt.assert_array_equal(fftconvolve([source], [rirs[0]]),
+                           signal.fftconvolve(source, rirs[0]))
     # one call against a stack of responses gives each row's own convolution
-    stacked = fftconvolve(source, rirs)
+    stacked = fftconvolve([source], [rirs])
     for rir, row in zip(rirs, stacked):
-        npt.assert_array_equal(row, fftconvolve(source, rir))
+        npt.assert_array_equal(row, fftconvolve([source], [rir]))
 
 
 def test_fftconvolve_sums_over_a_leading_source_axis():
@@ -421,19 +441,19 @@ def test_fftconvolve_sums_over_a_leading_source_axis():
     stacks = [rng.standard_normal((4, length)) for length in (120, 300, 45)]
     want = np.zeros((4, 900 + 300 - 1))
     for x, h in zip(signals, stacks):
-        row = fftconvolve(x, h)
+        row = fftconvolve([x], [h])
         want[:, :row.shape[1]] += row
-    got = fftconvolve(signals, stacks, summed=True)
+    got = fftconvolve(signals, stacks)
     assert got.shape == want.shape
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
     # an array with a leading source axis is the same sum
-    same = fftconvolve(np.stack(signals), np.stack([s[:, :45] for s in stacks]), summed=True)
-    npt.assert_allclose(same, sum(fftconvolve(x, h[:, :45]) for x, h in zip(signals, stacks)),
+    same = fftconvolve(np.stack(signals), np.stack([s[:, :45] for s in stacks]))
+    npt.assert_allclose(same, sum(fftconvolve([x], [h[:, :45]]) for x, h in zip(signals, stacks)),
                         rtol=0.0, atol=1e-12 * np.abs(same).max())
     with pytest.raises(ValueError, match="as many signals as responses"):
-        fftconvolve(signals[:2], stacks, summed=True)
+        fftconvolve(signals[:2], stacks)
     with pytest.raises(ValueError, match="at least one"):
-        fftconvolve([], [], summed=True)
+        fftconvolve([], [])
 
 
 @pytest.mark.parametrize("n", [16, 1000, 32000])
