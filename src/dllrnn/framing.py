@@ -60,7 +60,8 @@ def normalize_variance(y):
     The scale is 1/std over all C·N samples, returned so callers can undo the
     normalization on the enhanced output. A waveform that is all zeros,
     constant, has a non-finite variance (a NaN or infinite sample), or is so
-    quiet that its scale overflows its dtype is a
+    quiet that its variance underflows float64 or its scale overflows its
+    dtype is a
     :class:`DegenerateInputError`. Scaling the input by a power of two
     changes the output bit-for-bit not at all; for other factors the result
     agrees to rounding error.
@@ -74,6 +75,11 @@ def normalize_variance(y):
         raise DegenerateInputError("cannot normalize a waveform whose variance is not finite "
                                    "(non-finite or overflowing samples)")
     if var == 0.0:
+        if np.any(y != y.flat[0]):  # not constant: its squared deviations underflow
+            peak = float(np.max(np.abs(y)))
+            raise DegenerateInputError(
+                f"cannot normalize a waveform of standard deviation "
+                f"{peak * float(np.std(y / peak)):.3g}: its variance underflows float64")
         raise DegenerateInputError("cannot normalize a constant waveform: its variance is zero")
     scale = 1.0 / np.sqrt(var)
     if scale > np.finfo(y.dtype).max:  # checked before the cast, which would give inf

@@ -290,20 +290,45 @@ def lstm_backward(dh_out, x, wx, wh, gates, c, h):
 # ---------------------------------------------------------------------------
 # Fractional-delay tap placement for impulse responses: an 81-tap
 # Hann-tapered truncated sinc centered on each (possibly fractional) delay.
-# Row i of the M×81 sample-index matrix holds the samples nearest delay i;
-# those outside the buffer are dropped, and one bincount adds the rest in
-# row-major order, so each sample sums its taps in delay order from 0.0.
+# Image i's delay tau splits into its nearest sample c = floor(tau + 0.5)
+# and d = tau - c; its tap k in [-40, 40] lands at c + k, at td = k - d.
+# By the angle-addition identities sin(pi·td) = -(-1)^k sin(pi·d) and
+# cos(2pi·td/81) = cos(2pi·k/81) cos(2pi·d/81) + sin(2pi·k/81) sin(2pi·d/81),
+# so each image needs three transcendentals of d, and every tap only the
+# 81-entry constants below, products, sums and one division by td.
+# Indices outside the buffer are clipped into two discard bins, one either
+# side, and one bincount over the whole M×81 matrix adds the taps in
+# row-major order, so each sample sums its taps in image order from 0.0.
 # ---------------------------------------------------------------------------
 
 SINC_HALF_WIDTH = 40
+_TAP_OFFSETS = np.arange(-SINC_HALF_WIDTH, SINC_HALF_WIDTH + 1)
+_TAP_ANGLES = 2.0 * np.pi * _TAP_OFFSETS / len(_TAP_OFFSETS)
+# Rows cos(2pi·k/81), sin(2pi·k/81) and 1, each times -(-1)^k / 2: the Hann
+# window's three terms, carrying the window's 1/2 and the sign of sin(pi·td).
+_TAP_SIGN = np.where(_TAP_OFFSETS % 2 == 0, -0.5, 0.5)
+_TAP_TERMS = _TAP_SIGN * np.stack([np.cos(_TAP_ANGLES), np.sin(_TAP_ANGLES),
+                                   np.ones(len(_TAP_OFFSETS))])
 
 
 def place_taps(delays, amps, length):
     delays = np.asarray(delays, np.float64)
-    offsets = np.arange(-SINC_HALF_WIDTH, SINC_HALF_WIDTH + 1)
-    n = np.floor(delays + 0.5).astype(np.int64)[:, None] + offsets
-    td = n - delays[:, None]
-    taps = np.asarray(amps)[:, None] * np.sinc(td) * 0.5 * (1.0 + np.cos(2.0 * np.pi * td / 81.0))
-    keep = (n >= 0) & (n < length)
-    out = np.bincount(n[keep], weights=taps[keep], minlength=length)
-    return out.astype(np.float64, copy=False)  # int zeros when no tap lands inside
+    amps = np.asarray(amps, np.float64)
+    center = np.floor(delays + 0.5)
+    frac = delays - center
+    angle = (2.0 * np.pi / len(_TAP_OFFSETS)) * frac
+    # a·sin(pi·d)/pi times each window term of d, then summed over the terms
+    scale = amps * np.sin(np.pi * frac) / np.pi
+    terms = scale[:, None] * np.stack([np.cos(angle), np.sin(angle), np.ones_like(angle)], axis=1)
+    taps = np.einsum("mi,ik->mk", terms, _TAP_TERMS)
+    td = _TAP_OFFSETS - frac[:, None]
+    exact = np.flatnonzero(frac == 0.0)  # tap k = 0 of an integer delay is 0/0
+    td[exact, SINC_HALF_WIDTH] = 1.0
+    taps /= td
+    del td  # two M×81 arrays at a time, not three
+    taps[exact, SINC_HALF_WIDTH] = amps[exact]
+    # sample n goes to bin n + 1; bins 0 and length + 1 take what falls outside
+    bins = center.astype(np.int64)[:, None] + (_TAP_OFFSETS + 1)
+    np.clip(bins, 0, length + 1, out=bins)
+    out = np.bincount(bins.ravel(), weights=taps.ravel(), minlength=length + 2)[1:length + 1]
+    return out.astype(np.float64, copy=False)  # int zeros when there is no image

@@ -14,7 +14,10 @@ amplitude beta^reflections / (4*pi*distance) at its fractional arrival delay,
 rendered with an 81-tap Hann-tapered sinc kernel. The images depend on the
 source alone, so each source's image set is enumerated once per order; each
 microphone's distances, delays and amplitudes are then formed for its own
-row alone, just before its taps are placed.
+row alone, just before its taps are placed. ``kernels.place_taps`` places a
+row's images at once: three transcendentals per image give all 81 of its
+taps by the angle-addition identities, and one ``np.bincount`` adds them,
+with the taps outside the row gathered in two discarded bins.
 
 The module needs numpy alone. Convolution and the source generators' IIR
 filters are real FFTs at a 5-smooth length (``fftconvolve``, ``iir_filter``).
@@ -45,10 +48,12 @@ DEFAULT_ORDER = 6
 # tap arrays, whatever the microphone count C, so it grows with the image
 # count alone, (2N+1)(2N²+2N+3)/3 at order N, by under 3.6 KiB per image.
 # The tracemalloc peaks of one response at orders 6, 12, 18 and 24 (377,
-# 2,625, 8,473 and 19,649 images) are 1.5, 8.7, 27.6 and 63.8 MiB at 8
-# microphones and 2.8, 11.2, 31.3 and 68.7 MiB at 128, whose rows are 1.4 to
-# 5.2 MiB of that. Order 37, 70,375 images, is the largest whose images fit
-# an allowance of 256 MiB per response; order 38 has 76,153.
+# 2,625, 8,473 and 19,649 images) are 0.7, 3.9, 11.9 and 27.1 MiB at 8
+# microphones and 2.0, 6.3, 15.6 and 32.0 MiB at 128, whose rows are 1.4 to
+# 5.2 MiB of that: about 1.4 KiB per image, two M×81 tap arrays at a time.
+# The allowance of 256 MiB per response is figured at the 3.6 KiB bound:
+# order 37, 70,375 images, is the largest order that fits it (order 38 has
+# 76,153); at the measured 1.4 KiB per image order 37 takes about 100 MiB.
 MAX_ORDER = 37
 
 
@@ -292,13 +297,17 @@ def spatialize_mixture(scene: Scene, speech, noises,
     convolved from its own drawn position, and the noise sources' spectra are
     summed before one inverse transform; all noises share one scale factor
     chosen so the channel-summed direct-to-noise energy ratio equals the
-    scene's ``snr_db``. A source whose direct path reaches no microphone
-    within the example's samples is a ``DegenerateInputError``: the example
-    would hold only sinc tails.
+    scene's ``snr_db``. A silent source, a source with a non-finite sample,
+    and a source whose direct path reaches no microphone within the
+    example's samples are each a ``DegenerateInputError`` naming the source,
+    raised before any response is simulated: the example would be silent,
+    non-finite, or hold only sinc tails.
     """
     speech = np.asarray(speech, dtype=np.float64).ravel()
     if speech.size == 0 or not np.any(speech):
         raise DegenerateInputError("speech source is silent")
+    if not np.isfinite(speech).all():
+        raise DegenerateInputError("speech source has a non-finite sample")
     if len(noises) != len(scene.noise_pos):
         raise DimensionError(
             f"got {len(noises)} noise waveforms for {len(scene.noise_pos)} drawn positions"
@@ -309,6 +318,8 @@ def spatialize_mixture(scene: Scene, speech, noises,
             raise DimensionError(f"noise {k} has {nz.size} samples, the speech has {speech.size}")
         if not np.any(nz):
             raise DegenerateInputError(f"noise source {k} is silent")
+        if not np.isfinite(nz).all():
+            raise DegenerateInputError(f"noise source {k} has a non-finite sample")
     sources = [("speech", scene.speech_pos)]
     sources += [(f"noise {k}", pos) for k, pos in enumerate(scene.noise_pos)]
     for what, pos in sources:

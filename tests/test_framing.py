@@ -190,6 +190,19 @@ def test_normalize_variance_rejects_a_non_finite_variance():
         normalize_variance(np.array([[1e300, -1e300, 3.0]]))
 
 
+def test_normalize_variance_names_a_variance_that_underflows():
+    # float64 samples at standard deviation ~1e-170 square to zero: refused
+    # as too quiet, with their level, not as a constant waveform
+    rng = np.random.default_rng(5)
+    y = rng.standard_normal((2, 100))
+    y /= np.std(y)
+    with pytest.raises(DegenerateInputError,
+                       match=r"deviation 1e-170: its variance underflows float64"):
+        normalize_variance(y * 1e-170)
+    with pytest.raises(DegenerateInputError, match="constant"):
+        normalize_variance(np.full((2, 100), 1e-170))
+
+
 def test_normalize_variance_power_of_two_bit_identity():
     # scaling the input by 2^k changes the normalized output not at all
     rng = np.random.default_rng(2)

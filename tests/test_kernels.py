@@ -10,6 +10,7 @@ import numpy.testing as npt
 import pytest
 
 import dllrnn.kernels as K
+from dllrnn import simulate
 from conftest import fd_grad, rel_err
 
 
@@ -512,17 +513,31 @@ def test_place_taps_matches_sinc_hann_oracle():
 
 
 def _place_taps_loop(delays, amps, length):
-    """The per-image ``np.add.at`` loop that ``place_taps`` replaces, kept as its
-    bit-exact reference: the same taps, added to each sample in image order."""
+    """One image at a time with ``np.add.at``, in image order: the summation
+    order ``place_taps`` keeps, and its bit-exact reference. Each image's taps
+    are the closed form the kernel evaluates: with d = tau - floor(tau + 0.5)
+    and td = k - d, sin(pi·td) = -(-1)^k sin(pi·d) and cos(2pi·td/81) =
+    cos(2pi·k/81) cos(2pi·d/81) + sin(2pi·k/81) sin(2pi·d/81), so a tap is
+    a·sin(pi·d)/pi times a signed sum of three window terms, over td."""
     out = np.zeros(length, np.float64)
-    offsets = np.arange(-40, 41)
-    for tau, a in zip(delays, amps):
-        center = int(math.floor(tau + 0.5))
-        n = center + offsets
+    k = np.arange(-40, 41)
+    signed = np.where(k % 2 == 0, -0.5, 0.5)
+    rows = signed * np.stack([np.cos(2.0 * np.pi * k / 81), np.sin(2.0 * np.pi * k / 81),
+                              np.ones(81)])
+    delays = np.asarray(delays, np.float64)
+    d = delays - np.floor(delays + 0.5)
+    angle = (2.0 * np.pi / 81) * d
+    scale = np.asarray(amps, np.float64) * np.sin(np.pi * d) / np.pi
+    cos_d, sin_d = np.cos(angle), np.sin(angle)
+    for i, tau in enumerate(delays):
+        n = int(math.floor(tau + 0.5)) + k
+        terms = scale[i] * np.array([[cos_d[i], sin_d[i], 1.0]])
+        taps = np.einsum("mi,ik->mk", terms, rows)[0]
+        td = k - d[i]
+        # the 0/0 tap k = 0 of an integer delay is the amplitude
+        taps = np.divide(taps, td, out=np.full(81, float(amps[i])), where=td != 0.0)
         keep = (n >= 0) & (n < length)
-        td = n[keep] - tau
-        taps = a * np.sinc(td) * 0.5 * (1.0 + np.cos(2.0 * np.pi * td / 81.0))
-        np.add.at(out, n[keep], taps)
+        np.add.at(out, n[keep], taps[keep])
     return out
 
 
@@ -539,10 +554,56 @@ def test_place_taps_bit_equal_to_loop_reference():
         delays = rng.uniform(-60.0, 0.0) + rng.uniform(0.0, spread + 120.0, m)
         cases.append((delays, rng.standard_normal(m), length))
         cases.append((np.floor(delays), rng.standard_normal(m), length))  # integer delays
+    for _ in range(10):
+        # many images, none with a tap outside the buffer: the discard bins
+        # stay empty and every tap goes through the one bincount
+        m = int(rng.integers(200, 800))
+        length = int(rng.integers(200, 1200))
+        delays = rng.uniform(40.5, length - 41.5, m)
+        cases.append((delays, rng.standard_normal(m), length))
     for delays, amps, length in cases:
         got = K.place_taps(delays, amps, length)
         assert got.dtype == np.float64 and got.shape == (length,)
         assert np.array_equal(got, _place_taps_loop(delays, amps, length)), (delays, length)
+
+
+def _place_taps_direct(delays, amps, length):
+    """Each tap's own sinc and Hann window, a·sinc(td)·0.5·(1 + cos(2pi·td/81)),
+    summed by one bincount over the taps inside the buffer."""
+    n = np.floor(delays + 0.5).astype(np.int64)[:, None] + np.arange(-40, 41)
+    td = n - delays[:, None]
+    taps = amps[:, None] * np.sinc(td) * 0.5 * (1.0 + np.cos(2.0 * np.pi * td / 81.0))
+    keep = (n >= 0) & (n < length)
+    return np.bincount(n[keep], weights=taps[keep], minlength=length)
+
+
+def test_place_taps_within_rounding_of_per_tap_sinc_hann():
+    # the angle-addition form moves each sample by rounding alone: within
+    # 2e-15 of the largest amplitude, on synthetic delays and on image sets
+    rng = np.random.default_rng(29)
+    length = 400
+    base = rng.uniform(-30.0, length + 30.0, 300)
+    cases = [(np.round(base) + rng.choice([-1e-12, 1e-12], 300), "near-integer"),
+             (np.round(base), "integer"),
+             (np.round(base) + 0.5, "half-integer"),
+             (-rng.uniform(0.0, 60.0, 300), "negative"),
+             (np.concatenate([rng.uniform(-40.0, 40.0, 150),
+                              rng.uniform(length - 40.0, length + 40.0, 150)]), "clipped"),
+             (base, "fractional")]
+    cases = [(delays, rng.standard_normal(len(delays)), length, what) for delays, what in cases]
+    for order in (6, 12):
+        scene = simulate.draw_scene(rng, n_mics=2)
+        positions, reflections = simulate.image_sources(scene.room, scene.speech_pos, order)
+        gains = np.sqrt(1.0 - scene.room.absorption) ** reflections
+        for mic in scene.mics:
+            dist = np.linalg.norm(positions - mic, axis=1)
+            delays = dist * simulate.SAMPLE_RATE / simulate.SPEED_OF_SOUND
+            cases.append((delays, gains / (4.0 * np.pi * dist),
+                          int(np.ceil(delays.max())) + 42, f"order {order}"))
+    for delays, amps, length, what in cases:
+        got = K.place_taps(delays, amps, length)
+        want = _place_taps_direct(delays, amps, length)
+        assert np.abs(got - want).max() <= 2e-15 * np.abs(amps).max(), what
 
 
 def test_place_taps_integer_delay_is_exact():

@@ -349,6 +349,30 @@ def test_spatialize_input_validation():
         spatialize_mixture(scene, speech, [noises[0]], order=0)
 
 
+def test_spatialize_rejects_a_non_finite_source_before_simulating(monkeypatch):
+    # a NaN speech sample or an infinite noise sample would render a NaN
+    # mixture: refused by name before any response is simulated
+    rng = np.random.default_rng(6)
+    scene = draw_scene(rng, n_mics=2, n_noise_range=(2, 2))
+    n = 800
+    speech = speech_like(rng, n)
+    noises = [white_noise(rng, n), white_noise(rng, n)]
+
+    def unreachable(*args):
+        raise AssertionError("simulate_rir ran for a non-finite source")
+
+    monkeypatch.setattr(simulate, "simulate_rir", unreachable)
+    bad_speech = speech.copy()
+    bad_speech[100] = np.nan
+    with pytest.raises(DegenerateInputError, match="^speech source has a non-finite sample"):
+        spatialize_mixture(scene, bad_speech, noises, order=1)
+    for bad in (np.inf, -np.inf, np.nan):
+        bad_noise = noises[1].copy()
+        bad_noise[-1] = bad
+        with pytest.raises(DegenerateInputError, match="^noise source 1 has a non-finite sample"):
+            spatialize_mixture(scene, speech, [noises[0], bad_noise], order=1)
+
+
 def test_spatialize_rejects_example_shorter_than_direct_arrival():
     # speech ~0.5 m from the array, noise ~11 m: an example that ends
     # before a source's first direct-path tap carries only sinc tails
