@@ -20,7 +20,8 @@ from .config import RunConfig, load_config, model_config, schedule
 from .errors import ConfigError, DataError, DegenerateInputError, NumericalError
 from .framing import SAMPLE_RATE
 from .losses import si_sdr
-from .model import (ModelConfig, build_params, count_flops, count_params, enhance_waveform)
+from .model import (ModelConfig, ParamStore, build_params, count_flops, count_params,
+                    enhance_waveform)
 from .simulate import (MAX_ORDER, draw_scene, manifest_read, manifest_write, pink_noise,
                        spatialize_mixture, speech_like, white_noise)
 from .train import OptState, TrainExample, fit
@@ -135,9 +136,7 @@ def _read_example(mixture_path, direct_path, channels=None):
 def _load_model(path):
     """A checkpoint and a store holding its parameters."""
     ck = load_checkpoint(path)
-    store = build_params(ck.config, seed=0)
-    store.load_arrays(ck.arrays)
-    return ck, store
+    return ck, ParamStore(ck.arrays.items())
 
 
 def cmd_train(args) -> int:

@@ -60,11 +60,11 @@ def normalize_variance(y):
     The scale is 1/std over all C·N samples, returned so callers can undo the
     normalization on the enhanced output. A waveform that is all zeros,
     constant, has a non-finite variance (a NaN or infinite sample), or is so
-    quiet that its variance underflows float64 or its scale overflows its
-    dtype is a
-    :class:`DegenerateInputError`. Scaling the input by a power of two
-    changes the output bit-for-bit not at all; for other factors the result
-    agrees to rounding error.
+    quiet that its scale overflows its dtype is a
+    :class:`DegenerateInputError`. Where the float64 variance is subnormal,
+    the standard deviation is taken as peak·std(y/peak), at full precision.
+    Scaling the input by a power of two changes the output bit-for-bit not
+    at all; for other factors the result agrees to rounding error.
     """
     y = np.asarray(y)
     if y.size == 0 or not np.any(y):
@@ -74,17 +74,18 @@ def normalize_variance(y):
     if not math.isfinite(var):
         raise DegenerateInputError("cannot normalize a waveform whose variance is not finite "
                                    "(non-finite or overflowing samples)")
-    if var == 0.0:
-        if np.any(y != y.flat[0]):  # not constant: its squared deviations underflow
-            peak = float(np.max(np.abs(y)))
-            raise DegenerateInputError(
-                f"cannot normalize a waveform of standard deviation "
-                f"{peak * float(np.std(y / peak)):.3g}: its variance underflows float64")
+    std = np.sqrt(var)
+    if var < np.finfo(np.float64).tiny:
+        # zero or subnormal: np.var keeps only a few significant bits there,
+        # so take the level of y / peak, which is normal, and scale it back
+        peak = float(np.max(np.abs(y)))
+        std = peak * np.sqrt(np.var(y.astype(np.float64, copy=False) / peak))
+    if std == 0.0:
         raise DegenerateInputError("cannot normalize a constant waveform: its variance is zero")
-    scale = 1.0 / np.sqrt(var)
-    if scale > np.finfo(y.dtype).max:  # checked before the cast, which would give inf
+    if std < 1.0 / float(np.finfo(y.dtype).max):  # before dividing, which would give inf
         raise DegenerateInputError(f"cannot normalize a waveform of standard deviation "
-                                   f"{np.sqrt(var):.3g}: its scale {scale:.3g} overflows {y.dtype}")
+                                   f"{std:.3g}: its scale 1/std overflows {y.dtype}")
+    scale = 1.0 / std
     return (y * np.asarray(scale, dtype=y.dtype)).astype(y.dtype), scale
 
 

@@ -45,21 +45,14 @@ class OptState:
     def for_store(cls, store: ParamStore) -> "OptState":
         return cls(*(np.zeros(store.data.shape, store.dtype) for _ in range(3)))
 
-    def moments(self, store: ParamStore):
-        """Each moment's checkpoint record suffix with its name -> view map."""
-        return [(suffix, store.views(flat))
-                for suffix, flat in (("m", self.m), ("v", self.v), ("vmax", self.v_max))]
-
     @classmethod
     def from_checkpoint(cls, ck, store: ParamStore) -> "OptState":
         """The moments and step a checkpoint carries (checked by ``load_checkpoint``),
         or fresh ones if it has none."""
         state = cls.for_store(store)
-        if ck.opt_arrays is not None:
+        if ck.opt is not None:
+            state.m[...], state.v[...], state.v_max[...] = ck.opt
             state.step = ck.opt_step
-            for suffix, views in state.moments(store):
-                for name, view in views.items():
-                    view[...] = ck.opt_arrays[f"{name}.{suffix}"]
         return state
 
 

@@ -1,5 +1,7 @@
 """Framing geometry, variance normalization, overlap-add, and the latency check."""
 
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -191,16 +193,27 @@ def test_normalize_variance_rejects_a_non_finite_variance():
 
 
 def test_normalize_variance_names_a_variance_that_underflows():
-    # float64 samples at standard deviation ~1e-170 square to zero: refused
-    # as too quiet, with their level, not as a constant waveform
+    # float64 samples at standard deviation 1e-158 to 1e-170 have a
+    # subnormal or zero float64 variance; their level is taken from y / peak
+    # at full precision, not refused and not rounded to a few bits
     rng = np.random.default_rng(5)
     y = rng.standard_normal((2, 100))
     y /= np.std(y)
-    with pytest.raises(DegenerateInputError,
-                       match=r"deviation 1e-170: its variance underflows float64"):
-        normalize_variance(y * 1e-170)
+    for level in (1e-158, 1e-160, 1e-161, 1e-170):
+        quiet = y * level
+        peak = np.max(np.abs(quiet))
+        scaled, scale = normalize_variance(quiet)
+        npt.assert_allclose(scale, 1.0 / (peak * np.std(quiet / peak)), rtol=1e-15)
+        assert abs(np.var(scaled) - 1.0) < 1e-12, level
     with pytest.raises(DegenerateInputError, match="constant"):
         normalize_variance(np.full((2, 100), 1e-170))
+    # at 1e-320 the samples themselves are subnormal and 1/std overflows
+    # float64: refused before the division, so with no RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegenerateInputError,
+                           match=r"deviation 1e-320: its scale 1/std overflows float64"):
+            normalize_variance(y * 1e-320)
 
 
 def test_normalize_variance_power_of_two_bit_identity():

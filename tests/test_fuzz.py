@@ -80,7 +80,11 @@ def test_read_wav_raises_only_wav_format_error(tmp_path, blobs, edit_list, name)
 
 @FUZZ
 @given(edit_list=edits)
-@example(edit_list=[("set", 54, 0x80)])   # first record name not UTF-8
+@example(edit_list=[("set", 60, 0x00)])   # a layout-digest byte
+@example(edit_list=[("set", 48, 0x00)])   # optimizer flag cleared: the moments trail
+@example(edit_list=[("set", 48, 0x02)])   # optimizer flag neither 0 nor 1
+@example(edit_list=[("truncate", 200, 0)])   # cut inside the parameter payload
+@example(edit_list=[("set", -1, 0xFF), ("set", -2, 0xC0)])   # NaN as the last v_max value
 @example(edit_list=[("set", 24, 0xFF), ("set", 25, 0xFF)])   # 65k blocks in the header
 def test_load_checkpoint_raises_only_data_error(tmp_path, blobs, edit_list):
     _fuzz(tmp_path / "model.ckpt", blobs["model.ckpt"], edit_list, load_checkpoint, DataError)

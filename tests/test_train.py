@@ -10,8 +10,8 @@ import numpy.testing as npt
 import pytest
 
 from dllrnn import train
-from dllrnn.checkpoint import load_checkpoint, save_checkpoint
-from dllrnn.errors import ConfigError, DataError, NumericalError
+from dllrnn.checkpoint import HEADER, load_checkpoint, save_checkpoint
+from dllrnn.errors import ConfigError, ContractError, DataError, NumericalError
 from dllrnn.framing import FrameSpec
 from dllrnn.losses import pcm_loss
 from dllrnn.model import ModelConfig, ParamStore, build_params, model_forward
@@ -390,7 +390,7 @@ def test_resume_reproduces_uninterrupted_run(tmp_path):
         Schedule(epochs=3, batch_size=1, chunk_seconds=0.04, seed=5, lr=lr),
         out_dir=str(out))
     ck = load_checkpoint(out / "epoch_0003.ckpt")
-    assert ck.step == 3 and ck.opt_arrays is not None
+    assert ck.step == 3 and ck.opt is not None
 
     store_resumed = build_params(SMALL, seed=2)
     store_resumed.load_arrays(ck.arrays)
@@ -403,18 +403,58 @@ def test_resume_reproduces_uninterrupted_run(tmp_path):
         npt.assert_array_equal(store_resumed[name].data, store_full[name].data)
 
 
+def _saved(tmp_path, store, opt_state=None):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, SMALL, store, 1, opt_state=opt_state)
+    return path
+
+
 def test_checkpoint_roundtrip_exact(tmp_path):
     store = build_params(SMALL, seed=7)
     state = OptState.for_store(store)
     state.step = 11
     store.views(state.m)["encoder.prelu"][...] = 0.125
+    store.views(state.v_max)["decoder.linear.bias"][...] = 0.5
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, SMALL, store, 42, opt_state=state)
     ck = load_checkpoint(path)
     assert ck.config == SMALL and ck.step == 42 and ck.opt_step == 11
     for name in store.names():
         npt.assert_array_equal(ck.arrays[name], store[name].data)
-    npt.assert_array_equal(ck.opt_arrays["encoder.prelu.m"], np.array(0.125, np.float32))
+    npt.assert_array_equal(ck.opt, np.stack([state.m, state.v, state.v_max]))
+    resumed = OptState.from_checkpoint(ck, store)
+    assert resumed.step == 11
+    for got, want in zip((resumed.m, resumed.v, resumed.v_max), (state.m, state.v, state.v_max)):
+        npt.assert_array_equal(got, want)
+    assert load_checkpoint(_saved(tmp_path, store)).opt is None
+
+
+def test_checkpoint_is_its_header_and_the_flat_buffers(tmp_path):
+    store = build_params(SMALL, seed=3)
+    state = OptState.for_store(store)
+    state.m[:], state.v[:], state.v_max[:] = 0.25, 0.5, 0.75
+    for opt_state, flats in ((None, [store.data]),
+                             (state, [store.data, state.m, state.v, state.v_max])):
+        blob = _saved(tmp_path, store, opt_state).read_bytes()
+        assert blob[HEADER.size:] == b"".join(flat.astype("<f4").tobytes() for flat in flats)
+        assert len(blob) == HEADER.size + 4 * store.data.size * len(flats)
+
+
+def test_checkpoint_refuses_version_1_by_name(tmp_path):
+    blob = bytearray(_saved(tmp_path, build_params(SMALL, seed=0)).read_bytes())
+    blob[8:12] = (1).to_bytes(4, "little")
+    bad = tmp_path / "v1.ckpt"
+    bad.write_bytes(bytes(blob))
+    with pytest.raises(DataError, match=re.escape(f"{bad}: unsupported checkpoint version 1")):
+        load_checkpoint(bad)
+
+
+def test_checkpoint_refuses_a_store_that_is_not_float32(tmp_path):
+    store = build_params(SMALL, seed=0, dtype=np.float64)
+    path = tmp_path / "f64.ckpt"
+    with pytest.raises(ContractError, match="float32 parameters, the store's are float64"):
+        save_checkpoint(path, SMALL, store, 1)
+    assert not path.exists()
 
 
 def test_checkpoint_rejects_corruption(tmp_path):
@@ -444,20 +484,24 @@ def test_checkpoint_rejects_corruption(tmp_path):
     tampered = bytearray(good_blob)
     tampered[16:20] = (8).to_bytes(4, "little")
     bad.write_bytes(bytes(tampered))
-    with pytest.raises(DataError, match=re.escape(
-            "parameter record 'encoder.linear.weight' has shape (4, 32), "
-            "config D-LL-RNN-8-2-2 requires (8, 32)")):
+    with pytest.raises(DataError, match=re.escape(f"{bad}: parameter layout ") +
+                       ".* does not match config D-LL-RNN-8-2-2's table"):
         load_checkpoint(bad)
 
 
 @pytest.mark.parametrize("fault,message", [
-    ("renamed", "missing parameter record 'encoder.linear.weight'"),
-    ("reshaped", "parameter record 'encoder.linear.weight' has shape (32, 8), "
-                 "config D-LL-RNN-8-2-2 requires (8, 32)"),
-    ("missing", "missing parameter record 'decoder.linear.bias'"),
-    ("unknown", "unknown parameter record 'extra.weight'"),
+    ("renamed", "store has ('encoder.linear.weights', (8, 32)) where config D-LL-RNN-8-2-2's "
+                "table has ('encoder.linear.weight', (8, 32))"),
+    ("reshaped", "store has ('encoder.linear.weight', (32, 8)) where config D-LL-RNN-8-2-2's "
+                 "table has ('encoder.linear.weight', (8, 32))"),
+    ("missing", "store has no row where config D-LL-RNN-8-2-2's "
+                "table has ('decoder.linear.bias', (8,))"),
+    ("unknown", "store has ('extra.weight', (3,)) where config D-LL-RNN-8-2-2's "
+                "table has no row"),
 ], ids=["renamed", "reshaped", "missing", "unknown"])
 def test_checkpoint_rejects_mismatched_records(tmp_path, fault, message):
+    # the file holds no names, so a store off the config's table is refused
+    # at save, before the file is opened
     rows = []
     for name, tensor in build_params(SMALL, seed=0).items():
         arr = tensor.data
@@ -472,9 +516,9 @@ def test_checkpoint_rejects_mismatched_records(tmp_path, fault, message):
         rows.append(("extra.weight", np.zeros(3, np.float32)))
     store = ParamStore(rows)
     path = tmp_path / f"{fault}.ckpt"
-    save_checkpoint(path, SMALL, store, 1)
-    with pytest.raises(DataError, match=re.escape(f"{path}: {message}")):
-        load_checkpoint(path)
+    with pytest.raises(ContractError, match=re.escape(message)):
+        save_checkpoint(path, SMALL, store, 1)
+    assert not path.exists()
 
 
 def test_checkpoint_rejects_trailing_bytes(tmp_path):
