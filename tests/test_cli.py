@@ -1,6 +1,7 @@
 """End-to-end command-line workflows: simulate -> train -> enhance -> evaluate,
 exit codes, and run-to-run byte determinism."""
 
+import hashlib
 import os
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 
 from dllrnn.checkpoint import HEADER, load_checkpoint, save_checkpoint
 from dllrnn.cli import evaluate_manifest, main
-from dllrnn.model import build_params
+from dllrnn.model import build_params, param_table
 from dllrnn.simulate import manifest_read, manifest_write
 from dllrnn.train import OptState
 from dllrnn.wavio import read_wav, write_wav
@@ -223,6 +224,69 @@ def test_enhance_all_zero_wav_exits_2(workspace, tmp_path, capsys):
         err = capsys.readouterr().err
         assert f"error: {message}" in err and "Traceback" not in err
         assert not out.exists()
+
+
+def _with_foreign_layout(path, fault):
+    """Rewrite the checkpoint at ``path`` with the layout digest of a table
+    whose 'encoder.linear.weight' row is renamed or transposed. The payload
+    fits that table value for value; only the digest tells the two apart."""
+    blob = bytearray(path.read_bytes())
+    lines = {None: [], fault: []}
+    for name, shape, _ in param_table(load_checkpoint(path).config):
+        lines[None].append(f"{name}:{'x'.join(map(str, shape))}\n")
+        if name == "encoder.linear.weight":
+            if fault == "renamed":
+                name = "encoder.linear.weights"
+            else:
+                shape = shape[::-1]  # same scalar count in the transposed shape
+        lines[fault].append(f"{name}:{'x'.join(map(str, shape))}\n")
+    digest = {key: hashlib.sha256("".join(rows).encode()).digest()
+              for key, rows in lines.items()}
+    assert blob[HEADER.size - 32:HEADER.size] == digest[None]
+    blob[HEADER.size - 32:HEADER.size] = digest[fault]
+    path.write_bytes(bytes(blob))
+
+
+@pytest.mark.parametrize("fault", ["renamed", "reshaped"])
+def test_bad_parameter_record_exits_2(workspace, tmp_path, capsys, fault):
+    ck = load_checkpoint(workspace["ckpt"])
+    store = build_params(ck.config)
+    store.load_arrays(ck.arrays)
+    bad = tmp_path / f"{fault}.ckpt"
+    save_checkpoint(bad, ck.config, store, ck.step)
+    _with_foreign_layout(bad, fault)
+    mixture = workspace["data"] / manifest_read(workspace["manifest"])[0]["mixture"]
+    assert main(["enhance", str(bad), str(mixture), "--out", str(tmp_path / "o.wav")]) == 2
+    assert main(["evaluate", str(bad), str(workspace["manifest"])]) == 2
+    assert main(["train", "--config", str(workspace["cfg"]),
+                 "--manifest", str(workspace["manifest"]),
+                 "--out", str(tmp_path / "run"), "--resume", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.count(f"error: {bad}: parameter layout ") == 3
+    assert err.count(f"does not match config {ck.config.name}'s table") == 3
+    assert "Traceback" not in err
+    assert not (tmp_path / "o.wav").exists() and not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("fault", ["renamed", "reshaped"])
+def test_bad_optimizer_record_exits_2(workspace, tmp_path, capsys, fault):
+    # the moments follow the parameters in the same table order under the
+    # same digest, so a resume file from another table is refused before
+    # any moment is read
+    ck = load_checkpoint(workspace["ckpt"])
+    store = build_params(ck.config)
+    store.load_arrays(ck.arrays)
+    state = OptState.from_checkpoint(ck, store)
+    bad = tmp_path / f"{fault}.ckpt"
+    save_checkpoint(bad, ck.config, store, ck.step, opt_state=state)
+    assert load_checkpoint(bad).opt is not None
+    _with_foreign_layout(bad, fault)
+    assert main(["train", "--config", str(workspace["cfg"]),
+                 "--manifest", str(workspace["manifest"]),
+                 "--out", str(tmp_path / "run"), "--resume", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {bad}: parameter layout " in err and "Traceback" not in err
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize("fault,message", [
