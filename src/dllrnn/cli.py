@@ -161,7 +161,7 @@ def cmd_train(args) -> int:
         store = build_params(mconfig, seed=cfg.seed)
         state = OptState.for_store(store)
     history = fit(mconfig, store, dataset, sched, out_dir=out_dir,
-                  state=state, start_step=start_step, quiet=False)
+                  state=state, start_step=start_step)
     if history:
         print(f"finished at step {history[-1]['step']}, loss {history[-1]['loss']:.6e}")
     save_checkpoint(os.path.join(out_dir, "final.ckpt"), mconfig, store,
@@ -190,9 +190,9 @@ def _parse_count_name(name: str, channels: int) -> ModelConfig:
 
 
 def cmd_count(args) -> int:
+    configs = [_parse_count_name(name, args.channels) for name in args.configs]
     print(f"{'config':<20} {'params':>12} {'params(M)':>10} {'GFLOPs/s':>10}")
-    for name in args.configs:
-        config = _parse_count_name(name, args.channels)
+    for config in configs:
         params = count_params(config)
         gflops = count_flops(config) / 1e9
         print(f"{config.name:<20} {params:>12} {params / 1e6:>10.3f} {gflops:>10.3f}")

@@ -69,24 +69,36 @@ def normalize_variance(y):
     y = np.asarray(y)
     if y.size == 0 or not np.any(y):
         raise DegenerateInputError("cannot normalize an all-zero waveform")
+    x = y.astype(np.float64)
     with np.errstate(invalid="ignore", over="ignore"):
-        var = float(np.var(y.astype(np.float64, copy=False)))
+        var = _variance_in_place(x)
     if not math.isfinite(var):
         raise DegenerateInputError("cannot normalize a waveform whose variance is not finite "
                                    "(non-finite or overflowing samples)")
     std = np.sqrt(var)
     if var < np.finfo(np.float64).tiny:
-        # zero or subnormal: np.var keeps only a few significant bits there,
-        # so take the level of y / peak, which is normal, and scale it back
+        # zero or subnormal: the variance keeps only a few significant bits
+        # there, so take the level of y / peak, which is normal, and scale it back
         peak = float(np.max(np.abs(y)))
-        std = peak * np.sqrt(np.var(y.astype(np.float64, copy=False) / peak))
+        x[...] = y
+        x /= peak
+        std = peak * np.sqrt(_variance_in_place(x))
+    del x
     if std == 0.0:
         raise DegenerateInputError("cannot normalize a constant waveform: its variance is zero")
     if std < 1.0 / float(np.finfo(y.dtype).max):  # before dividing, which would give inf
         raise DegenerateInputError(f"cannot normalize a waveform of standard deviation "
                                    f"{std:.3g}: its scale 1/std overflows {y.dtype}")
     scale = 1.0 / std
-    return (y * np.asarray(scale, dtype=y.dtype)).astype(y.dtype), scale
+    return y * np.asarray(scale, dtype=y.dtype), scale
+
+
+def _variance_in_place(x):
+    """``np.var`` of float64 ``x`` by the same operations, so to the bit,
+    with ``x`` itself as the deviations' buffer."""
+    x -= x.sum() / x.size
+    np.multiply(x, x, out=x)
+    return float(x.sum() / x.size)
 
 
 def windows(data, width: int, hop: int):

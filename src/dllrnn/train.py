@@ -1,11 +1,16 @@
 """Optimization: AMSGrad-flavored Adam, global gradient clipping, the fit loop.
 
-Determinism is the organizing principle. Every stochastic choice — epoch
-shuffling and per-example chunk cropping — is drawn from a generator keyed on
-(seed, a fixed stream tag, the epoch or step counter), never from a shared
-mutable RNG. Together with checkpoints that carry the optimizer moments and
-the step counter, this makes a resumed run reproduce the continuation of the
-original run bit for bit in single-threaded mode.
+Determinism is the organizing principle. ``fit`` walks the schedule as one
+sequence of step indices, ``epochs`` times ⌈N/B⌉ of them, and every
+stochastic choice — epoch shuffling and per-example chunk cropping — is
+drawn from a generator keyed on (seed, a fixed stream tag, the epoch or the
+step index), never from a shared mutable RNG. Together with checkpoints that
+carry the optimizer moments and the step counter, this makes a resumed run
+reproduce the continuation of the original run bit for bit in
+single-threaded mode. A resume at step s runs indices s onwards, so it runs
+only what the schedule has left, even part way through an epoch or after a
+change of batch size or dataset; printed and ``train.log`` lines follow
+``out_dir``.
 """
 
 from __future__ import annotations
@@ -126,8 +131,14 @@ def _crop(rng, n: int, chunk_len: int) -> slice:
 
 
 def fit(config: ModelConfig, store: ParamStore, dataset, schedule: Schedule, *,
-        out_dir=None, state: OptState = None, start_step: int = 0, quiet: bool = True):
+        out_dir=None, state: OptState = None, start_step: int = 0):
     """Train ``store`` in place on a list of examples; returns the step history.
+
+    The schedule is one sequence of ``epochs·⌈N/B⌉`` step indices; index i
+    is step i + 1 of epoch ``i // ⌈N/B⌉``, whose shuffled order is drawn when
+    the walk enters it. A call runs the indices from ``start_step`` to the
+    end, so a resume at any step, on an epoch boundary or inside an epoch,
+    runs exactly the steps the schedule has left.
 
     Each step draws one seeded random chunk per batch example. Each example
     gets its own tape: the model runs on the mixture, the spectral loss
@@ -135,9 +146,11 @@ def fit(config: ModelConfig, store: ParamStore, dataset, schedule: Schedule, *,
     backward sweep follows at once, so only one example's activations are
     alive at a time. The parameters' gradients add up over the batch and are
     scaled by 1/B into the batch mean; then the global gradient norm is
-    clipped and one optimizer step applied. With ``out_dir`` set, a
-    checkpoint is written per epoch plus a best-loss one, and log lines go to
-    ``train.log``.
+    clipped and one optimizer step applied. With ``out_dir`` set, each log
+    line is printed and appended to ``train.log``, and a checkpoint is
+    written at each epoch's last step, plus a best one when the epoch's mean
+    loss is the lowest of this call. An epoch that a resume entered part way
+    has a mean over the steps this call ran.
     """
     from .checkpoint import save_checkpoint
 
@@ -149,70 +162,70 @@ def fit(config: ModelConfig, store: ParamStore, dataset, schedule: Schedule, *,
                        ("chunk_seconds", schedule.chunk_seconds)):
         if not (math.isfinite(value) and value > 0):
             raise ConfigError(f"{key} must be finite and positive, got {value}")
-    for key, value in (("epochs", schedule.epochs), ("seed", schedule.seed)):
+    for key, value in (("epochs", schedule.epochs), ("seed", schedule.seed),
+                       ("start_step", start_step)):
         if value < 0:
             raise ConfigError(f"{key} must be >= 0, got {value}")
+    # a chunk longer than every example crops nothing, however long it is
+    chunk_len = round(min(schedule.chunk_seconds * SAMPLE_RATE, 2.0 ** 62))
+    if chunk_len < 1:
+        raise ConfigError(f"chunk_seconds {schedule.chunk_seconds} is under one sample "
+                          f"at {SAMPLE_RATE} Hz")
     if state is None:
         state = OptState.for_store(store)
-    chunk_len = max(1, int(round(schedule.chunk_seconds * SAMPLE_RATE)))
-    steps_per_epoch = -(-len(dataset) // schedule.batch_size)
-    start_epoch = start_step // steps_per_epoch
+    per_epoch = -(-len(dataset) // schedule.batch_size)
     history = []
     best_loss = np.inf
     log_fh = None
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         log_fh = open(os.path.join(out_dir, "train.log"), "a", encoding="utf-8")
-    step = start_step
     try:
-        for epoch in range(start_epoch, schedule.epochs):
-            order = np.random.default_rng((schedule.seed, _EPOCH_STREAM, epoch)).permutation(
-                len(dataset))
-            epoch_losses = []
-            for k in range(steps_per_epoch):
-                batch = order[k * schedule.batch_size:(k + 1) * schedule.batch_size]
-                rng = np.random.default_rng((schedule.seed, _STEP_STREAM, step))
-                t0 = time.perf_counter()
-                store.zero_grad()
-                total = 0
-                for idx in batch:
-                    ex = dataset[idx]
-                    window = _crop(rng, ex.mixture.shape[1], chunk_len)
-                    mix = ex.mixture[:, window].astype(store.dtype, copy=False)
-                    target = ex.s_direct[0, window].astype(store.dtype, copy=False)
-                    with Tape() as tape:
-                        est = model_forward(mix, config, store)
-                        item = pcm_loss(est, target, mix[0])
-                        tape.backward(item)
-                    total = total + item.data
-                inv_batch = store.dtype.type(1.0 / len(batch))
-                store.grad *= inv_batch
-                loss_value = float(total * inv_batch)
-                if not np.isfinite(loss_value):
-                    raise NumericalError(f"non-finite loss {loss_value} at step {step + 1}")
-                grad_norm = clip_grad_norm(store, schedule.clip)
-                adam_step(store, state, schedule.lr)
-                step += 1
-                wall = time.perf_counter() - t0
-                record = {"step": step, "epoch": epoch, "loss": loss_value,
-                          "grad_norm": grad_norm, "wall_s": wall}
-                history.append(record)
-                epoch_losses.append(loss_value)
-                line = (f"step={step} epoch={epoch} loss={loss_value:.6e} "
+        for index in range(start_step, schedule.epochs * per_epoch):
+            epoch, k = divmod(index, per_epoch)
+            if k == 0 or index == start_step:
+                order = np.random.default_rng((schedule.seed, _EPOCH_STREAM, epoch)).permutation(
+                    len(dataset))
+            batch = order[k * schedule.batch_size:(k + 1) * schedule.batch_size]
+            rng = np.random.default_rng((schedule.seed, _STEP_STREAM, index))
+            t0 = time.perf_counter()
+            store.zero_grad()
+            total = 0
+            for idx in batch:
+                ex = dataset[idx]
+                window = _crop(rng, ex.mixture.shape[1], chunk_len)
+                mix = ex.mixture[:, window].astype(store.dtype, copy=False)
+                target = ex.s_direct[0, window].astype(store.dtype, copy=False)
+                with Tape() as tape:
+                    est = model_forward(mix, config, store)
+                    item = pcm_loss(est, target, mix[0])
+                    tape.backward(item)
+                total = total + item.data
+            inv_batch = store.dtype.type(1.0 / len(batch))
+            store.grad *= inv_batch
+            loss_value = float(total * inv_batch)
+            if not np.isfinite(loss_value):
+                raise NumericalError(f"non-finite loss {loss_value} at step {index + 1}")
+            grad_norm = clip_grad_norm(store, schedule.clip)
+            adam_step(store, state, schedule.lr)
+            wall = time.perf_counter() - t0
+            history.append({"step": index + 1, "epoch": epoch, "loss": loss_value,
+                            "grad_norm": grad_norm, "wall_s": wall})
+            if log_fh is not None:
+                line = (f"step={index + 1} epoch={epoch} loss={loss_value:.6e} "
                         f"grad_norm={grad_norm:.6e} wall_s={wall:.3f}")
-                if log_fh is not None:
-                    log_fh.write(line + "\n")
-                    log_fh.flush()
-                if not quiet:
-                    print(line)
-            if out_dir is not None:
+                log_fh.write(line + "\n")
+                log_fh.flush()
+                print(line)
+            if out_dir is not None and k == per_epoch - 1:
                 save_checkpoint(os.path.join(out_dir, f"epoch_{epoch + 1:04d}.ckpt"),
-                                config, store, step, opt_state=state)
-                mean_loss = float(np.mean(epoch_losses))
+                                config, store, index + 1, opt_state=state)
+                # the epoch's steps that this call ran: all k + 1, or fewer after a resume
+                mean_loss = float(np.mean([h["loss"] for h in history[-(k + 1):]]))
                 if mean_loss < best_loss:
                     best_loss = mean_loss
                     save_checkpoint(os.path.join(out_dir, "best.ckpt"),
-                                    config, store, step, opt_state=state)
+                                    config, store, index + 1, opt_state=state)
     finally:
         if log_fh is not None:
             log_fh.close()

@@ -53,7 +53,7 @@ def read_wav(path):
         elif chunk_id == b"data":
             if fmt is None:
                 raise WavFormatError(f"{path}: data chunk at byte {pos} precedes fmt chunk")
-            return _decode(path, pos, fmt, blob[body_at:body_at + size])
+            return _decode(path, pos, fmt, memoryview(blob)[body_at:body_at + size])
         pos = body_at + size + (size & 1)
     raise WavFormatError(f"{path}: no data chunk found (scanned to byte {pos})")
 
@@ -76,11 +76,15 @@ def _decode(path, chunk_pos, fmt, payload):
             f"{path}: data chunk at byte {chunk_pos} holds {len(payload)} bytes, not divisible "
             f"by {channels} channels of {bits // 8}-byte samples"
         )
-    samples = np.frombuffer(payload, dtype=dtype).astype(np.float32)
+    # the payload is a view of the file's bytes: check it in place (16-bit
+    # integers are always finite), then convert and de-interleave in one copy
+    interleaved = np.frombuffer(payload, dtype=dtype)
+    if dtype == "<f4":
+        _check_finite(path, interleaved, channels)
+    samples = np.array(interleaved.reshape(-1, channels).T, dtype=np.float32, order="C")
     if dtype == "<i2":
         samples /= 32768.0
-    _check_finite(path, samples, channels)
-    return np.ascontiguousarray(samples.reshape(-1, channels).T), rate
+    return samples, rate
 
 
 def _check_finite(path, interleaved, channels):

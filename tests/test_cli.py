@@ -75,6 +75,14 @@ def test_count_table(capsys):
     assert capsys.readouterr().out == out
 
 
+@pytest.mark.parametrize("args", [["64-8-8", "--channels", "0"], ["64-8-8", "64-8"]],
+                         ids=["channels_zero", "later_name_bad"])
+def test_count_prints_nothing_before_refusing(capsys, args):
+    assert main(["count"] + args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "error:" in captured.err
+
+
 def test_simulate_zero_count(tmp_path, capsys):
     out = tmp_path / "empty"
     assert main(["simulate", "--count", "0", "--out", str(out)]) == 0
@@ -148,6 +156,18 @@ def test_train_resume_continues_steps(workspace, tmp_path):
                  "--out", str(resumed), "--resume", str(workspace["ckpt"])]) == 0
     lines = (resumed / "train.log").read_text().splitlines()
     assert lines[0].startswith("step=5 ") and lines[-1].startswith("step=8 ")
+
+
+def test_train_chunk_under_one_sample_exits_1(workspace, tmp_path, capsys):
+    cfg = tmp_path / "short.cfg"
+    cfg.write_text(TINY_CFG.replace("chunk_s=0.05", "chunk_s=1e-300"))
+    out = tmp_path / "run"
+    assert main(["train", "--config", str(cfg), "--manifest", str(workspace["manifest"]),
+                 "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert "chunk_seconds 1e-300 is under one sample at 16000 Hz" in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+    assert not out.exists()
 
 
 def test_train_resume_config_mismatch(workspace, tmp_path):

@@ -1,5 +1,6 @@
 """Framing geometry, variance normalization, overlap-add, and the latency check."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -214,6 +215,34 @@ def test_normalize_variance_names_a_variance_that_underflows():
         with pytest.raises(DegenerateInputError,
                            match=r"deviation 1e-320: its scale 1/std overflows float64"):
             normalize_variance(y * 1e-320)
+
+
+def test_normalize_variance_scale_is_bit_equal_to_np_var_of_a_float64_copy():
+    # the variance is np.var's operations on one float64 copy, so the scale
+    # keeps np.var's bits. Seeds 66 and 104 are inputs on which
+    # np.var(y, dtype=np.float64), which casts in blocks, differs in its
+    # last bits (numpy 2.4)
+    for seed in (0, 1, 2, 66, 104):
+        rng = np.random.default_rng(seed)
+        y = (rng.standard_normal((8, 32000)) * 10 ** rng.uniform(-3, 3)
+             + rng.uniform(-5, 5, (8, 1))).astype(np.float32)
+        scaled, scale = normalize_variance(y)
+        assert scale == 1.0 / np.sqrt(np.var(y.astype(np.float64))), seed
+        assert scaled.dtype == np.float32
+        npt.assert_array_equal(scaled, y * np.float32(scale))
+
+
+def test_normalize_variance_memory_is_one_float64_copy():
+    # the float64 copy is the deviations' buffer and is freed before the
+    # scaled output is made: the peak is twice the float32 input, not 4x
+    y = np.random.default_rng(4).standard_normal((8, 40000)).astype(np.float32)
+    tracemalloc.start()
+    try:
+        scaled, _ = normalize_variance(y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.2 * y.nbytes, peak / y.nbytes
 
 
 def test_normalize_variance_power_of_two_bit_identity():

@@ -403,6 +403,76 @@ def test_resume_reproduces_uninterrupted_run(tmp_path):
         npt.assert_array_equal(store_resumed[name].data, store_full[name].data)
 
 
+def test_resume_inside_an_epoch_runs_what_the_schedule_has_left(tmp_path, monkeypatch):
+    # 5 examples of distinct lengths at batch 1 make 5 steps per epoch; a
+    # batch-2 run of 3 epochs stops at step 9, inside epoch 1. Resumed there
+    # with 4 epochs, fit runs steps 10-20 and feeds each the example the
+    # uninterrupted run feeds it
+    dataset = []
+    for i in range(5):
+        ex = make_anechoic_example(seed=10 * i, n=300 + 16 * i)
+        dataset.append(TrainExample(mixture=ex.mixture.astype(np.float32),
+                                    s_direct=ex.s_direct.astype(np.float32)))
+    seen = []
+    forward = train.model_forward
+
+    def traced_forward(mix, *args, **kwargs):
+        seen.append(mix.shape[1])
+        return forward(mix, *args, **kwargs)
+
+    monkeypatch.setattr(train, "model_forward", traced_forward)
+    sched = Schedule(epochs=4, batch_size=1, chunk_seconds=1.0, seed=4, lr=1e-3)
+    fit(SMALL, build_params(SMALL, seed=0), dataset, sched)
+    uninterrupted = seen[9:]
+    seen.clear()
+
+    out = tmp_path / "run"
+    history = fit(SMALL, build_params(SMALL, seed=0), dataset, sched, out_dir=str(out),
+                  start_step=9)
+    assert [h["step"] for h in history] == list(range(10, 21))
+    assert [h["epoch"] for h in history] == [index // 5 for index in range(9, 20)]
+    assert seen == uninterrupted
+    assert sorted(p.name for p in out.glob("epoch_*.ckpt")) == [
+        "epoch_0002.ckpt", "epoch_0003.ckpt", "epoch_0004.ckpt"]
+    assert [load_checkpoint(out / f"epoch_{e:04d}.ckpt").step for e in (2, 3, 4)] == [10, 15, 20]
+    assert len((out / "train.log").read_text().splitlines()) == 11
+
+
+def test_fit_refuses_a_negative_start_step(tmp_path):
+    store = build_params(SMALL, seed=0)
+    before = store.data.copy()
+    out = tmp_path / "run"
+    with pytest.raises(ConfigError, match="^start_step must be >= 0, got -1$"):
+        fit(SMALL, store, _tiny_dataset(n_examples=1), Schedule(epochs=1, batch_size=1),
+            out_dir=str(out), start_step=-1)
+    npt.assert_array_equal(store.data, before)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("seconds", [1e-300, 0.5 / 16000])
+def test_fit_refuses_a_chunk_under_one_sample(tmp_path, seconds):
+    # a one-sample chunk would score 0 with zero gradients: the loss's Hann
+    # window is 0 at its first tap. Half a sample rounds to none
+    out = tmp_path / "run"
+    with pytest.raises(ConfigError,
+                       match=f"^chunk_seconds {seconds} is under one sample at 16000 Hz$"):
+        fit(SMALL, build_params(SMALL, seed=0), _tiny_dataset(n_examples=1),
+            Schedule(epochs=1, batch_size=1, chunk_seconds=seconds), out_dir=str(out))
+    assert not out.exists()
+
+
+def test_fit_chunk_longer_than_any_sample_count_crops_nothing():
+    # 1e305 s is past every integer sample count; like any chunk longer than
+    # the examples it trains on each one whole
+    dataset = _tiny_dataset(n_examples=2, n=300)
+    runs = []
+    for seconds in (1.0, 1e305):
+        history = fit(SMALL, build_params(SMALL, seed=0), dataset,
+                      Schedule(epochs=2, batch_size=1, chunk_seconds=seconds, seed=1))
+        runs.append([(h["loss"], h["grad_norm"]) for h in history])
+    assert runs[0] == runs[1]
+
+
 def _saved(tmp_path, store, opt_state=None):
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, SMALL, store, 1, opt_state=opt_state)

@@ -2,6 +2,7 @@
 byte-offset-carrying parse errors."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -153,3 +154,27 @@ def test_float_file_has_fact_chunk(tmp_path):
     fact_at = blob.index(b"fact")
     (count,) = struct.unpack("<I", blob[fact_at + 8:fact_at + 12])
     assert count == 7
+
+
+@pytest.mark.parametrize("sample_format,bound", [("float32", 2.2), ("int16", 3.2)])
+def test_read_memory_is_the_file_and_one_result(tmp_path, sample_format, bound):
+    # the data chunk is decoded from a view of the file's bytes and
+    # de-interleaved in one copy: a float32 file peaks at its bytes plus the
+    # C×N result (2x), an int16 file at its bytes plus a result twice as
+    # large (3x)
+    data = 0.3 * np.random.default_rng(9).standard_normal((8, 32000))
+    path = tmp_path / f"{sample_format}.wav"
+    write_wav(path, data, sample_format=sample_format)
+    size = path.stat().st_size
+    tracemalloc.start()
+    try:
+        back, _ = read_wav(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert back.shape == (8, 32000) and back.flags.c_contiguous and back.flags.writeable
+    assert peak <= bound * size, peak / size
+    # one channel needs no de-interleaving, and is still its own copy
+    write_wav(path, data[:1], sample_format=sample_format)
+    mono, _ = read_wav(path)
+    assert mono.flags.owndata and mono.flags.writeable
