@@ -22,8 +22,9 @@ from .framing import SAMPLE_RATE
 from .losses import si_sdr
 from .model import (ModelConfig, ParamStore, build_params, count_flops, count_params,
                     enhance_waveform)
-from .simulate import (MAX_ORDER, draw_scene, manifest_read, manifest_write, pink_noise,
-                       spatialize_mixture, speech_like, white_noise)
+from .simulate import (EXAMPLE_ALLOWANCE, MAX_ORDER, draw_scene, manifest_read, manifest_write,
+                       max_example_samples, pink_noise, spatialize_mixture, speech_like,
+                       white_noise)
 from .train import OptState, TrainExample, fit
 from .wavio import read_wav, write_wav
 
@@ -71,6 +72,11 @@ def cmd_simulate(args) -> int:
     n_samples = int(round(cfg.duration_s * SAMPLE_RATE))
     if n_samples < 1:
         raise ConfigError(f"duration_s {cfg.duration_s} is under one sample at {SAMPLE_RATE} Hz")
+    longest = max_example_samples(cfg.channels, cfg.noise_max + 1)
+    if n_samples > longest:
+        raise ConfigError(f"duration_s {cfg.duration_s} is over the {longest / SAMPLE_RATE:.1f} s "
+                          f"an example of {cfg.channels} microphones and up to {cfg.noise_max} "
+                          f"noises may take in {EXAMPLE_ALLOWANCE >> 20} MiB")
     try:
         os.makedirs(cfg.out, exist_ok=True)
     except OSError as exc:

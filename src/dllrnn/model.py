@@ -33,7 +33,10 @@ initializers in the order :func:`_forward` takes them. :func:`build_params`,
 written once, as :func:`_forward` on plain arrays, and every layer's
 arithmetic lives in :mod:`dllrnn.kernels`.
 :func:`model_forward` runs it over the T frames of an utterance and records
-it, with the overlap-add and the output rescale, on the tape as a single op.
+it, with the overlap-add and the output rescale, on the tape as a single op;
+with no tape it runs the frames in spans of ``_BLOCK_HOPS``, carrying the
+LSTM states, so its memory does not grow with the utterance beyond the
+input's copies.
 Its backward gathers the gradient back into frames and runs
 :func:`_backward`, the assembly's reverse sweep written out by hand
 (Griewank & Walther, *Evaluating Derivatives*, SIAM 2008).
@@ -77,8 +80,9 @@ caller's state array. The backward rebuilds ``mixed`` with the forward's
 small blocks, drops it once stream 0 is copied out for the LSTM backward,
 and writes the layer norm's input gradient, through the PReLU, over the
 block's ``d_mixed``; the kernel rebuilds the PReLU's input into its own
-scratch. A no-tape forward of 2 s of 8-channel
-64-8-8 input peaks at 42.9 MiB, 31.7 MiB of it the dense stack.
+scratch. A no-tape forward of 8-channel 64-8-8 input holds one 1 s span's
+dense stack (15.9 MiB) at a time: it peaks at 22.9 MiB at 2 s and 31.7 MiB
+at 10 s, where one whole-utterance call took 42.9 and 214.1 MiB.
 """
 
 from __future__ import annotations
@@ -433,6 +437,12 @@ def _input(y, config: ModelConfig, dtype):
     return y.astype(dtype, copy=False)
 
 
+# Inference runs in spans of this many hops (1 s at the default 16-sample
+# hop): model_forward with no tape and enhance_waveform's pushes alike, so
+# memory stays bounded however long the input.
+_BLOCK_HOPS = 1000
+
+
 def model_forward(y, config: ModelConfig, store: ParamStore, *, scale=None) -> Tensor:
     """Enhance a C×N waveform to a 1×N direct-path estimate (as a Tensor).
 
@@ -441,9 +451,14 @@ def model_forward(y, config: ModelConfig, store: ParamStore, *, scale=None) -> T
     freezes the normalization, keeping the processor strictly causal — the
     streaming session and the latency check rely on that. Under an active
     tape this is one recorded op, whose backward can run once: its sweep
-    frees the activations it reads. The backward reads the store's arrays as
-    they are then, so an update to the store between the two changes it. An
-    input with a NaN or infinite sample is a
+    frees the activations it reads, which the forward keeps from one
+    whole-utterance :func:`_forward`. With no tape the frames go through
+    :func:`_forward` in spans of ``_BLOCK_HOPS``, the LSTM states carried
+    from span to span, so only one span's activations are alive; as every
+    forward kernel computes a frame the same way however many frames share
+    the call, the output has the same bytes as under a tape. The backward
+    reads the store's arrays as they are then, so an update to the store
+    between the two changes it. An input with a NaN or infinite sample is a
     :class:`~dllrnn.errors.DegenerateInputError`.
     """
     dtype = store.dtype
@@ -457,11 +472,18 @@ def model_forward(y, config: ModelConfig, store: ParamStore, *, scale=None) -> T
     spec, n = config.frame, y.shape[1]
     tensors = store.tensors()
     params = [t.data for t in tensors]
-    # Activations are kept only when a tape will replay them.
+    frames = frame_signal(signal, spec)
+    states = np.zeros((config.blocks, 2, config.hidden), dtype)
+    t_len = frames.shape[1]
+    # Activations are kept only when a tape will replay them, and then from
+    # one whole-utterance call; with no tape the frames go through in spans
+    # of _BLOCK_HOPS, the LSTM states carried from one to the next.
     caches = [] if active_tape() is not None else None
-    out = _forward(config, params, frame_signal(signal, spec),
-                   np.zeros((config.blocks, 2, config.hidden), dtype), caches)
-    t_len, inv_scale = out.shape[0], np.asarray(1.0 / scale, dtype=dtype)
+    span = t_len if caches is not None else _BLOCK_HOPS
+    out = np.empty((t_len, spec.l_out), dtype)
+    for k in range(0, t_len, span):
+        out[k:k + span] = _forward(config, params, frames[:, k:k + span], states, caches)
+    inv_scale = np.asarray(1.0 / scale, dtype=dtype)
     sums = overlap_add(out, spec.hop)
     counts = sums[1, :n]
 
@@ -563,11 +585,6 @@ class StreamingEnhancer:
         emitted = sums[:1, :m * spec.hop] / sums[1, :m * spec.hop]
         emitted *= self._inv_scale
         return emitted
-
-
-# Inputs go through a session in pushes of this many hops (1 s at the
-# default 16-sample hop), so memory stays bounded however long the input.
-_BLOCK_HOPS = 1000
 
 
 def enhance_waveform(y, config: ModelConfig, store: ParamStore, *, scale=None):

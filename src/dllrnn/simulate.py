@@ -55,6 +55,24 @@ DEFAULT_ORDER = 6
 # order 37, 70,375 images, is the largest order that fits it (order 38 has
 # 76,153); at the measured 1.4 KiB per image order 37 takes about 100 MiB.
 MAX_ORDER = 37
+# The longest example simulated, in samples, at C microphones and S sources
+# (the speech and up to noise_max noises). Beside the responses, whose size
+# the order sets, one example's working set grows with its length: its C×N
+# rows (direct, reverberant, noise, mixture and their float32 copies), the
+# convolutions' spectra and each source's waveform. The tracemalloc peaks of
+# one order-6 example grow from 2 s to 10 s by 464 and 536 bytes per sample
+# at 8 microphones with 1 and 10 noises, 68 and 140 at 1 microphone and
+# 1,808 and 1,880 at 32: under 8 float64 per microphone plus one per source.
+# The allowance of 1 GiB per example is figured at that bound: 111.8 s at 8
+# microphones and 10 noises.
+EXAMPLE_ALLOWANCE = 2 ** 30
+
+
+def max_example_samples(n_mics: int, n_sources: int) -> int:
+    """The most samples an example of ``n_mics`` microphones and ``n_sources``
+    sources may have for its per-sample working set to fit
+    ``EXAMPLE_ALLOWANCE``."""
+    return EXAMPLE_ALLOWANCE // (8 * (8 * n_mics + n_sources))
 
 
 # ---------------------------------------------------------------------------

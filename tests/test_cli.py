@@ -404,6 +404,9 @@ def test_evaluate_skips_unusable_example(workspace, tmp_path, capsys, fault):
     ("simulate", "duration_s=-1", "duration_s -1.0 is under one sample"),
     ("simulate", "duration_s=0", "duration_s 0.0 is under one sample"),
     ("simulate", "duration_s=0.00001", "duration_s 1e-05 is under one sample"),
+    ("simulate", "duration_s=1e12", "duration_s 1000000000000.0 is over the 111.8 s an "
+     "example of 8 microphones and up to 10 noises may take in 1024 MiB"),
+    ("simulate", "duration_s=1e300", "duration_s 1e+300 is over the 111.8 s"),
     ("simulate", "channels=0", "channels must be >= 1, got 0"),
     ("simulate", "channels=-1", "channels must be >= 1, got -1"),
     ("train", "channels=2\nclip=-0.03", "clip must be finite and positive, got -0.03"),
@@ -413,6 +416,7 @@ def test_evaluate_skips_unusable_example(workspace, tmp_path, capsys, fault):
     ("train", "channels=2\nseed=-1", "seed must be >= 0, got -1"),
 ], ids=["order", "order_38", "order_100", "l_out", "hop", "batch", "snr_nan", "snr_inf",
         "duration_nan", "duration_inf", "duration_negative", "duration_zero", "duration_under_one_sample",
+        "duration_over_allowance", "duration_1e300",
         "channels_zero", "channels_negative", "clip_negative", "lr_negative", "chunk_zero",
         "epochs_negative", "seed_negative"])
 def test_bad_config_value_exits_1(workspace, tmp_path, capsys, command, line, message):
@@ -424,6 +428,7 @@ def test_bad_config_value_exits_1(workspace, tmp_path, capsys, command, line, me
     assert main(args) == 1
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_simulate_negative_seed_flag_exits_1(workspace, tmp_path, capsys):

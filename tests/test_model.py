@@ -349,24 +349,34 @@ def test_training_backward_holds_no_stack_gradient():
 
 
 def test_inference_forward_holds_one_block_working_set():
-    # model_forward with no tape, 2 s of 8-channel 64-8-8 input: the peak is
-    # the 31.7 MiB dense stack plus one block's buffers (its conv output,
-    # rectified in place, its normalized rows, and the LSTM's arrays) and the
-    # input's copies. 42.9 MiB are measured; 42.8 when the PReLU was a
-    # kernel of its own, 93.0 when the input frames lived through every
-    # block and each layer norm and PReLU allocated its output and
-    # temporaries.
+    # model_forward with no tape, 8-channel 64-8-8 input: the peak is one
+    # 1 s span's dense stack (15.9 MiB) plus one block's buffers (its conv
+    # output, rectified in place, its normalized rows, and the LSTM's
+    # arrays) and the input's copies. At 2 s 22.9 MiB are measured; 42.9
+    # when the whole utterance went through one call and its 31.7 MiB stack,
+    # 42.8 when the PReLU was a kernel of its own, 93.0 when the input
+    # frames lived through every block and each layer norm and PReLU
+    # allocated its output and temporaries.
+    # From 2 s to 10 s only the whole-input copies grow: the scaled input
+    # and its padded copy (C float32 per sample each) and the decoder frames
+    # (l_out/hop float32 per sample), 72 bytes per sample here. 8.8 MiB are
+    # measured; +171.2 MiB (42.9 -> 214.1) with the one whole-utterance call.
     cfg = ModelConfig()
     store = build_params(cfg, seed=0)
-    y = np.random.default_rng(0).standard_normal((8, 32000)).astype(np.float32)
-    model_forward(y, cfg, store)
-    tracemalloc.start()
-    try:
+    peaks = []
+    for seconds in (2, 10):
+        y = np.random.default_rng(0).standard_normal((8, 16000 * seconds)).astype(np.float32)
         model_forward(y, cfg, store)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 46 * 2 ** 20, f"{peak / 2 ** 20:.1f} MiB"
+        tracemalloc.start()
+        try:
+            model_forward(y, cfg, store)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= 25 * 2 ** 20, f"{peaks[0] / 2 ** 20:.1f} MiB"
+    per_sample = (2 * cfg.channels + cfg.frame.l_out // cfg.frame.hop) * 4
+    growth = peaks[1] - peaks[0]
+    assert growth <= 1.1 * per_sample * 16000 * 8, f"{growth / 2 ** 20:.1f} MiB"
 
 
 def test_forward_and_backward_write_no_array_they_still_read():
@@ -609,6 +619,22 @@ def test_streaming_matches_batch_at_dense_stack_edges(cfg):
     _check_streaming_matches_batch(cfg)
 
 
+def test_untaped_forward_streams_spans_with_the_taped_bytes():
+    # With no tape model_forward runs its frames in spans of _BLOCK_HOPS,
+    # carrying the LSTM states between them; under a tape it runs the whole
+    # utterance in one call. Both give the same bytes on either side of a
+    # span's edge and with a partial last span.
+    cfg = ModelConfig(channels=2, hidden=8, spatial=2, blocks=2,
+                      frame=FrameSpec(l_in=32, l_out=8, hop=4))
+    store = build_params(cfg, seed=0)
+    rng = np.random.default_rng(8)
+    for t_len in (1, _BLOCK_HOPS - 1, _BLOCK_HOPS, _BLOCK_HOPS + 1, 2 * _BLOCK_HOPS + 7):
+        y = rng.standard_normal((cfg.channels, t_len * cfg.frame.hop)).astype(np.float32)
+        with Tape():
+            taped = model_forward(y, cfg, store).data
+        _assert_same_bytes(model_forward(y, cfg, store).data, taped)
+
+
 def test_streaming_session_sees_later_load_arrays():
     cfg = ModelConfig(channels=2, hidden=8, spatial=2, blocks=2,
                       frame=FrameSpec(l_in=32, l_out=8, hop=4))
@@ -722,8 +748,9 @@ def test_enhance_waveform_memory_is_bounded():
     # enhance_waveform pushes 1 s blocks, so beyond 2 s of input only its
     # copies of the input and the output grow: C + 2 float32 per sample
     # (the padded input, the emitted pieces, the joined output). Allow twice
-    # that; 20 bytes per sample are measured. A whole-utterance forward grows
-    # by ~200 bytes per sample here.
+    # that; 20 bytes per sample are measured. A no-tape model_forward runs in
+    # the same spans and grows by 34 bytes per sample here; in one
+    # whole-utterance call it grew by 148.
     cfg = ModelConfig(channels=2, hidden=8, spatial=2, blocks=2)
     store = build_params(cfg, seed=0)
     peaks = []

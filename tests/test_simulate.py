@@ -63,6 +63,32 @@ def test_order_above_max_is_refused_before_any_image(monkeypatch):
             simulate_rir(ROOM, [2.0, 2.0, 2.0], [[3.0, 2.0, 2.0]], order=order)
 
 
+def test_example_memory_grows_within_the_duration_bound():
+    # max_example_samples figures an example's working set at under 8
+    # float64 per microphone plus one per source, per sample; the
+    # tracemalloc peak of one example, from its sources to its float32
+    # copies, grows from 1 s to 3 s within that (98 bytes per sample are
+    # measured at 2 microphones and 2 noises, against a bound of 152)
+    n_mics, n_noise = 2, 2
+
+    def peak(n):
+        rng = np.random.default_rng(0)
+        scene = draw_scene(rng, n_mics=n_mics, n_noise_range=(n_noise, n_noise))
+        tracemalloc.start()
+        try:
+            noises = [pink_noise(rng, n) for _ in range(n_noise)]
+            ex = spatialize_mixture(scene, speech_like(rng, n), noises, order=1)
+            ex.mixture.astype(np.float32), ex.s_direct.astype(np.float32)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    n_sources = n_noise + 1
+    per_sample = (peak(48000) - peak(16000)) / 32000
+    assert per_sample <= 8 * (8 * n_mics + n_sources), per_sample
+    assert simulate.max_example_samples(n_mics, n_sources) == 2 ** 30 // (8 * 19)
+
+
 @pytest.mark.parametrize("order", [0, 1, 6])
 def test_simulate_rir_microphone_array_rows_match_single_calls(order):
     scene = draw_scene(np.random.default_rng(14), n_mics=8)
